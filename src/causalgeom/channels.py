@@ -14,6 +14,7 @@ only; output-side densities are never truncated.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing as tp
 
@@ -131,6 +132,14 @@ InterventionSet = tp.Union[UniformBox, DiscretePoints]
 # ---------------------------------------------------------------------------
 
 
+# Every noise spec answers the same questions about its covariance Sigma(mean)
+# at a batch of channel means (..., d): the matrix itself, a whitened residual
+# (a symmetric W with W W = Sigma^-1 applied along the last axis, so whitening
+# twice applies the precision), half its log-determinant, a draw, and a bound
+# on its largest standard deviation over a set of means. Callers branch on the
+# kind of noise only to refuse it or to pick a closed form.
+
+
 @dataclasses.dataclass(frozen=True)
 class ConstantIsotropic:
     """sigma * identity, the same at every state."""
@@ -141,12 +150,21 @@ class ConstantIsotropic:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise InvalidConfigError(f"noise sigma must be finite and > 0, got {self.sigma}")
 
-    def sigma_diag(self, mean: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.sigma, np.shape(mean)).copy()
-
     def covariance(self, mean: np.ndarray) -> np.ndarray:
         d = np.shape(mean)[-1]
         return self.sigma**2 * np.eye(d)
+
+    def whiten(self, resid: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        return resid / self.sigma
+
+    def half_logdet(self, mean: np.ndarray) -> float:
+        return np.shape(mean)[-1] * math.log(self.sigma)
+
+    def draw(self, rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+        return mean + self.sigma * rng.standard_normal(np.shape(mean))
+
+    def scale_bound(self, means: np.ndarray) -> float:
+        return self.sigma
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,20 +182,37 @@ class DiagonalStateDependent:
 
     def covariance(self, mean: np.ndarray) -> np.ndarray:
         sig = self.sigma_diag(mean)
-        return np.apply_along_axis(np.diag, -1, sig**2) if sig.ndim > 1 else np.diag(sig**2)
+        return sig[..., None] ** 2 * np.eye(sig.shape[-1])
+
+    def whiten(self, resid: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        return resid / self.sigma_diag(mean)
+
+    def half_logdet(self, mean: np.ndarray) -> np.ndarray:
+        return np.sum(np.log(self.sigma_diag(mean)), axis=-1)
+
+    def draw(self, rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+        return mean + self.sigma_diag(mean) * rng.standard_normal(np.shape(mean))
+
+    def scale_bound(self, means: np.ndarray) -> float:
+        return float(np.max(self.sigma_diag(means)))
 
 
 @dataclasses.dataclass(frozen=True)
 class FullConstant:
-    """A fixed full covariance matrix, the same at every state."""
+    """A fixed full covariance matrix, the same at every state.
+
+    ``cov`` may also be a stack (..., d, d) whose leading axes broadcast
+    against those of the means, e.g. one proposal covariance per row.
+    """
 
     cov: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if c.shape[0] != c.shape[1]:
+        if c.shape[-1] != c.shape[-2]:
             raise InvalidConfigError("covariance must be square")
-        if not np.allclose(c, c.T, atol=1e-12 * max(1.0, float(np.abs(c).max()))):
+        c_t = np.swapaxes(c, -1, -2)
+        if not np.allclose(c, c_t, atol=1e-12 * max(1.0, float(np.abs(c).max()))):
             raise InvalidConfigError("covariance must be symmetric")
         try:
             chol = np.linalg.cholesky(c)
@@ -186,14 +221,41 @@ class FullConstant:
         object.__setattr__(self, "cov", c)
         object.__setattr__(self, "_chol", chol)
 
+    @functools.cached_property
+    def _white(self) -> np.ndarray:
+        """Symmetric inverse square root of the covariance."""
+        vals, vecs = np.linalg.eigh(self.cov)
+        return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
     def covariance(self, mean: np.ndarray) -> np.ndarray:
         return self.cov
 
-    def cholesky(self) -> np.ndarray:
-        return self._chol  # type: ignore[attr-defined]
+    def whiten(self, resid: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        return np.einsum("...j,...jk->...k", resid, self._white)
+
+    def half_logdet(self, mean: np.ndarray) -> np.ndarray:
+        chol = self._chol  # type: ignore[attr-defined]
+        return np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+    def draw(self, rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+        z = rng.standard_normal(np.shape(mean))
+        return mean + np.einsum("...ij,...j->...i", self._chol, z)  # type: ignore[attr-defined]
+
+    def scale_bound(self, means: np.ndarray) -> float:
+        return math.sqrt(float(np.max(np.linalg.eigvalsh(self.cov))))
 
 
 NoiseSpec = tp.Union[ConstantIsotropic, DiagonalStateDependent, FullConstant]
+
+
+def gaussian_log_density(noise: NoiseSpec, point: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """log N(point; mean, noise covariance at mean), reduced over the last axis."""
+    white = noise.whiten(point - mean, mean)
+    out = np.einsum("...i,...i->...", white, white)
+    out += white.shape[-1] * _LOG_2PI
+    out *= -0.5
+    out -= noise.half_logdet(mean)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +310,7 @@ class GaussianChannel:
 
     def sample(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
         """Draw one output per input row; x has shape (..., d_in)."""
-        mean = self.mean(x)
-        if isinstance(self.noise, FullConstant):
-            z = rng.standard_normal(mean.shape)
-            return mean + z @ self.noise.cholesky().T
-        sig = self.noise.sigma_diag(mean)
-        return mean + sig * rng.standard_normal(mean.shape)
+        return self.noise.draw(rng, self.mean(x))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,25 +330,10 @@ class Gaussian:
     def dim(self) -> int:
         return self.mean.size
 
-    def _chol(self) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateDistributionError(
-                "covariance is singular; density undefined"
-            ) from exc
-
     def log_density(self, point: ArrayLike) -> float | np.ndarray:
-        p = np.asarray(point, dtype=float)
-        chol = self._chol()
-        diff = np.atleast_1d(p) - self.mean
-        sol = np.linalg.solve(chol, diff[..., None] if diff.ndim > 1 else diff)
-        if diff.ndim > 1:
-            sol = sol[..., 0]
-        quad = np.sum(np.square(sol), axis=-1)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out = -0.5 * (quad + logdet + self.dim * _LOG_2PI)
-        return float(out) if np.isscalar(point) or np.ndim(point) <= 1 else out
+        p = np.atleast_1d(np.asarray(point, dtype=float))
+        out = gaussian_log_density(FullConstant(self.cov), p, self.mean)
+        return float(out) if np.ndim(point) <= 1 else out
 
     def density(self, point: ArrayLike) -> float | np.ndarray:
         return np.exp(self.log_density(point))
@@ -322,19 +364,7 @@ def log_density(dist: Gaussian, point: ArrayLike) -> float | np.ndarray:
 
 def _log_gauss_given_inputs(channel: GaussianChannel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log q(theta | do(x_i)) for a batch of inputs x (n, d_in), fixed theta."""
-    mean = channel.mean(x)  # (n, d_out)
-    diff = theta[None, :] - mean
-    if isinstance(channel.noise, FullConstant):
-        chol = channel.noise.cholesky()
-        sol = np.linalg.solve(chol, diff.T).T
-        quad = np.sum(sol**2, axis=-1)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    else:
-        sig = channel.noise.sigma_diag(mean)
-        quad = np.sum((diff / sig) ** 2, axis=-1)
-        logdet = 2.0 * np.sum(np.log(sig), axis=-1)
-    d = theta.size
-    return -0.5 * (quad + logdet + d * _LOG_2PI)
+    return gaussian_log_density(channel.noise, theta, channel.mean(x))
 
 
 def _score_given_inputs(channel: GaussianChannel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -343,13 +373,8 @@ def _score_given_inputs(channel: GaussianChannel, theta: np.ndarray, x: np.ndarr
     Exact: the covariance never depends on theta, only on the input.
     """
     mean = channel.mean(x)
-    diff = theta[None, :] - mean
-    if isinstance(channel.noise, FullConstant):
-        chol = channel.noise.cholesky()
-        half = np.linalg.solve(chol, diff.T)
-        return -np.linalg.solve(chol.T, half).T
-    sig = channel.noise.sigma_diag(mean)
-    return -diff / sig**2
+    noise = channel.noise
+    return -noise.whiten(noise.whiten(theta - mean, mean), mean)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +423,7 @@ class InvertedChannel:
     def _segments(self, theta: np.ndarray, x_star: np.ndarray) -> list[list[tuple[float, float, int]]]:
         """Per-axis integration segments: a dense window at the peak plus the
         rest of the box at lower order."""
-        mean = self.channel.mean(x_star)
-        if isinstance(self.channel.noise, FullConstant):
-            sig_max = math.sqrt(float(np.max(np.linalg.eigvalsh(self.channel.noise.cov))))
-        else:
-            sig_max = float(np.max(self.channel.noise.sigma_diag(mean)))
+        sig_max = self.channel.noise.scale_bound(self.channel.mean(x_star))
         jac = self.channel.jac(x_star)
         svals = np.linalg.svd(jac, compute_uv=False)
         s_min = float(svals.min()) if svals.size else 0.0

@@ -64,10 +64,44 @@ _SUBMANIFOLDS = {
 # ---------------------------------------------------------------------------
 
 
+ESTIMATORS = ("exact", "geometric")
+
+
+def _pencil_eigenvalues(model: ChainModel, theta: np.ndarray) -> dict[str, float]:
+    """Eigenvalues of the pencil (g, h) at theta, one column per parameter axis."""
+    values = causal_eigenvalues(model.g, model.h, theta).eigenvalues
+    return {f"lambda_{i + 1}": float(v) for i, v in enumerate(values)}
+
+
+def _confounder_metrics(model, theta: np.ndarray) -> dict[str, float]:
+    """Causal and statistical intervention metrics of the confounded decay at theta."""
+    t = float(theta[0])
+    return {
+        "theta": t,
+        "h_caus": float(model.h_caus(t)[0, 0]),
+        "h_stat": float(model.h_stat(t)[0, 0]),
+        "h_stat_series": float(model.h_stat_series(t)),
+    }
+
+
 class ModelEntry(tp.NamedTuple):
+    """A built-in model and what the runner can compute with it."""
+
     build: tp.Callable[[dict], tp.Any]
     defaults: dict
     description: str
+    label: str  # curve label when one CSV holds several curves
+    dim: int = 1  # parameter dimension: the length of an eigen theta
+    estimators: tuple[str, ...] = ESTIMATORS  # EI estimators that are valid for the model
+    eigen: tp.Callable[[tp.Any, np.ndarray], dict[str, float]] | None = _pencil_eigenvalues
+    eigen_theta: tuple[float, ...] | None = None  # eigen point when the config names none
+
+    @property
+    def computations(self) -> tuple[str, ...]:
+        ei = bool(self.estimators)
+        both = set(ESTIMATORS) <= set(self.estimators)
+        allowed = (ei, ei, both, self.eigen is not None, ei)
+        return tuple(c for c, ok in zip(_COMPUTATIONS, allowed) if ok)
 
 
 def _build_dimmer(p: dict) -> ChainModel:
@@ -120,21 +154,29 @@ MODELS: dict[str, ModelEntry] = {
         _build_dimmer,
         {"epsilon": 0.03, "delta": 0.03, "profile": "linear", "exponent": 2.0},
         "one-dimensional response profile with constant output noise",
+        label="dimmer",
     ),
     "dimmer-family": ModelEntry(
         _build_family,
         {"a": 0.0, "epsilon": 0.03, "delta": 0.03},
         "exponential-family response profile indexed by a (a=0 is linear)",
+        label="dimmer_family",
     ),
     "dimmer-weber": ModelEntry(
         _build_weber,
         {"r": 0.1, "epsilon0": 0.03, "delta": 0.003, "floor": 1e-3},
         "optimal profile for output noise proportional to the output level",
+        label="dimmer_weber",
     ),
     "binary-switch": ModelEntry(
         _build_binary,
         {"epsilon": 1e-4, "delta": 1e-4},
         "two-point intervention set on the linear response",
+        label="binary_switch",
+        # the switch carries the continuous dimmer's metrics, which say
+        # nothing about two interventions
+        estimators=("exact",),
+        eigen=None,
     ),
     "two-species": ModelEntry(
         _build_two_species,
@@ -146,11 +188,17 @@ MODELS: dict[str, ModelEntry] = {
             "matrix": [[1.0, 0.0], [0.0, 1.0]],
         },
         "sum of two exponential decays sampled at N time points",
+        label="2d",
+        dim=2,
     ),
     "decay-confounder": ModelEntry(
         _build_decay,
         {"sigma_t": 0.05, "sigma_x": 1.0, "alpha": 1.0, "x_hat": 1.0},
         "confounded decay estimate; compares causal and statistical metrics",
+        label="decay_confounder",
+        estimators=(),
+        eigen=_confounder_metrics,
+        eigen_theta=(0.5,),
     ),
 }
 
@@ -214,6 +262,12 @@ def _resolve_model(entry: dict) -> dict:
                 params[key] = int(value)
             elif isinstance(default, float):
                 params[key] = float(value)
+            elif isinstance(default, list):
+                arr = np.asarray(value, dtype=float)
+                if arr.shape != np.shape(default) or not np.all(np.isfinite(arr)):
+                    shape = "x".join(str(n) for n in np.shape(default))
+                    raise ValueError(f"expected a {shape} array of finite numbers")
+                params[key] = arr.tolist()
             else:
                 params[key] = value
         except (TypeError, ValueError) as exc:
@@ -241,8 +295,10 @@ def _resolve_config(doc: dict) -> dict:
     if len(models) > 1 and computation != "crossover-scan":
         raise InvalidConfigError("multiple models are only supported for crossover-scan")
 
-    estimator = doc.get("estimator", "geometric" if _has_metrics(models) else "exact")
-    if estimator not in ("exact", "geometric"):
+    entries = [MODELS[m["name"]] for m in models]
+    geometric = all("geometric" in e.estimators for e in entries)
+    estimator = doc.get("estimator", "geometric" if geometric else "exact")
+    if estimator not in ESTIMATORS:
         raise InvalidConfigError("estimator must be 'exact' or 'geometric'")
 
     units = doc.get("units", "bits")
@@ -285,6 +341,20 @@ def _resolve_config(doc: dict) -> dict:
     if theta is not None:
         theta = [float(t) for t in np.atleast_1d(theta)]
 
+    if computation == "eigen":
+        _check_eigen(models[0], theta, sweep)
+    else:
+        needed = ESTIMATORS if computation == "ei-both" else (estimator,)
+        for m, entry in zip(models, entries):
+            for est in needed:
+                if est not in entry.estimators:
+                    raise InvalidConfigError(
+                        f"model {m['name']!r} cannot compute {computation} with the {est} "
+                        f"estimator; it supports: {', '.join(entry.computations)}"
+                    )
+        if computation != "ei-both" and subs and (entries[0].dim != 2 or not geometric):
+            raise InvalidConfigError("submanifolds need a two-parameter model with metrics")
+
     return {
         "schema_version": SCHEMA_VERSION,
         "models": models,
@@ -301,8 +371,23 @@ def _resolve_config(doc: dict) -> dict:
     }
 
 
-def _has_metrics(models: list[dict]) -> bool:
-    return all(m["name"] not in ("binary-switch", "decay-confounder") for m in models)
+def _check_eigen(model_cfg: dict, theta: list[float] | None, sweep: dict | None) -> None:
+    """Refuse an eigen computation the model lacks or a theta of the wrong length."""
+    name = model_cfg["name"]
+    entry = MODELS[name]
+    if entry.eigen is None:
+        raise InvalidConfigError(
+            f"model {name!r} has no eigen computation; it supports: {', '.join(entry.computations)}"
+        )
+    if sweep is not None and sweep["variable"] == "theta":
+        theta = [sweep["from"]]
+    theta = theta or entry.eigen_theta
+    if theta is None:
+        raise InvalidConfigError("eigen computation needs a theta point")
+    if len(theta) != entry.dim:
+        raise InvalidConfigError(
+            f"theta has {len(theta)} components but model {name!r} has {entry.dim} parameter(s)"
+        )
 
 
 def _thread_count(flag: int | None, cfg: dict) -> int:
@@ -342,127 +427,87 @@ def _to_units(nats: float, units: str) -> float:
     return nats if units == "nats" else nats / _LN2
 
 
-def _curves(cfg: dict) -> list[tuple[str, tp.Callable[[dict], float]]]:
-    """Labeled curve evaluators taking a sweep-override dict to nats."""
-    seed = cfg["seed"]
-    estimator = cfg["estimator"]
-    in_sweep = cfg["sweep"] is not None
-    multi = len(cfg["models"]) > 1 or bool(cfg["submanifolds"])
-    curves: list[tuple[str, tp.Callable[[dict], float]]] = []
-    for model_cfg in cfg["models"]:
-        if multi:
-            label = "2d" if model_cfg["name"] == "two-species" else model_cfg["name"].replace("-", "_")
-        else:
-            label = ""
+def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
+    """(label, sweep overrides -> EIReport) for each value column of an EI computation.
 
-        def full(overrides: dict, mc=model_cfg) -> float:
-            model = _instantiate(mc, overrides)
-            if estimator == "exact":
-                return _exact_report(model, seed, in_sweep).nats
-            return ei_geometric(model.g, model.h, model.theta_domain).nats
+    Each call builds its own model, so every column is an independent curve
+    that sweeps, ``ei-both`` and crossover scans evaluate alike.
+    """
+    seed, in_sweep = cfg["seed"], cfg["sweep"] is not None
+    estimate = {
+        "exact": lambda model: _exact_report(model, seed, in_sweep),
+        "geometric": lambda model: ei_geometric(model.g, model.h, model.theta_domain),
+    }
 
-        curves.append((label, full))
-    base = cfg["models"][0]
+    def column(model_cfg: dict, fn: tp.Callable[[tp.Any], EIReport]) -> tp.Callable[[dict], EIReport]:
+        return lambda overrides: fn(_instantiate(model_cfg, overrides))
+
+    models = cfg["models"]
+    if cfg["computation"] == "ei-both":
+        return [
+            ("exact", column(models[0], estimate["exact"])),
+            ("geom", column(models[0], estimate["geometric"])),
+        ]
+    multi = len(models) > 1 or bool(cfg["submanifolds"])
+    fn = estimate[cfg["estimator"]]
+    columns = [(MODELS[m["name"]].label if multi else "", column(m, fn)) for m in models]
     for name in cfg["submanifolds"]:
         factory, label = _SUBMANIFOLDS[name]
-
-        def part(overrides: dict, f=factory) -> float:
-            model = _instantiate(base, overrides)
-            return coarse_grained_ei(model, f()).nats
-
-        curves.append((label, part))
-    return curves
+        restricted = column(models[0], lambda model, f=factory: coarse_grained_ei(model, f()))
+        columns.append((label, restricted))
+    return columns
 
 
-def _eigen_row(cfg: dict, overrides: dict) -> list[float]:
-    model = _instantiate(cfg["models"][0], overrides)
-    if cfg["models"][0]["name"] == "decay-confounder":
-        theta = float(overrides.get("theta", cfg["theta"][0] if cfg["theta"] else 0.5))
-        h_caus = float(model.h_caus(theta)[0, 0])
-        h_stat = float(model.h_stat(theta)[0, 0])
-        return [theta, h_caus, h_stat, float(model.h_stat_series(theta))]
-    if not cfg["theta"]:
-        raise InvalidConfigError("eigen computation needs a theta point")
-    theta = np.asarray(cfg["theta"], dtype=float)
-    report = causal_eigenvalues(model.g, model.h, theta)
-    return list(report.eigenvalues)
-
-
-def _eigen_header(cfg: dict) -> list[str]:
-    if cfg["models"][0]["name"] == "decay-confounder":
-        return ["theta", "h_caus", "h_stat", "h_stat_series"]
-    return [f"lambda_{i + 1}" for i in range(len(cfg["theta"]))]
+def _eigen_row(cfg: dict, overrides: dict) -> dict[str, float]:
+    model_cfg = cfg["models"][0]
+    entry = MODELS[model_cfg["name"]]
+    theta = [overrides["theta"]] if "theta" in overrides else cfg["theta"] or entry.eigen_theta
+    return entry.eigen(_instantiate(model_cfg, overrides), np.asarray(theta, dtype=float))
 
 
 def _evaluate(cfg: dict, threads: int) -> tuple[list[str], list[list], list[str]]:
     """Returns (header, rows, crossing comment lines)."""
     units = cfg["units"]
-    computation = cfg["computation"]
     sweep = cfg["sweep"]
-    suffix = f"_{units}"
-
-    if computation == "eigen":
-        if sweep is None:
-            return _eigen_header(cfg), [_eigen_row(cfg, {})], []
-        values = SweepSpec.from_range(
+    spec = None
+    if sweep is not None:
+        spec = SweepSpec.from_range(
             sweep["variable"], sweep["from"], sweep["to"], sweep["steps"], log=sweep["log"]
-        ).values
-        rows = _parallel(
-            lambda v: _eigen_row(cfg, _overrides(sweep, v)), values, threads
         )
-        header = _eigen_header(cfg)
-        if sweep["variable"] != "theta":
-            header = [sweep["variable"]] + header
-            rows = [[v] + r for v, r in zip(values, rows)]
-        return header, rows, []
 
-    curves = _curves(cfg)
-    if computation == "ei-both":
-        single = cfg["models"][0]
-        seed, in_sweep = cfg["seed"], sweep is not None
+    def each_point(fn: tp.Callable[[dict], tp.Any]) -> list:
+        if spec is None:
+            return [fn({})]
+        return _parallel(lambda v: fn(_overrides(sweep, v)), spec.values, threads)
 
-        def both(overrides: dict) -> list[float]:
-            model = _instantiate(single, overrides)
-            exact = _exact_report(model, seed, in_sweep).nats
-            geom = ei_geometric(model.g, model.h, model.theta_domain).nats
-            return [_to_units(exact, units), _to_units(geom, units)]
-
-        header = [f"ei_exact{suffix}", f"ei_geom{suffix}"]
-        evaluate: tp.Callable[[dict], list[float]] = both
+    comments: list[str] = []
+    if cfg["computation"] == "eigen":
+        found = each_point(lambda overrides: _eigen_row(cfg, overrides))
+        header = list(found[0])
+        rows = [list(row.values()) for row in found]
     else:
-        header = [f"ei_{label}{suffix}" if label else f"ei{suffix}" for label, _ in curves]
-
-        def evaluate(overrides: dict) -> list[float]:
-            return [_to_units(fn(overrides), units) for _, fn in curves]
-
-    if sweep is None:
-        return header, [evaluate({})], []
-
-    values = SweepSpec.from_range(
-        sweep["variable"], sweep["from"], sweep["to"], sweep["steps"], log=sweep["log"]
-    ).values
-    if computation == "crossover-scan":
-        spec = SweepSpec(variable=sweep["variable"], values=values, log=sweep["log"])
-        models = [(label or "ei", _curve_as_report(fn, sweep)) for label, fn in curves]
-        scan = crossover_scan(models, spec)
-        rows = []
-        for i, v in enumerate(values):
-            cells = [
-                _to_units(rep.nats, units) if (rep := scan.curves[label][i]) is not None else float("nan")
-                for label, _ in models
+        columns = _columns(cfg)
+        header = [f"ei_{label}_{units}" if label else f"ei_{units}" for label, _ in columns]
+        if cfg["computation"] == "crossover-scan":
+            curves = [
+                (label or "ei", lambda v, fn=fn: fn(_overrides(sweep, v))) for label, fn in columns
             ]
-            rows.append([float(v)] + cells)
-        comments = [
-            f"#crossing,{c.first},{c.second},{c.value:.17g},{c.bracket[0]:.17g},{c.bracket[1]:.17g}"
-            for c in scan.crossings
+            scan = crossover_scan(curves, spec)
+            reports = [list(point) for point in zip(*(scan.curves[label] for label, _ in curves))]
+            comments = [
+                f"#crossing,{c.first},{c.second},{c.value:.17g},{c.bracket[0]:.17g},{c.bracket[1]:.17g}"
+                for c in scan.crossings
+            ]
+        else:
+            reports = each_point(lambda overrides: [fn(overrides) for _, fn in columns])
+        rows = [
+            [_to_units(rep.nats, units) if rep is not None else float("nan") for rep in point]
+            for point in reports
         ]
-        header = [sweep["variable"]] + [
-            f"ei_{label}{suffix}" if label != "ei" else f"ei{suffix}" for label, _ in models
-        ]
-        return header, rows, comments
-
-    rows = _parallel(lambda v: evaluate(_overrides(sweep, v)), values, threads)
-    return [sweep["variable"]] + header, [[float(v)] + r for v, r in zip(values, rows)], []
+    if spec is not None and spec.variable not in header:
+        header = [spec.variable] + header
+        rows = [[float(v)] + row for v, row in zip(spec.values, rows)]
+    return header, rows, comments
 
 
 def _overrides(sweep: dict, value: float) -> dict:
@@ -470,13 +515,6 @@ def _overrides(sweep: dict, value: float) -> dict:
     for tied in sweep["tie"]:
         out[tied] = value
     return out
-
-
-def _curve_as_report(fn: tp.Callable[[dict], float], sweep: dict) -> tp.Callable[[float], EIReport]:
-    def wrapped(value: float) -> EIReport:
-        return EIReport.build(fn(_overrides(sweep, value)), "scan", "scan")
-
-    return wrapped
 
 
 def _parallel(fn: tp.Callable[[float], list], values: np.ndarray, threads: int) -> list[list]:
@@ -571,9 +609,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise InvalidConfigError("no output directory (config key 'output' or --output)")
     threads = _thread_count(args.threads, cfg)
 
+    header, rows, comments = _evaluate(cfg, threads)
     out_dir = pathlib.Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows, comments = _evaluate(cfg, threads)
     _write_results(out_dir / "results.csv", header, rows, comments)
     _write_manifest(out_dir / "manifest.json", cfg)
     if cfg["plot"]:
@@ -609,11 +647,12 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
         key, raw = item.split("=", 1)
         params[key] = yaml.safe_load(raw)
     model_cfg = _resolve_model({"name": args.model, **params})
-    theta = [float(t) for t in args.theta.split(",")]
-    cfg = {"models": [model_cfg], "theta": theta}
-    row = _eigen_row(cfg, {"theta": theta[0]} if args.model == "decay-confounder" else {})
-    header = _eigen_header(cfg)
-    for name, value in zip(header, row):
+    try:
+        theta = [float(t) for t in args.theta.split(",")]
+    except ValueError as exc:
+        raise InvalidConfigError(f"--theta expects comma-separated numbers: {exc}") from exc
+    _check_eigen(model_cfg, theta, None)
+    for name, value in _eigen_row({"models": [model_cfg], "theta": theta}, {}).items():
         print(f"{name} {value:.17g}")
     return 0
 

@@ -28,7 +28,6 @@ from scipy.special import logsumexp, ndtr
 
 from ._quadrature import gauss_hermite, gauss_legendre, midpoint_axes, nodes_weights
 from .channels import (
-    ConstantIsotropic,
     DiagonalStateDependent,
     DiscretePoints,
     Domain,
@@ -36,6 +35,7 @@ from .channels import (
     GaussianChannel,
     InterventionSet,
     UniformBox,
+    gaussian_log_density,
 )
 from .errors import (
     DegenerateModelError,
@@ -44,11 +44,10 @@ from .errors import (
     NumericalFailureError,
     UseMonteCarloError,
 )
-from .geometry import MetricField, _mismatch_batch
+from .geometry import MetricField, _mismatch_batch, _sym
 
 _LN2 = math.log(2.0)
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_2PIE = _LOG_2PI + 1.0
+_LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 _P_FLOOR = 1e-280
 
 FLAG_NEGATIVE_GEOMETRIC = "negative-geometric-ei"
@@ -125,31 +124,12 @@ class EIReport:
         )
 
 
-# ---------------------------------------------------------------------------
-# noise helpers (per-axis sigma at a batch of means)
-# ---------------------------------------------------------------------------
+def _sd(noise, mean: np.ndarray) -> np.ndarray:
+    """Per-row standard deviation of one-dimensional noise at means (n, 1).
 
-
-def _sigma_at(noise, mean: np.ndarray) -> np.ndarray:
-    """Per-axis standard deviations at the given means; full covs refused."""
-    if isinstance(noise, ConstantIsotropic):
-        return np.broadcast_to(noise.sigma, mean.shape)
-    if isinstance(noise, DiagonalStateDependent):
-        return noise.sigma_diag(mean)
-    raise UseMonteCarloError(
-        "exact quadrature supports isotropic or diagonal effect noise only"
-    )
-
-
-def _intervention_scale(ch: GaussianChannel) -> float:
-    """A representative sigma of the intervention-side channel."""
-    if isinstance(ch.noise, ConstantIsotropic):
-        return ch.noise.sigma
-    if isinstance(ch.noise, FullConstant):
-        return math.sqrt(float(np.max(np.linalg.eigvalsh(ch.noise.cov))))
-    lo, hi = ch.input_domain.lower, ch.input_domain.upper
-    probe = lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[:, None]
-    return float(np.max(ch.noise.sigma_diag(ch.mean(probe))))
+    In one dimension the half log-determinant is the log standard deviation.
+    """
+    return np.exp(np.broadcast_to(noise.half_logdet(mean), np.shape(mean)[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +155,17 @@ class _ScalarChain:
     def __init__(self, ch_xt: GaussianChannel, ch_ty: GaussianChannel, x_set: InterventionSet):
         if ch_xt.dim_out != 1:
             raise UseMonteCarloError("exact quadrature requires a scalar parameter")
+        if isinstance(ch_ty.noise, FullConstant):
+            raise UseMonteCarloError(
+                "exact quadrature supports isotropic or diagonal effect noise only"
+            )
         self.ch_xt = ch_xt
         self.ch_ty = ch_ty
         self.x_set = x_set
         self.dy = ch_ty.dim_out
-        self.sigma_q = _intervention_scale(ch_xt)
+        lo, hi = ch_xt.input_domain.lower, ch_xt.input_domain.upper
+        probe = lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[:, None]
+        self.sigma_q = ch_xt.noise.scale_bound(ch_xt.mean(probe))
         if isinstance(x_set, UniformBox):
             if ch_xt.dim_in != 1:
                 raise UseMonteCarloError(
@@ -214,24 +200,10 @@ class _ScalarChain:
         """df/dtheta at theta (...,), returning (..., dy)."""
         return np.asarray(self.ch_ty.jac(theta[..., None]), dtype=float)[..., 0]
 
-    def eps(self, f_val: np.ndarray) -> np.ndarray:
-        return np.asarray(_sigma_at(self.ch_ty.noise, f_val), dtype=float)
-
-    def q_params(self, x: np.ndarray) -> tuple[float, float]:
-        mu, sig = self.q_params_batch(np.atleast_1d(x)[None, :])
-        return float(mu[0]), float(sig[0])
-
     def q_params_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-intervention parameter mean and sd for rows xs (m, d_in)."""
-        mus = self.ch_xt.mean(np.asarray(xs, dtype=float))[:, 0]
-        noise = self.ch_xt.noise
-        if isinstance(noise, ConstantIsotropic):
-            sig = np.full(mus.shape, noise.sigma)
-        elif isinstance(noise, FullConstant):
-            sig = np.full(mus.shape, math.sqrt(float(noise.cov[0, 0])))
-        else:
-            sig = np.asarray(noise.sigma_diag(mus[:, None]), dtype=float)[:, 0]
-        return mus, sig
+        mus = self.ch_xt.mean(np.asarray(xs, dtype=float))
+        return mus[:, 0], _sd(self.ch_xt.noise, mus)
 
     # -- conditional effect density ------------------------------------------
 
@@ -252,38 +224,27 @@ class _ScalarChain:
         sig_q = np.broadcast_to(np.asarray(sig_q, dtype=float), (n,))
         theta = mu_q.copy()
         prec_q = 1.0 / sig_q**2
+        noise = self.ch_ty.noise
         for _ in range(self.KERNEL_ITERS):
             f_val = self.f(theta)
             j = self.slope(theta)
-            eps = self.eps(f_val)
-            w = j / eps**2
+            w = noise.whiten(noise.whiten(j, f_val), f_val)  # Sigma^-1 df/dtheta
             prec = prec_q + np.sum(w * j, axis=-1)
             rhs = mu_q * prec_q + np.sum(w * (y - f_val + j * theta[:, None]), axis=-1)
             theta = rhs / prec
         scale = self.SCALE_INFLATION / np.sqrt(prec)
         t, gh_w = gauss_hermite(self.KERNEL_NODES)
         nodes = theta[:, None] + math.sqrt(2.0) * scale[:, None] * t[None, :]
-        log_psi = self._log_joint(nodes, y, mu_q, sig_q)
+        log_psi = self._log_joint(nodes, y, mu_q)
         log_term = log_psi + t[None, :] ** 2
         shift = np.max(log_term, axis=1, keepdims=True)
         total = np.sum(gh_w[None, :] * np.exp(log_term - shift), axis=1)
         return math.sqrt(2.0) * scale * total * np.exp(shift[:, 0])
 
-    def _log_joint(
-        self, nodes: np.ndarray, y: np.ndarray, mu_q: np.ndarray, sig_q: np.ndarray
-    ) -> np.ndarray:
+    def _log_joint(self, nodes: np.ndarray, y: np.ndarray, mu_q: np.ndarray) -> np.ndarray:
         """log[q(theta|x) p(y|theta)] at nodes (n, k) for paired rows y (n, dy)."""
-        log_q = (
-            -0.5 * ((nodes - mu_q[:, None]) / sig_q[:, None]) ** 2
-            - np.log(sig_q)[:, None]
-            - 0.5 * _LOG_2PI
-        )
-        f_val = self.f(nodes)  # (n, k, dy)
-        eps = self.eps(f_val)
-        resid = (y[:, None, :] - f_val) / eps
-        log_p = -0.5 * np.sum(resid**2, axis=-1) - np.sum(np.log(eps), axis=-1)
-        log_p -= 0.5 * self.dy * _LOG_2PI
-        return log_q + log_p
+        log_q = gaussian_log_density(self.ch_xt.noise, nodes[..., None], mu_q[:, None, None])
+        return log_q + gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(nodes))
 
     # -- averaged effect density ----------------------------------------------
 
@@ -335,8 +296,8 @@ class _ScalarChain:
     def _half_dist2(self, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Half squared whitened distance between y rows and f(theta)."""
         f_val = self.f(theta)
-        eps = self.eps(f_val)
-        return 0.5 * np.sum(((y - f_val) / eps) ** 2, axis=-1)
+        white = self.ch_ty.noise.whiten(y - f_val, f_val)
+        return 0.5 * np.sum(white**2, axis=-1)
 
     def _breakpoints(self, y: np.ndarray) -> np.ndarray:
         """Sorted integration breakpoints (n, k) for the averaged density.
@@ -350,7 +311,7 @@ class _ScalarChain:
         n = y.shape[0]
         ladder = np.asarray(self.LADDER)
         if self.dy == 1:
-            eps_y = self.eps(y)[:, 0]
+            eps_y = _sd(self.ch_ty.noise, y)
             targets = y[:, 0:1] + eps_y[:, None] * ladder[None, :]
             bp = self.invert_effect(targets.reshape(-1)).reshape(n, -1)
         else:
@@ -389,34 +350,20 @@ class _ScalarChain:
         nodes = bp[:, :-1, None] + widths[:, :, None] * t[None, None, :]
         weights = (widths[:, :, None] * w[None, None, :]).reshape(n, -1)
         flat = nodes.reshape(n, -1)  # (n, s*k)
-        f_val = self.f(flat)
-        eps = self.eps(f_val)
-        resid = (y[:, None, :] - f_val) / eps
-        log_p = (
-            -0.5 * np.sum(resid**2, axis=-1)
-            - np.sum(np.log(eps), axis=-1)
-            - 0.5 * self.dy * _LOG_2PI
-        )
+        log_p = gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(flat))
         mix = self.mixture_density(flat)
         return np.sum(weights * mix * np.exp(log_p), axis=1)
 
     # -- per-intervention KL --------------------------------------------------
 
-    def predicted_moments(self, mu_q: float, sig_q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the effect under do(x), linearized at mu_q."""
-        f0, cov = self.predicted_moments_batch(np.array([mu_q]), np.array([sig_q]))
-        return f0[0], cov[0]
-
     def predicted_moments_batch(
         self, mu_q: np.ndarray, sig_q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of the effect under each do(x), linearized at mu_q."""
         f0 = self.f(mu_q)  # (m, dy)
         j0 = self.slope(mu_q)
-        eps0 = self.eps(f0)
         cov = sig_q[:, None, None] ** 2 * j0[:, :, None] * j0[:, None, :]
-        idx = np.arange(self.dy)
-        cov[:, idx, idx] += eps0**2
-        return f0, cov
+        return f0, cov + self.ch_ty.noise.covariance(f0)
 
     def _densities_chunked(
         self, y_flat: np.ndarray, mu_flat: np.ndarray, sig_flat: np.ndarray
@@ -532,7 +479,8 @@ def effect_distribution(
     if chain.dy != 1:
         raise UseMonteCarloError("averaged-density estimate implemented for scalar effects")
     if isinstance(x_set, DiscretePoints):
-        params = [chain.q_params(p) for p in x_set.points]
+        probes = x_set.points
+        params = list(zip(*chain.q_params_batch(probes)))
 
         def density(y: np.ndarray) -> np.ndarray:
             return np.mean(
@@ -541,22 +489,13 @@ def effect_distribution(
             )
 
     else:
+        probes = np.linspace(x_set.domain.lower, x_set.domain.upper, 33)
         density = chain.averaged_density
 
-    tail = spec.effect_tail_sigmas
-    lo_w, hi_w = math.inf, -math.inf
-    probes = (
-        x_set.points
-        if isinstance(x_set, DiscretePoints)
-        else np.linspace(x_set.domain.lower, x_set.domain.upper, 33)
-    )
-    for p in probes:
-        mu, sig = chain.q_params(np.atleast_1d(p))
-        f0, cov = chain.predicted_moments(mu, sig)
-        sd = math.sqrt(cov[0, 0])
-        lo_w = min(lo_w, f0[0] - tail * sd)
-        hi_w = max(hi_w, f0[0] + tail * sd)
-    return DensityEstimate(density=density, window=Domain(((lo_w, hi_w),)))
+    f0, cov = chain.predicted_moments_batch(*chain.q_params_batch(probes))
+    reach = spec.effect_tail_sigmas * np.sqrt(cov[:, 0, 0])
+    window = ((float(np.min(f0[:, 0] - reach)), float(np.max(f0[:, 0] + reach))),)
+    return DensityEstimate(density=density, window=Domain(window))
 
 
 def _quadrature_pass(
@@ -629,16 +568,11 @@ def _log_box_mixture_factory(
         )
     lo, hi = box.lower, box.upper
     vol = box.volume
-    noise = ch_xt.noise
+    # state-dependent noise has no closed form; constant noise is one matrix
+    cov = None if isinstance(ch_xt.noise, DiagonalStateDependent) else ch_xt.noise.covariance(lo)
 
-    if isinstance(noise, ConstantIsotropic) or (
-        isinstance(noise, FullConstant)
-        and np.allclose(noise.cov, np.diag(np.diag(noise.cov)), atol=0.0)
-    ):
-        if isinstance(noise, ConstantIsotropic):
-            sig = np.full(box.dim, noise.sigma)
-        else:
-            sig = np.sqrt(np.diag(noise.cov))
+    if cov is not None and np.allclose(cov, np.diag(np.diag(cov)), atol=0.0):
+        sig = np.sqrt(np.diag(cov))
 
         def log_mix(theta: np.ndarray) -> np.ndarray:
             probs = ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)
@@ -647,8 +581,8 @@ def _log_box_mixture_factory(
 
         return log_mix
 
-    if isinstance(noise, FullConstant) and box.dim == 2:
-        chol = noise.cholesky()
+    if cov is not None and box.dim == 2:
+        chol = np.linalg.cholesky(cov)
         l11, l21, l22 = chol[0, 0], chol[1, 0], chol[1, 1]
         z_nodes, z_w = gauss_legendre(0.0, 1.0, 64)
 
@@ -660,30 +594,16 @@ def _log_box_mixture_factory(
             span = np.maximum(z_hi - z_lo, 0.0)
             z = z_lo[:, None] + span[:, None] * z_nodes[None, :]
             phi = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
-            u1 = l11 * z
             inner = ndtr((b[:, 1, None] - l21 * z) / l22) - ndtr((a[:, 1, None] - l21 * z) / l22)
-            del u1
             prob = span * np.sum(z_w[None, :] * phi * inner, axis=1)
             return np.log(np.maximum(prob, 1e-300)) - math.log(vol)
 
         return log_mix
 
     raise UseMonteCarloError(
-        "box-averaged density implemented for diagonal noise (any dimension) "
-        "or full covariance in two dimensions"
+        "box-averaged density implemented for constant diagonal noise (any "
+        "dimension) or full covariance in two dimensions"
     )
-
-
-def _log_gauss_diag(y: np.ndarray, mean: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    resid = (y - mean) / sig
-    return -0.5 * np.sum(resid**2, axis=-1) - np.sum(np.log(sig), axis=-1) - 0.5 * y.shape[-1] * _LOG_2PI
-
-
-def _log_gauss_full(y: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    diff = y - mean
-    sol = np.linalg.solve(chol, diff[..., None])[..., 0]
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (np.sum(sol**2, axis=-1) + logdet + y.shape[-1] * _LOG_2PI)
 
 
 def _logmeanexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -705,38 +625,15 @@ def _log_bias_correction(log_w: np.ndarray, axis: int, lme: np.ndarray) -> np.nd
     return (rel_second_moment - 1.0) / (2.0 * (m - 1))
 
 
-def _prior_terms(noise, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row precision and covariance of the intervention noise at means mu."""
-    n, d = mu.shape
-    if isinstance(noise, FullConstant):
-        prec = np.broadcast_to(np.linalg.inv(noise.cov), (n, d, d)).copy()
-        cov = np.broadcast_to(noise.cov, (n, d, d)).copy()
-        return prec, cov
-    sig = np.asarray(noise.sigma_diag(mu), dtype=float)
-    idx = np.arange(d)
-    prec = np.zeros((n, d, d))
-    cov = np.zeros((n, d, d))
-    prec[:, idx, idx] = 1.0 / sig**2
-    cov[:, idx, idx] = sig**2
-    return prec, cov
-
-
 def _likelihood_curvature(
     ch_ty: GaussianChannel, y: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton pieces (J' Sy^-1 J, J' Sy^-1 r) of log p(y|theta) per row."""
     f_val = ch_ty.mean(theta)
     jac = np.asarray(ch_ty.jac(theta), dtype=float)
-    resid = y - f_val
-    if isinstance(ch_ty.noise, FullConstant):
-        ch = ch_ty.noise.cholesky()
-        wj = np.linalg.solve(ch[None], jac)
-        wr = np.linalg.solve(ch[None], resid[..., None])[..., 0]
-    else:
-        sig = np.asarray(ch_ty.noise.sigma_diag(f_val), dtype=float)
-        wj = jac / sig[..., None]
-        wr = resid / sig
-    return np.einsum("bkd,bke->bde", wj, wj), np.einsum("bkd,bk->bd", wj, wr)
+    wj_t = ch_ty.noise.whiten(np.swapaxes(jac, -1, -2), f_val[:, None, :])  # (W J)^T
+    wr = ch_ty.noise.whiten(y - f_val, f_val)
+    return wj_t @ np.swapaxes(wj_t, -1, -2), np.einsum("bdk,bk->bd", wj_t, wr)
 
 
 def _gauss_newton_mode(
@@ -763,24 +660,9 @@ def _gauss_newton_mode(
     return theta, prec_prior + curv
 
 
-def _sample_rows(
-    rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m Gaussian draws per row for per-row (mean, cov); returns chol and logdet."""
-    chol = np.linalg.cholesky(cov)
-    z = rng.standard_normal((mean.shape[0], m, mean.shape[1]))
-    pts = mean[:, None, :] + np.einsum("bij,bmj->bmi", chol, z)
-    logdet = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return pts, chol, logdet
-
-
-def _log_rows(
-    pts: np.ndarray, mean: np.ndarray, chol: np.ndarray, logdet: np.ndarray
-) -> np.ndarray:
-    diff = pts - mean[:, None, :]
-    sol = np.linalg.solve(chol[:, None], diff[..., None])[..., 0]
-    d = pts.shape[-1]
-    return -0.5 * np.sum(sol**2, axis=-1) - logdet[:, None] - 0.5 * d * _LOG_2PI
+def _proposal(cov: np.ndarray) -> FullConstant:
+    """Per-row Gaussian proposals for (b, d, d) covariances, one row per outer sample."""
+    return FullConstant(_sym(cov)[:, None])
 
 
 def ei_exact_mc(
@@ -812,48 +694,21 @@ def ei_exact_mc(
     inflate_cond = 1.4**2
     inflate_avg = 1.6**2
 
-    continuous = isinstance(x_set, UniformBox)
-    if continuous:
+    noise_xt = ch_xt.noise
+    if isinstance(x_set, UniformBox):
         log_mix = _log_box_mixture_factory(ch_xt, x_set.domain)
         clip_lo, clip_hi = x_set.domain.lower, x_set.domain.upper
     else:
         mus_pts = ch_xt.mean(x_set.points)  # (K, d_t)
-        if isinstance(ch_xt.noise, FullConstant):
-            chol_pts = ch_xt.noise.cholesky()
 
-            def log_mix(theta_flat: np.ndarray) -> np.ndarray:
-                lpk = _log_gauss_full(theta_flat[:, None, :], mus_pts[None], chol_pts)
-                return logsumexp(lpk, axis=1) - math.log(mus_pts.shape[0])
-
-        else:
-            sig_pts = np.asarray(ch_xt.noise.sigma_diag(mus_pts), dtype=float)
-
-            def log_mix(theta_flat: np.ndarray) -> np.ndarray:
-                lpk = _log_gauss_diag(theta_flat[:, None, :], mus_pts[None], sig_pts[None])
-                return logsumexp(lpk, axis=1) - math.log(mus_pts.shape[0])
+        def log_mix(theta_flat: np.ndarray) -> np.ndarray:
+            lpk = gaussian_log_density(noise_xt, theta_flat[:, None, :], mus_pts[None])
+            return logsumexp(lpk, axis=1) - math.log(mus_pts.shape[0])
 
         clip_lo, clip_hi = np.min(mus_pts, axis=0), np.max(mus_pts, axis=0)
 
-    full_xt = isinstance(ch_xt.noise, FullConstant)
-    chol_xt = ch_xt.noise.cholesky() if full_xt else None
-
-    def q_sample(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
-        if full_xt:
-            z = rng.standard_normal(mean.shape)
-            return mean + z @ chol_xt.T
-        sig = ch_xt.noise.sigma_diag(mean)
-        return mean + sig * rng.standard_normal(mean.shape)
-
-    def log_q(theta: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        if full_xt:
-            return _log_gauss_full(theta, mean, chol_xt)
-        return _log_gauss_diag(theta, mean, ch_xt.noise.sigma_diag(mean))
-
     def log_p(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        mean = ch_ty.mean(theta)
-        if isinstance(ch_ty.noise, FullConstant):
-            return _log_gauss_full(y, mean, ch_ty.noise.cholesky())
-        return _log_gauss_diag(y, mean, ch_ty.noise.sigma_diag(mean))
+        return gaussian_log_density(ch_ty.noise, y, ch_ty.mean(theta))
 
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.batches)
     batch_means = np.empty(spec.batches)
@@ -861,27 +716,24 @@ def ei_exact_mc(
         rng = np.random.Generator(np.random.PCG64(ss))
         x = x_set.sample(rng, batch_size)
         mu = ch_xt.mean(x)
-        theta = q_sample(rng, mu)
-        f_mean = ch_ty.mean(theta)
-        if isinstance(ch_ty.noise, FullConstant):
-            z = rng.standard_normal(f_mean.shape)
-            y = f_mean + z @ ch_ty.noise.cholesky().T
-        else:
-            sig_y = ch_ty.noise.sigma_diag(f_mean)
-            y = f_mean + sig_y * rng.standard_normal(f_mean.shape)
+        theta = noise_xt.draw(rng, mu)
+        y = ch_ty.noise.draw(rng, ch_ty.mean(theta))
 
-        prec_q, cov_q = _prior_terms(ch_xt.noise, mu)
+        # per-row precision of the intervention noise: whitening twice
+        eye = np.broadcast_to(np.eye(d_t), (batch_size, d_t, d_t))
+        prec_q = noise_xt.whiten(noise_xt.whiten(eye, mu[:, None, :]), mu[:, None, :])
         mu_in = np.repeat(mu[:, None, :], spec.inner_samples, axis=1)
 
         # conditional density: Laplace proposal at the per-intervention
         # posterior mode, defended by the intervention channel itself
         th_c, lam_c = _gauss_newton_mode(ch_ty, y, theta, prec_q, mu)
-        lap, chol_c, ld_c = _sample_rows(rng, th_c, inflate_cond * np.linalg.inv(lam_c), spec.inner_samples)
-        alt = q_sample(rng, mu_in)
+        prop = _proposal(inflate_cond * np.linalg.inv(lam_c))
+        lap = prop.draw(rng, np.broadcast_to(th_c[:, None, :], mu_in.shape))
+        alt = noise_xt.draw(rng, mu_in)
         pick = rng.random(lap.shape[:2]) < 0.5
         th_in = np.where(pick[..., None], lap, alt)
-        log_prior = log_q(th_in, mu_in)
-        log_r = np.logaddexp(_log_rows(th_in, th_c, chol_c, ld_c), log_prior) - _LN2
+        log_prior = gaussian_log_density(noise_xt, th_in, mu_in)
+        log_r = np.logaddexp(gaussian_log_density(prop, th_in, th_c[:, None, :]), log_prior) - _LN2
         lw = log_prior + log_p(y[:, None, :], th_in) - log_r
         log_cond = _logmeanexp(lw, axis=1)
         log_cond += _log_bias_correction(lw, 1, log_cond)
@@ -891,15 +743,15 @@ def ei_exact_mc(
         # shoulders), defended by the parameter mixture itself
         th_e, lam_e = _gauss_newton_mode(ch_ty, y, theta, 1e-2 * prec_q, None)
         center = np.clip(th_e, clip_lo, clip_hi)
-        cov_e = inflate_avg * np.linalg.inv(lam_e) + cov_q
-        lap, chol_e, ld_e = _sample_rows(rng, center, cov_e, spec.inner_samples)
+        prop = _proposal(inflate_avg * np.linalg.inv(lam_e) + noise_xt.covariance(mu))
+        lap = prop.draw(rng, np.broadcast_to(center[:, None, :], mu_in.shape))
         x_mix = x_set.sample(rng, batch_size * spec.inner_samples)
         mu_mix = ch_xt.mean(x_mix).reshape(batch_size, spec.inner_samples, d_t)
-        alt = q_sample(rng, mu_mix)
+        alt = noise_xt.draw(rng, mu_mix)
         pick = rng.random(lap.shape[:2]) < 0.5
         th_in = np.where(pick[..., None], lap, alt)
         log_m = log_mix(th_in.reshape(-1, d_t)).reshape(th_in.shape[:2])
-        log_r = np.logaddexp(_log_rows(th_in, center, chol_e, ld_e), log_m) - _LN2
+        log_r = np.logaddexp(gaussian_log_density(prop, th_in, center[:, None, :]), log_m) - _LN2
         lw = log_m + log_p(y[:, None, :], th_in) - log_r
         log_avg = _logmeanexp(lw, axis=1)
         log_avg += _log_bias_correction(lw, 1, log_avg)
@@ -931,19 +783,6 @@ def _field_grid(domain: Domain, nodes_per_axis: int) -> tuple[np.ndarray, float]
         return axes[0][:, None], cell
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1), cell
-
-
-def intervention_volume(
-    h: MetricField, domain: Domain, nodes_per_axis: int = 101
-) -> float:
-    """Riemannian volume of the parameter box under the intervention metric."""
-    pts, cell = _field_grid(domain, nodes_per_axis)
-    h_stack = h.batch(pts)
-    sign, logdet = np.linalg.slogdet(h_stack)
-    if np.any(sign <= 0):
-        bad = pts[int(np.argmax(sign <= 0))]
-        raise DegenerateModelError(f"intervention metric not positive definite at {bad}")
-    return float(cell * np.sum(np.exp(0.5 * logdet)))
 
 
 def ei_geometric(

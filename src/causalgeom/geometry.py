@@ -17,13 +17,7 @@ import typing as tp
 
 import numpy as np
 
-from .channels import (
-    ConstantIsotropic,
-    DiagonalStateDependent,
-    FullConstant,
-    GaussianChannel,
-    InvertedChannel,
-)
+from .channels import GaussianChannel, InvertedChannel
 from .errors import DegenerateModelError, IllPosedInterventionsError
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
@@ -122,38 +116,18 @@ class EigenReport:
 
 
 def effect_metric(channel: GaussianChannel) -> MetricField:
-    """Fisher metric of the effect channel: J^T Sigma^-1 J at the channel mean."""
+    """Fisher metric of the effect channel: J^T Sigma^-1 J at the channel mean.
 
-    noise = channel.noise
+    Works on one point (d,) or a batch (n, d) alike.
+    """
 
-    def single(theta: np.ndarray) -> np.ndarray:
-        jac = channel.jac(theta)
-        if isinstance(noise, ConstantIsotropic):
-            return jac.T @ jac / noise.sigma**2
-        if isinstance(noise, DiagonalStateDependent):
-            sig = noise.sigma_diag(channel.mean(theta))
-            jw = jac / sig[:, None]
-            return jw.T @ jw
-        chol = noise.cholesky()
-        jw = np.linalg.solve(chol, jac)
-        return jw.T @ jw
+    def fisher(theta: np.ndarray) -> np.ndarray:
+        mean = channel.mean(theta)
+        jac = np.asarray(channel.jac(theta), dtype=float)  # (..., dy, dt)
+        wj_t = channel.noise.whiten(np.swapaxes(jac, -1, -2), mean[..., None, :])  # (W J)^T
+        return wj_t @ np.swapaxes(wj_t, -1, -2)
 
-    batch = None
-    if channel.jacobian is not None:
-
-        def batch(points: np.ndarray) -> np.ndarray:
-            jac = np.asarray(channel.jacobian(points), dtype=float)  # (n, dy, dt)
-            if isinstance(noise, ConstantIsotropic):
-                return np.einsum("nki,nkj->nij", jac, jac) / noise.sigma**2
-            if isinstance(noise, DiagonalStateDependent):
-                sig = noise.sigma_diag(channel.mean(points))
-                jw = jac / sig[..., None]
-                return np.einsum("nki,nkj->nij", jw, jw)
-            chol = noise.cholesky()
-            jw = np.linalg.solve(chol[None, :, :], jac)
-            return np.einsum("nki,nkj->nij", jw, jw)
-
-    return MetricField(single, channel.dim_in, batch)
+    return MetricField(fisher, channel.dim_in, fisher)
 
 
 def intervention_metric(inverted: InvertedChannel) -> MetricField:

@@ -49,7 +49,6 @@ class DimmerProfile:
     f: tp.Callable[[np.ndarray], np.ndarray]
     df: tp.Callable[[np.ndarray], np.ndarray]
     label: str
-    family_param: float | None = None
 
     def __post_init__(self) -> None:
         ends = np.asarray(self.f(np.array([0.0, 1.0])), dtype=float)
@@ -65,7 +64,6 @@ def linear_profile() -> DimmerProfile:
         f=lambda t: np.asarray(t, dtype=float),
         df=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         label="linear",
-        family_param=0.0,
     )
 
 
@@ -78,7 +76,7 @@ def _exp_profile(a: float, label: str) -> DimmerProfile:
     def df(t):
         return a * np.exp(a * np.asarray(t, dtype=float)) / denom
 
-    return DimmerProfile(f=f, df=df, label=label, family_param=a)
+    return DimmerProfile(f=f, df=df, label=label)
 
 
 def family_profile(a: float) -> DimmerProfile:

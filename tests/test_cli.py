@@ -2,12 +2,14 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import yaml
 
-from causalgeom.cli import main
+from causalgeom.cli import MODELS, _resolve_config, _resolve_model, main
+from causalgeom.errors import InvalidConfigError
 
 MINI = {
     "schema_version": 1,
@@ -199,3 +201,85 @@ def test_plot_flag_writes_svg_when_matplotlib_present(tmp_path):
     assert code == 0
     svg = out / "plot.svg"
     assert svg.is_file() and svg.stat().st_size > 0
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize(
+    "model, computation, estimator",
+    [
+        ("binary-switch", "ei-exact", "geometric"),
+        ("decay-confounder", "ei-exact", None),
+        ("decay-confounder", "ei-geom", None),
+    ],
+)
+def test_unsupported_model_computation_pairs_exit_2(tmp_path, capsys, model, computation, estimator):
+    doc = {"schema_version": 1, "model": {"name": model}, "computation": computation}
+    if estimator is not None:
+        doc["estimator"] = estimator
+    code, _ = run_into(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_eigen_theta_must_match_the_parameter_dimension(tmp_path, capsys):
+    doc = {"schema_version": 1, "model": {"name": "dimmer"}, "computation": "eigen", "theta": [0.3, 0.5]}
+    code, _ = run_into(tmp_path, doc, "two")
+    assert code == 2 and "theta has 2 components" in capsys.readouterr().err
+    assert main(["eigen", "--model", "dimmer", "--theta", "0.3,0.5"]) == 2
+    code, out = run_into(tmp_path, dict(doc, theta=[0.3]), "one")
+    assert code == 0
+    header, row = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "lambda_1" and len(row.split(",")) == 1
+
+
+def test_non_numeric_model_matrix_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(InvalidConfigError):
+        _resolve_model({"name": "two-species", "matrix": [[1, "x"], [0, 1]]})
+    with pytest.raises(InvalidConfigError):
+        _resolve_model({"name": "two-species", "matrix": [1.0, 0.0]})
+    doc = {
+        "schema_version": 1,
+        "model": {"name": "two-species", "matrix": [[1, "x"], [0, 1]]},
+        "computation": "ei-geom",
+    }
+    code, _ = run_into(tmp_path, doc)
+    assert code == 2 and "matrix" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path):
+    failing = [
+        {"model": {"name": "binary-switch"}, "computation": "ei-geom", "estimator": "geometric"},
+        {"model": {"name": "decay-confounder"}, "computation": "ei-exact"},
+        {"model": {"name": "dimmer"}, "computation": "eigen", "theta": [0.3, 0.5]},
+        {"model": {"name": "two-species", "matrix": [[1, "x"], [0, 1]]}, "computation": "ei-geom"},
+        {
+            "model": {"name": "decay-confounder", "sigma_t": 0.4},
+            "computation": "eigen",
+            "sweep": {"variable": "theta", "from": 0.2, "to": 0.8, "steps": 3},
+        },
+    ]
+    for k, doc in enumerate(failing):
+        code, out = run_into(tmp_path, {"schema_version": 1, **doc}, f"bad{k}")
+        assert code in (2, 3)
+        assert not out.exists(), f"config {k} left {out} behind"
+
+
+def test_readme_config_example_resolves():
+    section = README.read_text(encoding="utf-8").split("### Config schema", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = _resolve_config(yaml.safe_load(example))
+    assert cfg["models"][0]["name"] in MODELS
+
+
+def test_readme_lists_each_models_capabilities():
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in MODELS:
+            rows[cells[0]] = cells[1:]
+    assert set(rows) == set(MODELS)
+    for name, entry in MODELS.items():
+        assert rows[name] == [", ".join(entry.estimators) or "none", ", ".join(entry.computations)]
