@@ -19,15 +19,22 @@ __all__ = [
 ]
 
 
+def _read_only(rule: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Lock cached nodes and weights so no caller can change them for the next."""
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 @functools.lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    return _read_only(np.polynomial.legendre.leggauss(n))
 
 
 @functools.lru_cache(maxsize=16)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Physicists' Gauss-Hermite rule: integrates f against exp(-t^2)."""
-    return np.polynomial.hermite.hermgauss(n)
+    return _read_only(np.polynomial.hermite.hermgauss(n))
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

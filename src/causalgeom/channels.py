@@ -19,7 +19,6 @@ import math
 import typing as tp
 
 import numpy as np
-from scipy import integrate
 
 from ._quadrature import gauss_legendre
 from .errors import (
@@ -468,19 +467,8 @@ class InvertedChannel:
         key = theta.tobytes()
         if key in self._norm_cache:
             return self._norm_cache[key]
-        if self.box.dim == 1:
-            x_star = self._peak(theta)
-            lo, hi = self.box.axes[0]
-
-            def f(x: float) -> float:
-                return float(np.exp(_log_gauss_given_inputs(self.channel, theta, np.array([[x]]))[0]))
-
-            pts = [float(x_star[0])] if lo < x_star[0] < hi else None
-            z, _ = integrate.quad(f, lo, hi, points=pts, limit=200)
-        else:
-            nodes, weights = self._box_nodes(theta)
-            q = np.exp(_log_gauss_given_inputs(self.channel, theta, nodes))
-            z = float(np.sum(weights * q))
+        nodes, weights = self._box_nodes(theta)
+        z = float(np.sum(weights * np.exp(_log_gauss_given_inputs(self.channel, theta, nodes))))
         if not (z > _NORMALIZER_FLOOR):
             raise UnreachableParameterError(
                 f"no intervention in the box reaches theta={theta}: normalizer {z:g}"

@@ -98,9 +98,8 @@ class ModelEntry(tp.NamedTuple):
 
     @property
     def computations(self) -> tuple[str, ...]:
-        ei = bool(self.estimators)
-        both = set(ESTIMATORS) <= set(self.estimators)
-        allowed = (ei, ei, both, self.eigen is not None, ei)
+        exact, geom = "exact" in self.estimators, "geometric" in self.estimators
+        allowed = (exact, geom, exact and geom, self.eigen is not None, exact or geom)
         return tuple(c for c, ok in zip(_COMPUTATIONS, allowed) if ok)
 
 
@@ -223,6 +222,7 @@ _TOP_KEYS = {
     "plot",
 }
 _COMPUTATIONS = ("ei-exact", "ei-geom", "ei-both", "eigen", "crossover-scan")
+_IMPLIED_ESTIMATOR = {"ei-exact": "exact", "ei-geom": "geometric"}
 
 
 def _load_config(path: str) -> dict:
@@ -297,9 +297,12 @@ def _resolve_config(doc: dict) -> dict:
 
     entries = [MODELS[m["name"]] for m in models]
     geometric = all("geometric" in e.estimators for e in entries)
-    estimator = doc.get("estimator", "geometric" if geometric else "exact")
+    implied = _IMPLIED_ESTIMATOR.get(computation)
+    estimator = doc.get("estimator", implied or ("geometric" if geometric else "exact"))
     if estimator not in ESTIMATORS:
         raise InvalidConfigError("estimator must be 'exact' or 'geometric'")
+    if implied not in (None, estimator):
+        raise InvalidConfigError(f"computation {computation} uses the {implied} estimator, not {estimator}")
 
     units = doc.get("units", "bits")
     if units not in ("bits", "nats"):
@@ -607,10 +610,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise InvalidConfigError(str(exc)) from exc
     if not cfg["output"]:
         raise InvalidConfigError("no output directory (config key 'output' or --output)")
+    out_dir = pathlib.Path(cfg["output"])
+    blocking = next((p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()), None)
+    if blocking is not None:
+        raise InvalidConfigError(f"output directory {out_dir} cannot be made: {blocking} is a file")
     threads = _thread_count(args.threads, cfg)
 
     header, rows, comments = _evaluate(cfg, threads)
-    out_dir = pathlib.Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_results(out_dir / "results.csv", header, rows, comments)
     _write_manifest(out_dir / "manifest.json", cfg)

@@ -138,7 +138,7 @@ def _sd(noise, mean: np.ndarray) -> np.ndarray:
 
 
 class _ScalarChain:
-    """Precomputed plumbing for a chain whose parameter is one-dimensional.
+    """Precomputed plumbing for a chain whose parameter and effect are scalars.
 
     The effect map f must be defined and strictly monotone on the whole
     extended parameter range (intervention box inflated by the tails of the
@@ -155,14 +155,11 @@ class _ScalarChain:
     def __init__(self, ch_xt: GaussianChannel, ch_ty: GaussianChannel, x_set: InterventionSet):
         if ch_xt.dim_out != 1:
             raise UseMonteCarloError("exact quadrature requires a scalar parameter")
-        if isinstance(ch_ty.noise, FullConstant):
-            raise UseMonteCarloError(
-                "exact quadrature supports isotropic or diagonal effect noise only"
-            )
+        if ch_ty.dim_out != 1:
+            raise UseMonteCarloError("exact quadrature requires a scalar effect")
         self.ch_xt = ch_xt
         self.ch_ty = ch_ty
         self.x_set = x_set
-        self.dy = ch_ty.dim_out
         lo, hi = ch_xt.input_domain.lower, ch_xt.input_domain.upper
         probe = lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[:, None]
         self.sigma_q = ch_xt.noise.scale_bound(ch_xt.mean(probe))
@@ -186,18 +183,17 @@ class _ScalarChain:
         self.mix_hi = hi
         self.ext_lo = lo - pad
         self.ext_hi = hi + pad
-        f_lo = self.f(np.array([self.ext_lo]))[0]
-        f_hi = self.f(np.array([self.ext_hi]))[0]
-        self.increasing = bool(np.all(f_hi >= f_lo))
+        f_lo, f_hi = self.f(np.array([self.ext_lo, self.ext_hi]))[:, 0]
+        self.increasing = bool(f_hi >= f_lo)
 
     # -- effect map shorthand ------------------------------------------------
 
     def f(self, theta: np.ndarray) -> np.ndarray:
-        """f evaluated at theta (...,), returning (..., dy)."""
+        """f evaluated at theta (...,), returning (..., 1)."""
         return self.ch_ty.mean(theta[..., None])
 
     def slope(self, theta: np.ndarray) -> np.ndarray:
-        """df/dtheta at theta (...,), returning (..., dy)."""
+        """df/dtheta at theta (...,), returning (..., 1)."""
         return np.asarray(self.ch_ty.jac(theta[..., None]), dtype=float)[..., 0]
 
     def q_params_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +204,7 @@ class _ScalarChain:
     # -- conditional effect density ------------------------------------------
 
     def conditional_density(self, y: np.ndarray, mu_q, sig_q) -> np.ndarray:
-        """P(y | do(x)) for a batch of effect points y (n, dy).
+        """P(y | do(x)) for a batch of effect points y (n, 1).
 
         mu_q and sig_q may be scalars or per-row arrays, so one call can mix
         effect points belonging to different interventions. The parameter is
@@ -242,7 +238,7 @@ class _ScalarChain:
         return math.sqrt(2.0) * scale * total * np.exp(shift[:, 0])
 
     def _log_joint(self, nodes: np.ndarray, y: np.ndarray, mu_q: np.ndarray) -> np.ndarray:
-        """log[q(theta|x) p(y|theta)] at nodes (n, k) for paired rows y (n, dy)."""
+        """log[q(theta|x) p(y|theta)] at nodes (n, k) for paired rows y (n, 1)."""
         log_q = gaussian_log_density(self.ch_xt.noise, nodes[..., None], mu_q[:, None, None])
         return log_q + gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(nodes))
 
@@ -252,11 +248,9 @@ class _ScalarChain:
         """Average of the intervention->parameter density over the x set."""
         theta = np.asarray(theta, dtype=float)
         if isinstance(self.x_set, DiscretePoints):
-            mus = self.ch_xt.mean(self.x_set.points)[:, 0]
-            sig = self.sigma_q
-            z = (theta[..., None] - mus) / sig
-            dens = np.exp(-0.5 * z**2) / (sig * math.sqrt(2.0 * math.pi))
-            return np.mean(dens, axis=-1)
+            mus = self.ch_xt.mean(self.x_set.points)  # (K, 1)
+            log_q = gaussian_log_density(self.ch_xt.noise, theta[..., None, None], mus)
+            return np.mean(np.exp(log_q), axis=-1)
         lo, hi = self.x_set.domain.axes[0]
         sig = self.sigma_q
         return (ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)) / (hi - lo)
@@ -273,32 +267,6 @@ class _ScalarChain:
             hi = np.where(go_up, hi, mid)
         return 0.5 * (lo + hi)
 
-    def parameter_of_effect(self, y: np.ndarray) -> np.ndarray:
-        """Parameter value whose noiseless effect is nearest to each y row."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        n = y.shape[0]
-        if self.dy == 1:
-            return self.invert_effect(y[:, 0])
-        # golden-section argmin of |y - f(theta)|^2 for curve-valued effects
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        lo = np.full(n, self.ext_lo)
-        hi = np.full(n, self.ext_hi)
-        for _ in range(72):
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc = np.sum((y - self.f(c)) ** 2, axis=-1)
-            fd = np.sum((y - self.f(d)) ** 2, axis=-1)
-            take_left = fc < fd
-            hi = np.where(take_left, d, hi)
-            lo = np.where(take_left, lo, c)
-        return 0.5 * (lo + hi)
-
-    def _half_dist2(self, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Half squared whitened distance between y rows and f(theta)."""
-        f_val = self.f(theta)
-        white = self.ch_ty.noise.whiten(y - f_val, f_val)
-        return 0.5 * np.sum(white**2, axis=-1)
-
     def _breakpoints(self, y: np.ndarray) -> np.ndarray:
         """Sorted integration breakpoints (n, k) for the averaged density.
 
@@ -309,35 +277,15 @@ class _ScalarChain:
         shoulders contribute breakpoints of their own.
         """
         n = y.shape[0]
-        ladder = np.asarray(self.LADDER)
-        if self.dy == 1:
-            eps_y = _sd(self.ch_ty.noise, y)
-            targets = y[:, 0:1] + eps_y[:, None] * ladder[None, :]
-            bp = self.invert_effect(targets.reshape(-1)).reshape(n, -1)
-        else:
-            theta_star = self.parameter_of_effect(y)
-            d_star = self._half_dist2(y, theta_star)
-            levels = 0.5 * ladder[ladder > 0] ** 2
-            cols = [theta_star]
-            for side in (self.ext_lo, self.ext_hi):
-                k = levels.shape[0]
-                lo = np.repeat(theta_star[:, None], k, axis=1).reshape(-1)
-                hi = np.full(n * k, side)
-                tgt = (d_star[:, None] + levels[None, :]).reshape(-1)
-                y_rep = np.repeat(y, k, axis=0)
-                for _ in range(48):
-                    mid = 0.5 * (lo + hi)
-                    crossed = self._half_dist2(y_rep, mid) >= tgt
-                    hi = np.where(crossed, mid, hi)
-                    lo = np.where(crossed, lo, mid)
-                cols.append((0.5 * (lo + hi)).reshape(n, k))
-            bp = np.concatenate([c if c.ndim == 2 else c[:, None] for c in cols], axis=1)
+        eps_y = _sd(self.ch_ty.noise, y)
+        targets = y[:, 0:1] + eps_y[:, None] * np.asarray(self.LADDER)[None, :]
+        bp = self.invert_effect(targets.reshape(-1)).reshape(n, -1)
         shoulders = np.broadcast_to([self.mix_lo, self.mix_hi], (n, 2))
         bp = np.concatenate([bp, shoulders], axis=1)
         return np.sort(np.clip(bp, self.ext_lo, self.ext_hi), axis=1)
 
     def averaged_density(self, y: np.ndarray) -> np.ndarray:
-        """Effect density averaged over interventions, at y rows (n, dy).
+        """Effect density averaged over interventions, at y rows (n, 1).
 
         Integrates mixture(theta) * p(y|theta) by composite quadrature over
         segments between the likelihood/mixture breakpoints.
@@ -360,7 +308,7 @@ class _ScalarChain:
         self, mu_q: np.ndarray, sig_q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of the effect under each do(x), linearized at mu_q."""
-        f0 = self.f(mu_q)  # (m, dy)
+        f0 = self.f(mu_q)  # (m, 1)
         j0 = self.slope(mu_q)
         cov = sig_q[:, None, None] ** 2 * j0[:, :, None] * j0[:, None, :]
         return f0, cov + self.ch_ty.noise.covariance(f0)
@@ -380,12 +328,7 @@ class _ScalarChain:
         return p, e
 
     def kl_all(
-        self,
-        mu_q: np.ndarray,
-        sig_q: np.ndarray,
-        spec: QuadratureSpec,
-        nodes: int,
-        refined: bool = False,
+        self, mu_q: np.ndarray, sig_q: np.ndarray, spec: QuadratureSpec, nodes: int
     ) -> np.ndarray:
         """Per-intervention KL between conditional and averaged effect laws.
 
@@ -396,39 +339,12 @@ class _ScalarChain:
         sig_q = np.broadcast_to(np.asarray(sig_q, dtype=float), mu_q.shape)
         f0, cov = self.predicted_moments_batch(mu_q, sig_q)
         m = mu_q.shape[0]
-        tail = spec.effect_tail_sigmas
-        if self.dy == 1:
-            u, w = nodes_weights(spec.rule, -tail, tail, nodes)
-            sd = np.sqrt(cov[:, 0, 0])
-            y = f0[:, :1] + sd[:, None] * u[None, :]  # (m, k)
-            k = u.shape[0]
-            p, e = self._densities_chunked(
-                y.reshape(-1, 1), np.repeat(mu_q, k), np.repeat(sig_q, k)
-            )
-            integrand = _kl_integrand(p, e).reshape(m, k)
-            return sd * (integrand @ w)
-        # curve-valued effects: whitened Gauss-Hermite grid over y per row
-        if refined:
-            k1 = 30 if self.dy == 2 else 17
-        else:
-            k1 = 24 if self.dy == 2 else 14
-        t, w = gauss_hermite(k1)
-        grids = np.meshgrid(*([t] * self.dy), indexing="ij")
-        tt = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (K, dy)
-        ww = np.prod(
-            np.stack(np.meshgrid(*([w] * self.dy), indexing="ij"), axis=-1).reshape(-1, self.dy),
-            axis=-1,
-        )
-        chol = np.linalg.cholesky(cov)  # (m, dy, dy)
-        y = f0[:, None, :] + math.sqrt(2.0) * np.einsum("mcd,kd->mkc", chol, tt)
-        k = tt.shape[0]
-        p, e = self._densities_chunked(
-            y.reshape(m * k, self.dy), np.repeat(mu_q, k), np.repeat(sig_q, k)
-        )
-        integrand = _kl_integrand(p, e).reshape(m, k)
-        jac = 2.0 ** (self.dy / 2.0) * np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1)
-        corr = ww * np.exp(np.sum(tt**2, axis=-1))
-        return jac * (integrand @ corr)
+        u, w = nodes_weights(spec.rule, -spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
+        sd = np.sqrt(cov[:, 0, 0])
+        y = f0 + sd[:, None] * u[None, :]  # (m, k)
+        k = u.shape[0]
+        p, e = self._densities_chunked(y.reshape(-1, 1), np.repeat(mu_q, k), np.repeat(sig_q, k))
+        return sd * (_kl_integrand(p, e).reshape(m, k) @ w)
 
 
 def _kl_integrand(p: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -476,42 +392,24 @@ def effect_distribution(
     """Effect density averaged over the intervention set."""
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)
-    if chain.dy != 1:
-        raise UseMonteCarloError("averaged-density estimate implemented for scalar effects")
     if isinstance(x_set, DiscretePoints):
         probes = x_set.points
-        params = list(zip(*chain.q_params_batch(probes)))
-
-        def density(y: np.ndarray) -> np.ndarray:
-            return np.mean(
-                np.stack([chain.conditional_density(y, mu, sig) for mu, sig in params]),
-                axis=0,
-            )
-
     else:
         probes = np.linspace(x_set.domain.lower, x_set.domain.upper, 33)
-        density = chain.averaged_density
-
     f0, cov = chain.predicted_moments_batch(*chain.q_params_batch(probes))
     reach = spec.effect_tail_sigmas * np.sqrt(cov[:, 0, 0])
     window = ((float(np.min(f0[:, 0] - reach)), float(np.max(f0[:, 0] + reach))),)
-    return DensityEstimate(density=density, window=Domain(window))
+    return DensityEstimate(density=chain.averaged_density, window=Domain(window))
 
 
-def _quadrature_pass(
-    x_set: InterventionSet,
-    chain: _ScalarChain,
-    spec: QuadratureSpec,
-    nodes: int,
-    refined: bool = False,
-) -> float:
+def _quadrature_pass(x_set: InterventionSet, chain: _ScalarChain, spec: QuadratureSpec, nodes: int) -> float:
     if isinstance(x_set, DiscretePoints):
         mu, sig = chain.q_params_batch(x_set.points)
-        return float(np.mean(chain.kl_all(mu, sig, spec, nodes, refined=refined)))
+        return float(np.mean(chain.kl_all(mu, sig, spec, nodes)))
     lo, hi = x_set.domain.axes[0]
     x_nodes, x_w = nodes_weights(spec.rule, lo, hi, nodes)
     mu, sig = chain.q_params_batch(x_nodes[:, None])
-    kls = chain.kl_all(mu, sig, spec, nodes, refined=refined)
+    kls = chain.kl_all(mu, sig, spec, nodes)
     return float(np.sum(x_w * kls) / (hi - lo))
 
 
@@ -522,7 +420,12 @@ def ei_exact_quadrature(
     spec: QuadratureSpec | None = None,
     check_convergence: bool = True,
 ) -> EIReport:
-    """Effective information by nested quadrature (scalar-parameter chains).
+    """Effective information by nested quadrature.
+
+    The domain is a scalar parameter and a scalar effect, interventions on a
+    scalar box (with an identity intervention mean) or a discrete set, and
+    isotropic, diagonal or 1x1 full effect noise. Anything else raises
+    UseMonteCarloError; the CLI then falls back to ``ei_exact_mc``.
 
     The parameter is marginalized per intervention, the effect integral runs
     over a mean +- tail*sigma envelope, and the intervention average is a
@@ -530,18 +433,12 @@ def ei_exact_quadrature(
     pass at doubled node count flags non-convergence beyond 1e-3 nats.
     """
     spec = spec or QuadratureSpec()
-    d_x = ch_xt.dim_in
-    d_y = ch_ty.dim_out
-    if d_x + d_y > 4:
-        raise UseMonteCarloError(
-            f"tensor-grid quadrature infeasible at d_x + d_y = {d_x + d_y}; use Monte Carlo"
-        )
     chain = _ScalarChain(ch_xt, ch_ty, x_set)
     nats = _quadrature_pass(x_set, chain, spec, spec.nodes_per_axis)
     flags: tuple[str, ...] = ()
     if check_convergence:
-        refined = _quadrature_pass(x_set, chain, spec, 2 * spec.nodes_per_axis, refined=True)
-        if abs(refined - nats) > 1e-3:
+        doubled = _quadrature_pass(x_set, chain, spec, 2 * spec.nodes_per_axis)
+        if abs(doubled - nats) > 1e-3:
             flags = (FLAG_NOT_CONVERGED,)
     grid = f"{spec.rule}:{spec.nodes_per_axis} nodes/axis, tail {spec.effect_tail_sigmas} sigma"
     return EIReport.build(nats, "exact-quadrature", grid, flags=flags)
@@ -660,9 +557,33 @@ def _gauss_newton_mode(
     return theta, prec_prior + curv
 
 
-def _proposal(cov: np.ndarray) -> FullConstant:
-    """Per-row Gaussian proposals for (b, d, d) covariances, one row per outer sample."""
-    return FullConstant(_sym(cov)[:, None])
+def _defensive_log_mean(
+    rng: np.random.Generator,
+    ch_ty: GaussianChannel,
+    y: np.ndarray,
+    shape: tuple[int, ...],
+    center: np.ndarray,
+    cov: np.ndarray,
+    draw_prior: tp.Callable[[np.random.Generator], np.ndarray],
+    log_prior: tp.Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Debiased log of E_prior[p(y|theta)] per outer row y (b, d_y).
+
+    Inner draws have shape (b, inner, d). The proposal is a defensive
+    half-and-half mixture of the prior and a Gaussian at center (b, d) with
+    covariance cov (b, d, d), one per row. The draw order (Gaussian, prior,
+    pick) fixes the random stream.
+    """
+    prop = FullConstant(_sym(cov)[:, None])
+    lap = prop.draw(rng, np.broadcast_to(center[:, None, :], shape))
+    alt = draw_prior(rng)
+    pick = rng.random(lap.shape[:2]) < 0.5
+    theta = np.where(pick[..., None], lap, alt)
+    log_pr = log_prior(theta)
+    log_r = np.logaddexp(gaussian_log_density(prop, theta, center[:, None, :]), log_pr) - _LN2
+    lw = log_pr + gaussian_log_density(ch_ty.noise, y[:, None, :], ch_ty.mean(theta)) - log_r
+    out = _logmeanexp(lw, axis=1)
+    return out + _log_bias_correction(lw, 1, out)
 
 
 def ei_exact_mc(
@@ -707,9 +628,6 @@ def ei_exact_mc(
 
         clip_lo, clip_hi = np.min(mus_pts, axis=0), np.max(mus_pts, axis=0)
 
-    def log_p(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return gaussian_log_density(ch_ty.noise, y, ch_ty.mean(theta))
-
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.batches)
     batch_means = np.empty(spec.batches)
     for b, ss in enumerate(seeds):
@@ -724,37 +642,38 @@ def ei_exact_mc(
         prec_q = noise_xt.whiten(noise_xt.whiten(eye, mu[:, None, :]), mu[:, None, :])
         mu_in = np.repeat(mu[:, None, :], spec.inner_samples, axis=1)
 
+        def draw_mix(gen: np.random.Generator) -> np.ndarray:
+            x_mix = x_set.sample(gen, batch_size * spec.inner_samples)
+            return noise_xt.draw(gen, ch_xt.mean(x_mix).reshape(mu_in.shape))
+
         # conditional density: Laplace proposal at the per-intervention
         # posterior mode, defended by the intervention channel itself
         th_c, lam_c = _gauss_newton_mode(ch_ty, y, theta, prec_q, mu)
-        prop = _proposal(inflate_cond * np.linalg.inv(lam_c))
-        lap = prop.draw(rng, np.broadcast_to(th_c[:, None, :], mu_in.shape))
-        alt = noise_xt.draw(rng, mu_in)
-        pick = rng.random(lap.shape[:2]) < 0.5
-        th_in = np.where(pick[..., None], lap, alt)
-        log_prior = gaussian_log_density(noise_xt, th_in, mu_in)
-        log_r = np.logaddexp(gaussian_log_density(prop, th_in, th_c[:, None, :]), log_prior) - _LN2
-        lw = log_prior + log_p(y[:, None, :], th_in) - log_r
-        log_cond = _logmeanexp(lw, axis=1)
-        log_cond += _log_bias_correction(lw, 1, log_cond)
+        log_cond = _defensive_log_mean(
+            rng,
+            ch_ty,
+            y,
+            mu_in.shape,
+            th_c,
+            inflate_cond * np.linalg.inv(lam_c),
+            lambda gen: noise_xt.draw(gen, mu_in),
+            lambda th: gaussian_log_density(noise_xt, th, mu_in),
+        )
 
         # averaged density: Laplace proposal at the box-clipped likelihood
         # mode (widened by the intervention noise to cover the mixture
         # shoulders), defended by the parameter mixture itself
         th_e, lam_e = _gauss_newton_mode(ch_ty, y, theta, 1e-2 * prec_q, None)
-        center = np.clip(th_e, clip_lo, clip_hi)
-        prop = _proposal(inflate_avg * np.linalg.inv(lam_e) + noise_xt.covariance(mu))
-        lap = prop.draw(rng, np.broadcast_to(center[:, None, :], mu_in.shape))
-        x_mix = x_set.sample(rng, batch_size * spec.inner_samples)
-        mu_mix = ch_xt.mean(x_mix).reshape(batch_size, spec.inner_samples, d_t)
-        alt = noise_xt.draw(rng, mu_mix)
-        pick = rng.random(lap.shape[:2]) < 0.5
-        th_in = np.where(pick[..., None], lap, alt)
-        log_m = log_mix(th_in.reshape(-1, d_t)).reshape(th_in.shape[:2])
-        log_r = np.logaddexp(gaussian_log_density(prop, th_in, center[:, None, :]), log_m) - _LN2
-        lw = log_m + log_p(y[:, None, :], th_in) - log_r
-        log_avg = _logmeanexp(lw, axis=1)
-        log_avg += _log_bias_correction(lw, 1, log_avg)
+        log_avg = _defensive_log_mean(
+            rng,
+            ch_ty,
+            y,
+            mu_in.shape,
+            np.clip(th_e, clip_lo, clip_hi),
+            inflate_avg * np.linalg.inv(lam_e) + noise_xt.covariance(mu),
+            draw_mix,
+            lambda th: log_mix(th.reshape(-1, d_t)).reshape(th.shape[:2]),
+        )
 
         vals = log_cond - log_avg
         if not np.all(np.isfinite(vals)):

@@ -283,3 +283,55 @@ def test_readme_lists_each_models_capabilities():
     assert set(rows) == set(MODELS)
     for name, entry in MODELS.items():
         assert rows[name] == [", ".join(entry.estimators) or "none", ", ".join(entry.computations)]
+
+
+def _single_value(out):
+    return float((out / "results.csv").read_text(encoding="utf-8").splitlines()[1])
+
+
+def test_computation_name_picks_the_estimator(tmp_path, capsys):
+    base = {
+        "schema_version": 1,
+        "model": {"name": "dimmer", "epsilon": 0.1, "delta": 0.1},
+        "units": "nats",
+    }
+    code, out = run_into(tmp_path, dict(base, computation="ei-exact"), "exact")
+    assert code == 0
+    assert _single_value(out) == pytest.approx(0.7925357289435773, abs=1e-12)
+    code, out = run_into(tmp_path, dict(base, computation="ei-geom"), "geom")
+    assert code == 0
+    assert _single_value(out) == pytest.approx(0.53707, abs=1e-5)
+    capsys.readouterr()
+    contradictions = [
+        (dict(base, computation="ei-geom", estimator="exact"), ()),
+        (dict(base, computation="ei-exact", estimator="geometric"), ()),
+        (dict(base, computation="ei-exact"), ("--estimator", "geometric")),
+        (dict(base, computation="ei-geom"), ("--estimator", "exact")),
+    ]
+    for k, (doc, extra) in enumerate(contradictions):
+        code, out = run_into(tmp_path, doc, f"bad{k}", extra=extra)
+        err = capsys.readouterr().err
+        assert code == 2 and "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_computations_follow_the_estimators():
+    assert MODELS["binary-switch"].computations == ("ei-exact", "crossover-scan")
+    assert MODELS["decay-confounder"].computations == ("eigen",)
+    assert "ei-geom" in MODELS["dimmer"].computations
+
+
+def test_output_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    from causalgeom import cli
+
+    def no_work(*args):
+        raise AssertionError("evaluated despite an unusable output path")
+
+    monkeypatch.setattr(cli, "_evaluate", no_work)
+    target = tmp_path / "afile"
+    target.write_text("keep me\n", encoding="utf-8")
+    for output in (target, target / "sub"):
+        code = main(["run", write_config(tmp_path, MINI), "--output", str(output)])
+        err = capsys.readouterr().err
+        assert code == 2 and "config error" in err and "Traceback" not in err
+    assert target.read_text(encoding="utf-8") == "keep me\n"
