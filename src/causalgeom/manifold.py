@@ -10,6 +10,7 @@ description of lower dimension starts carrying more information.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import typing as tp
 
@@ -21,6 +22,8 @@ from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigErro
 from .geometry import MetricField
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,8 +183,8 @@ def crossover_scan(
     """Evaluate each model's EI curve over the sweep and locate crossings.
 
     Points where a curve fails to evaluate (degenerate model, unreachable
-    parameters, ...) are kept as gaps: they are excluded from the winner
-    count and never used as crossing brackets.
+    parameters, ...) are kept as gaps, each logged as a warning: they are
+    excluded from the winner count and never used as crossing brackets.
     """
     if len(models) < 1:
         raise InvalidConfigError("crossover scan needs at least one model")
@@ -195,7 +198,10 @@ def crossover_scan(
         for label, fn in models:
             try:
                 curves[label].append(fn(float(v)))
-            except CausalGeomError:
+            except CausalGeomError as exc:
+                logger.warning(
+                    "%s at %s = %r left as a gap: %s", label, sweep.variable, float(v), exc
+                )
                 curves[label].append(None)
 
     argmax: list[str | None] = []

@@ -9,6 +9,8 @@ from scipy import integrate
 
 from causalgeom import (
     ConstantIsotropic,
+    DiagonalStateDependent,
+    DiscretePoints,
     Domain,
     FullConstant,
     GaussianChannel,
@@ -17,6 +19,7 @@ from causalgeom import (
     QuadratureSpec,
     UseMonteCarloError,
     binary_switch_model,
+    dimmer_family,
     dimmer_model,
     effect_distribution,
     ei_dimmer_approx,
@@ -31,7 +34,14 @@ from causalgeom import (
     TwoSpeciesConfig,
     UniformBox,
 )
-from causalgeom.ei import FLAG_NEGATIVE_GEOMETRIC, FLAG_NOT_CONVERGED, _ScalarChain
+from causalgeom._quadrature import nodes_weights
+from causalgeom.ei import (
+    FLAG_NEGATIVE_GEOMETRIC,
+    FLAG_NOT_CONVERGED,
+    _effect_windows,
+    _ScalarChain,
+    _sd,
+)
 
 LN2 = math.log(2.0)
 
@@ -249,6 +259,108 @@ def test_discrete_averaged_density_is_the_mean_of_the_conditionals():
     mus, sigs = chain.q_params_batch(model.x_set.points)
     per_point = [chain.conditional_density(y, mu, sig) for mu, sig in zip(mus, sigs)]
     assert chain.averaged_density(y) == pytest.approx(np.mean(per_point, axis=0), rel=1e-12)
+
+
+def test_box_quadrature_refuses_state_dependent_intervention_noise():
+    """The box mixture integrates one Gaussian kernel over the box, so an
+    intervention sigma that varies with the state has no closed form there.
+    A discrete set still uses each point's own sigma."""
+    model = dimmer_model(linear_profile(), 0.03, 0.03)
+    ch_xt = dataclasses.replace(model.ch_xt, noise=DiagonalStateDependent(lambda t: 0.02 + 0.1 * t))
+    with pytest.raises(UseMonteCarloError):
+        ei_exact_quadrature(model.x_set, ch_xt, model.ch_ty)
+    with pytest.raises(UseMonteCarloError):
+        effect_distribution(model.x_set, ch_xt, model.ch_ty)
+    with pytest.raises(UseMonteCarloError):
+        ei_exact_mc(model.x_set, ch_xt, model.ch_ty)
+    points = DiscretePoints(np.array([[0.0], [1.0]]))
+    report = ei_exact_quadrature(points, ch_xt, model.ch_ty, check_convergence=False)
+    assert 0.0 < report.nats <= math.log(2.0)
+
+
+def kernel_nodes(chain, x_set, spec):
+    """Effect nodes (m, k) of one kl_all pass and their KL weights sd * p."""
+    nodes = spec.nodes_per_axis
+    if isinstance(x_set, UniformBox):
+        xs = nodes_weights(spec.rule, *x_set.domain.axes[0], nodes)[0][:, None]
+    else:
+        xs = x_set.points
+    mu, sig = chain.q_params_batch(xs)
+    f0, cov = chain.predicted_moments_batch(mu, sig)
+    sd = np.sqrt(cov[:, 0, 0])
+    u, w = nodes_weights(spec.rule, -spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
+    y = f0 + sd[:, None] * u
+    p = chain.conditional_density(y.reshape(-1, 1), np.repeat(mu, nodes), np.repeat(sig, nodes))
+    return y, sd[:, None] * p.reshape(y.shape), w
+
+
+def test_effect_windows_merge_overlapping_envelopes():
+    y = np.array([[3.5, 3.6], [0.0, 1.0], [10.0, 11.0], [0.5, 2.0], [3.0, 4.0], [2.0, 2.5]])
+    lo, hi = _effect_windows(y)
+    assert lo.tolist() == [0.0, 3.0, 10.0] and hi.tolist() == [2.5, 4.0, 11.0]
+    # the switch's two effect clusters stay apart at small noise
+    model = binary_switch_model(1e-3, 1e-3)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, _, _ = kernel_nodes(chain, model.x_set, QuadratureSpec())
+    lo, hi = _effect_windows(y)
+    assert lo.size == 2 and hi[0] < 0.5 < lo[1]
+
+
+GRID_CASES = {
+    "family-a-5": (dimmer_family(-5.0, 0.03, 0.03), QuadratureSpec()),
+    "family-a0": (dimmer_family(0.0, 0.03, 0.03), QuadratureSpec()),
+    "family-a5": (dimmer_family(5.0, 0.03, 0.03), QuadratureSpec()),
+    "linear-1e-3": (dimmer_model(linear_profile(), 1e-3, 1e-3), QuadratureSpec()),
+    # two disjoint windows, with enough nodes that the grids cost less
+    "switch-1e-3": (
+        binary_switch_model(1e-3, 1e-3),
+        QuadratureSpec(nodes_per_axis=5001, rule="trapezoid"),
+    ),
+    "state-dependent": (
+        dimmer_model(linear_profile(), lambda y: 0.02 + 0.05 * y, 0.03),
+        QuadratureSpec(),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "model, spec",
+    [
+        *GRID_CASES.values(),
+        # near its floor Weber noise is 3e-5 wide, about the grid spacing
+        # there, so the error bound sends many nodes to direct evaluation
+        (dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003), QuadratureSpec()),
+    ],
+    ids=[*GRID_CASES, "weber"],
+)
+def test_shared_grid_log_density_matches_direct_evaluation(model, spec, monkeypatch):
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, weight, w = kernel_nodes(chain, model.x_set, spec)
+    direct = np.log(chain.averaged_density(y.reshape(-1, 1))).reshape(y.shape)
+    rows = []
+    averaged = chain.averaged_density
+    monkeypatch.setattr(chain, "averaged_density", lambda ys: rows.append(len(ys)) or averaged(ys))
+    got = chain.log_averaged_density(y, weight)
+    assert sum(rows) < y.size / 2  # the grids serve most nodes
+    bulk = weight >= 1e-3
+    assert np.max(np.abs(got - direct)[bulk]) <= 1e-9
+    # what each intervention's KL moves by
+    assert np.max(np.abs((weight * (got - direct)) @ w)) <= 1e-10
+
+
+@pytest.mark.parametrize("model, spec", GRID_CASES.values(), ids=list(GRID_CASES))
+def test_averaged_density_slope_matches_central_difference(model, spec):
+    """A difference of quadrature values also carries the motion of the
+    y-dependent breakpoints; on family a=-5 that differs from de/dy by 5e-6
+    of e/sigma, while de/dy and e both match a dense integral to 6e-8."""
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, weight, _ = kernel_nodes(chain, model.x_set, spec)
+    y = y[weight >= 1e-3][:, None]
+    sigma = _sd(chain.ch_ty.noise, y)
+    h = 1e-4 * sigma[:, None]
+    e, de = chain._averaged(y)
+    central = (chain.averaged_density(y + h) - chain.averaged_density(y - h)) / (2.0 * h[:, 0])
+    assert np.max(np.abs(de - central) * sigma / e) <= 1e-5
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.01, 0.001])

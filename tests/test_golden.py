@@ -3,15 +3,13 @@
 Gates: 1e-8 nats per value (1e-8 / ln 2 for columns in bits, 1e-8 absolute
 for eigen columns), 1e-12 relative on the sweep values, and 1e-8 relative on
 the location and bracket of every ``#crossing`` line. Fresh runs have matched
-the committed files to about 1e-14 relative. The two exact-quadrature configs
-run a few grid points each; the rest run in full.
+the committed files to about 1e-14 relative. Every config runs its full grid.
 """
 
 import math
 import pathlib
 
 import pytest
-import yaml
 
 from causalgeom.cli import main
 
@@ -28,32 +26,14 @@ def read_results(path):
     return lines[0].split(","), rows, crossings
 
 
-# config -> sweep values to rerun (None: the bundled grid)
-CASES = {
-    "fig1b": [-5.0, 0.0],
-    "fig1c": [0.077495949377416856, 0.14426999059072135],  # brackets the crossing
-    "fig3a": None,
-    "fig3b": None,
-    "fig3c": None,
-    "fig4a": None,
-    "fig4b": None,
-    "appendixA": None,
-}
+CONFIGS = ["fig1b", "fig1c", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "appendixA"]
 
 
-@pytest.mark.parametrize("config", list(CASES))
+@pytest.mark.parametrize("config", CONFIGS)
 def test_bundled_config_matches_committed_results(tmp_path, config):
     header, rows, crossings = read_results(ROOT / "out" / config / "results.csv")
-    doc = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
-    values = CASES[config]
-    if values is not None:
-        rows = [row for row in rows if any(math.isclose(row[0], v, rel_tol=GRID_REL) for v in values)]
-        assert len(rows) == len(values)
-        doc["sweep"].update({"from": values[0], "to": values[-1], "steps": len(values)})
-    path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["run", str(path), "--output", str(out)]) == 0
+    assert main(["run", str(ROOT / "configs" / f"{config}.yaml"), "--output", str(out)]) == 0
 
     got_header, got_rows, got_crossings = read_results(out / "results.csv")
     assert got_header == header and len(got_rows) == len(rows)

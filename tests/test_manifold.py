@@ -163,6 +163,23 @@ def test_crossover_scan_keeps_failures_as_gaps():
     assert len(scan.crossings) == 0
 
 
+def test_crossover_scan_logs_every_gap(caplog):
+    def failing_late(v):
+        if v > 0.75:
+            raise CausalGeomError(f"synthetic failure at {v}")
+        return 1.0
+
+    sweep = SweepSpec.from_range("v", 0.0, 1.0, 11, log=False)
+    with caplog.at_level("WARNING", logger="causalgeom.manifold"):
+        scan = crossover_scan([("late", synthetic_curve(failing_late))], sweep)
+    gaps = [float(v) for v, r in zip(sweep.values, scan.curves["late"]) if r is None]
+    assert len(caplog.records) == len(gaps) == 3
+    for v, record in zip(gaps, caplog.records):
+        assert record.levelname == "WARNING"
+        assert "late" in record.getMessage() and f"v = {v!r}" in record.getMessage()
+        assert f"synthetic failure at {v}" in record.getMessage()
+
+
 def test_crossover_scan_rejects_duplicate_labels():
     sweep = SweepSpec.from_range("v", 0.0, 1.0, 3, log=False)
     with pytest.raises(InvalidConfigError):
