@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import logging
 import os
 import pathlib
 import sys
@@ -50,6 +51,8 @@ from .models import (
     weber_noise,
     weber_optimal_profile,
 )
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -422,7 +425,8 @@ def _exact_report(model: ChainModel, seed: int, in_sweep: bool) -> EIReport:
         return ei_exact_quadrature(
             model.x_set, model.ch_xt, model.ch_ty, check_convergence=not in_sweep
         )
-    except UseMonteCarloError:
+    except UseMonteCarloError as exc:
+        logger.info("%s: exact quadrature falls back to Monte Carlo: %s", model.label, exc)
         return ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, MonteCarloSpec(seed=seed))
 
 

@@ -38,13 +38,12 @@ from .channels import (
     gaussian_log_density,
 )
 from .errors import (
-    DegenerateModelError,
     DegenerateProfileError,
     InvalidConfigError,
     NumericalFailureError,
     UseMonteCarloError,
 )
-from .geometry import MetricField, _mismatch_batch, _sym
+from .geometry import MetricField, _logdet, _mismatch_batch, _require_factored, _sym
 
 _LN2 = math.log(2.0)
 _LOG_2PIE = math.log(2.0 * math.pi) + 1.0
@@ -793,8 +792,9 @@ def ei_geometric(
     nats = log(V / (2 pi e)^{d/2}) - <l>, with V the intervention-metric
     volume of the box and <l> the volume-weighted mean mismatch. Midpoint
     grids (staggered counts across axes above one dimension) keep nodes off
-    symmetry-aligned singular lines. The value may legitimately be negative;
-    it is reported as-is with a flag.
+    symmetry-aligned singular lines. The value may legitimately be negative,
+    and is -inf when g is singular at a node; it is reported as-is with a
+    flag. An h that is not positive definite at a node raises, naming it.
     """
     if g.dim != h.dim or g.dim != domain.dim:
         raise InvalidConfigError("metric fields and domain must share a dimension")
@@ -802,15 +802,10 @@ def ei_geometric(
     pts, cell = _field_grid(domain, nodes_per_axis)
     h_stack = h.batch(pts)
     g_stack = g.batch(pts)
-    sign, logdet_h = np.linalg.slogdet(h_stack)
-    if np.any(sign <= 0):
-        bad = pts[int(np.argmax(sign <= 0))]
-        raise DegenerateModelError(f"intervention metric not positive definite at {bad}")
+    logdet_h = _logdet(h_stack)
+    _require_factored(logdet_h, pts, "intervention metric")
     sqrt_h = np.exp(0.5 * logdet_h)
-    try:
-        l_vals = _mismatch_batch(g_stack, h_stack)
-    except DegenerateModelError as exc:
-        raise DegenerateModelError(f"{exc} (within the evaluation grid)") from exc
+    l_vals = _mismatch_batch(g_stack, h_stack, pts)
     volume = float(cell * np.sum(sqrt_h))
     mean_l = float(np.sum(sqrt_h * l_vals) * cell / volume)
     volume_term = math.log(volume) - 0.5 * d * _LOG_2PIE

@@ -27,26 +27,45 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def chol_logdet(m: np.ndarray, jitter: bool = True) -> float:
-    """log det of an SPD matrix via Cholesky.
+def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
+    """Lower Cholesky factors of a stack (n, d, d); NaN where a matrix does not factor.
 
-    On failure, one jitter of 1e-12 * trace/d is added and the factorization
-    retried; a second failure means the matrix is genuinely indefinite.
+    With ``jitter``, a failing matrix is retried once with 1e-12 * trace/d
+    added to its diagonal, which absorbs round-off but not a genuinely
+    indefinite matrix. numpy reports no per-matrix status, so a failing stack
+    is halved until its failing matrices are isolated.
     """
     try:
-        chol = np.linalg.cholesky(m)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        if not jitter:
-            raise
-        d = m.shape[-1]
-        eps = 1e-12 * float(np.trace(m)) / d
-        try:
-            chol = np.linalg.cholesky(m + eps * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateModelError(
-                "matrix stayed non-positive-definite after one jitter"
-            ) from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        pass
+    n, d = mats.shape[0], mats.shape[-1]
+    if n > 1:
+        return np.concatenate([_cholesky(mats[: n // 2], jitter), _cholesky(mats[n // 2 :], jitter)])
+    if jitter:
+        return _cholesky(mats + (1e-12 * float(np.trace(mats[0])) / d) * np.eye(d))
+    return np.full_like(mats, np.nan)
+
+
+def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
+    """log det of each matrix of a stack via :func:`_cholesky`; NaN where it fails."""
+    chol = _cholesky(mats, jitter)
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _require_factored(logdet: np.ndarray, points: np.ndarray | None, what: str) -> None:
+    """Raise DegenerateModelError naming the first point whose log det is NaN."""
+    failed = np.isnan(logdet)
+    if failed.any():
+        where = "" if points is None else f" at {points[int(np.argmax(failed))]}"
+        raise DegenerateModelError(f"{what} is not positive definite{where}")
+
+
+def chol_logdet(m: np.ndarray) -> float:
+    """log det of an SPD matrix via Cholesky, with the one jitter of :func:`_cholesky`."""
+    logdet = _logdet(np.asarray(m, dtype=float)[None], jitter=True)
+    _require_factored(logdet, None, "matrix")
+    return float(logdet[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,34 +172,27 @@ def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:
 def mismatch_at(g_mat: np.ndarray, h_mat: np.ndarray) -> float:
     """Local mismatch 0.5 * [logdet(g + h) - logdet(g)] at one point.
 
-    Returns +inf when g is singular (to numerical precision, without jitter):
-    the parameter directions h still cares about are then invisible to the
-    effects, and the log ratio genuinely diverges. A singular g + h instead
-    means the comparison itself is undefined and raises.
+    +inf where g is singular; see :func:`_mismatch_batch`.
     """
     g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
     h_mat = np.atleast_2d(np.asarray(h_mat, dtype=float))
-    try:
-        logdet_sum = chol_logdet(g_mat + h_mat, jitter=True)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateModelError("g + h is singular; mismatch undefined") from exc
-    try:
-        logdet_g = chol_logdet(g_mat, jitter=False)
-    except np.linalg.LinAlgError:
-        return math.inf
-    return 0.5 * (logdet_sum - logdet_g)
+    return float(_mismatch_batch(g_mat[None], h_mat[None])[0])
 
 
-def _mismatch_batch(g_stack: np.ndarray, h_stack: np.ndarray) -> np.ndarray:
-    """Vectorized mismatch over stacks; falls back per point on failure."""
-    try:
-        chol_sum = np.linalg.cholesky(g_stack + h_stack)
-        chol_g = np.linalg.cholesky(g_stack)
-    except np.linalg.LinAlgError:
-        return np.array([mismatch_at(g, h) for g, h in zip(g_stack, h_stack)])
-    ld_sum = 2.0 * np.sum(np.log(np.diagonal(chol_sum, axis1=-2, axis2=-1)), axis=-1)
-    ld_g = 2.0 * np.sum(np.log(np.diagonal(chol_g, axis1=-2, axis2=-1)), axis=-1)
-    return 0.5 * (ld_sum - ld_g)
+def _mismatch_batch(
+    g_stack: np.ndarray, h_stack: np.ndarray, points: np.ndarray | None = None
+) -> np.ndarray:
+    """Mismatch over stacks (n, d, d); ``points`` only names a failing point.
+
+    Gives +inf where g does not factor (without jitter): the parameter
+    directions h still cares about are then invisible to the effects, and the
+    log ratio genuinely diverges. A g + h that stays indefinite after the
+    jitter instead makes the comparison itself undefined and raises.
+    """
+    ld_sum = _logdet(g_stack + h_stack, jitter=True)
+    _require_factored(ld_sum, points, "g + h")
+    ld_g = _logdet(g_stack)
+    return np.where(np.isnan(ld_g), math.inf, 0.5 * (ld_sum - ld_g))
 
 
 def mismatch(g: MetricField, h: MetricField) -> ScalarField:
@@ -188,13 +200,10 @@ def mismatch(g: MetricField, h: MetricField) -> ScalarField:
     if g.dim != h.dim:
         raise DegenerateModelError("metric fields live on spaces of different dimension")
 
-    def single(theta: np.ndarray) -> float:
-        return mismatch_at(g(theta), h(theta))
-
     def batch(points: np.ndarray) -> np.ndarray:
-        return _mismatch_batch(g.batch(points), h.batch(points))
+        return _mismatch_batch(g.batch(points), h.batch(points), points)
 
-    return ScalarField(single, g.dim, batch)
+    return ScalarField(lambda theta: batch(theta[None])[0], g.dim, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +219,9 @@ def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> Eige
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g_mat = g(theta)
-    h_mat = h(theta)
-    try:
-        chol = np.linalg.cholesky(h_mat)
-    except np.linalg.LinAlgError:
-        d = h_mat.shape[0]
-        eps = 1e-12 * float(np.trace(h_mat)) / d
-        try:
-            chol = np.linalg.cholesky(h_mat + eps * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedInterventionsError(
-                f"intervention metric is singular at theta={theta}"
-            ) from exc
+    chol = _cholesky(h(theta)[None], jitter=True)[0]
+    if np.isnan(chol).any():
+        raise IllPosedInterventionsError(f"intervention metric is singular at theta={theta}")
     half = np.linalg.solve(chol, g_mat)
     whitened = np.linalg.solve(chol, half.T)
     whitened = _sym(whitened)

@@ -46,33 +46,31 @@ class Submanifold:
 
 def pullback(m: MetricField, sub: Submanifold, sigma: ArrayLike) -> np.ndarray:
     """Pull the metric back onto the submanifold at one coordinate point."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    jac = np.atleast_2d(np.asarray(sub.jacobian(sigma), dtype=float))
-    if jac.shape != (m.dim, sub.dim):
-        raise InvalidConfigError(
-            f"embedding Jacobian has shape {jac.shape}, expected {(m.dim, sub.dim)}"
-        )
-    svals = np.linalg.svd(jac, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], 1.0):
-        raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {sigma}")
-    point = np.atleast_1d(np.asarray(sub.embed(sigma), dtype=float))
-    mat = jac.T @ m(point) @ jac
-    return 0.5 * (mat + mat.T)
+    return pullback_field(m, sub)(sigma)
 
 
 def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
-    """The pulled-back metric as a field over the submanifold coordinates."""
+    """The pulled-back metric J^T m J as a field over the submanifold coordinates.
 
-    def single(sigma: np.ndarray) -> np.ndarray:
-        return pullback(m, sub, sigma)
+    Raises InvalidConfigError when the embedding Jacobian is not (d, k), and
+    DegenerateEmbeddingError where it is rank deficient.
+    """
 
     def batch(points: np.ndarray) -> np.ndarray:
         jac = np.asarray(sub.jacobian(points), dtype=float)  # (n, d, k)
-        emb = np.asarray(sub.embed(points), dtype=float)
-        mats = m.batch(emb)
-        return np.einsum("ndi,ndc,nck->nik", jac, mats, jac, optimize=True)
+        if jac.shape != (len(points), m.dim, sub.dim):
+            raise InvalidConfigError(
+                f"embedding Jacobian has shape {jac.shape[1:]}, expected {(m.dim, sub.dim)}"
+            )
+        svals = np.linalg.svd(jac, compute_uv=False)
+        rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
+        if rank_deficient.any():
+            bad = points[int(np.argmax(rank_deficient))]
+            raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {bad}")
+        mats = m.batch(np.asarray(sub.embed(points), dtype=float))
+        return np.swapaxes(jac, -1, -2) @ mats @ jac
 
-    return MetricField(single, sub.dim, batch)
+    return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
 
 
 def coarse_grained_ei(model, sub: Submanifold, nodes_per_axis: int = 101) -> EIReport:

@@ -194,6 +194,24 @@ def test_numeric_failure_exits_3_and_names_the_point(tmp_path, capsys):
     assert "grid point 0.2" in capsys.readouterr().err
 
 
+def test_monte_carlo_fallback_is_logged(tmp_path, caplog, monkeypatch):
+    """Quadrature refuses the two-dimensional model; the switch to Monte Carlo
+    is logged with the model label and the refusal (a stub stands in for MC)."""
+    from causalgeom import cli
+    from causalgeom.ei import EIReport
+
+    monkeypatch.setattr(cli, "ei_exact_mc", lambda *args: EIReport.build(1.0, "monte-carlo", "stub"))
+    doc = {"schema_version": 1, "model": {"name": "two-species"}, "computation": "ei-exact"}
+    with caplog.at_level("INFO", logger="causalgeom.cli"):
+        code, out = run_into(tmp_path, doc)
+    assert code == 0
+    assert (out / "results.csv").read_text().splitlines()[1] == "1.4426950408889634"
+    [record] = caplog.records
+    message = record.getMessage()
+    assert message.startswith("two-species:") and "Monte Carlo" in message
+    assert "requires a scalar parameter" in message
+
+
 def test_plot_flag_writes_svg_when_matplotlib_present(tmp_path):
     pytest.importorskip("matplotlib")
     doc = dict(SCAN, computation="ei-geom", submanifolds=[])

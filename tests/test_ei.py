@@ -9,6 +9,7 @@ from scipy import integrate
 
 from causalgeom import (
     ConstantIsotropic,
+    DegenerateModelError,
     DiagonalStateDependent,
     DiscretePoints,
     Domain,
@@ -19,6 +20,7 @@ from causalgeom import (
     QuadratureSpec,
     UseMonteCarloError,
     binary_switch_model,
+    constant_metric,
     dimmer_family,
     dimmer_model,
     effect_distribution,
@@ -217,6 +219,15 @@ def test_geometric_midpoint_grid_avoids_singular_center():
     model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01))
     report = ei_geometric(model.g, model.h, model.theta_domain)
     assert math.isfinite(report.nats)
+
+
+def test_geometric_rejects_indefinite_intervention_metric_with_positive_determinant():
+    """det(diag(-1, -1)) > 0, but h is no metric: its Cholesky factor fails."""
+    square = Domain(((0.0, 1.0), (0.0, 1.0)))
+    g = constant_metric(np.diag([10.0, 10.0]), 2)
+    h = constant_metric(np.diag([-1.0, -1.0]), 2)
+    with pytest.raises(DegenerateModelError, match=r"intervention metric .* at \["):
+        ei_geometric(g, h, square)
 
 
 def test_quadrature_refuses_curve_valued_effects_and_mc_takes_them():

@@ -23,7 +23,7 @@ from causalgeom import (
     mismatch_at,
     reparameterize,
 )
-from causalgeom.geometry import chol_logdet
+from causalgeom.geometry import _cholesky, _mismatch_batch, chol_logdet
 
 UNIT = Domain(((0.0, 1.0),))
 
@@ -121,6 +121,38 @@ def test_mismatch_eigenvalue_identity():
 
 def test_mismatch_infinite_at_singular_g():
     assert mismatch_at(np.array([[0.0]]), np.array([[1.0]])) == math.inf
+
+
+def test_mixed_stack_matches_pointwise_mismatch():
+    """One stack mixing a PD pair, a singular g (mismatch +inf) and a g + h
+    that the one jitter recovers, shuffled so the failing matrices sit at
+    arbitrary positions: the batch equals the single-point form everywhere."""
+    rng = np.random.default_rng(17)
+    cases = [
+        (spd(rng, 2), spd(rng, 2)),
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), spd(rng, 2)),
+        (np.diag([1.0, 0.0]), np.diag([1.0, -1e-20])),
+    ]
+    picks = rng.integers(0, len(cases), size=37)
+    g_stack = np.stack([cases[k][0] for k in picks])
+    h_stack = np.stack([cases[k][1] for k in picks])
+    points = np.column_stack([np.arange(picks.size, dtype=float), np.zeros(picks.size)])
+
+    def field(stack):
+        return MetricField(lambda t: stack[int(t[0])], 2, lambda pts: stack[pts[:, 0].astype(int)])
+
+    expected = np.array([mismatch_at(g_mat, h_mat) for g_mat, h_mat in zip(g_stack, h_stack)])
+    assert np.all(np.isinf(expected) == (picks > 0))
+    np.testing.assert_array_equal(_mismatch_batch(g_stack, h_stack), expected)
+    np.testing.assert_array_equal(mismatch(field(g_stack), field(h_stack)).batch(points), expected)
+
+    chol = _cholesky(g_stack)
+    assert np.all(np.isnan(chol).all(axis=(1, 2)) == (picks > 0))
+    np.testing.assert_array_equal(chol[picks == 0], np.linalg.cholesky(g_stack[picks == 0]))
+
+    h_stack[5] = np.diag([-2.0, 0.0])  # g + h indefinite at node 5 whatever g is there
+    with pytest.raises(DegenerateModelError, match=r"g \+ h .* at \[5\. 0\.\]"):
+        mismatch(field(g_stack), field(h_stack)).batch(points)
 
 
 def test_mismatch_field_matches_pointwise():

@@ -70,6 +70,31 @@ def test_degenerate_embedding_rejected():
         pullback(m, sub, 0.5)
 
 
+def test_coarse_grained_ei_rejects_degenerate_embedding():
+    """The batched pullback checks the rank the single point always did."""
+    sub = Submanifold(
+        embed=lambda s: np.stack([s[..., 0], s[..., 0] * 0.0], axis=-1),
+        jacobian=lambda s: np.zeros(s.shape[:-1] + (2, 1)),
+        sigma_domain=Domain(((0.0, 1.0),)),
+        label="collapsed",
+    )
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.05, delta=0.05))
+    with pytest.raises(DegenerateEmbeddingError, match="rank deficient at"):
+        coarse_grained_ei(model, sub)
+
+
+def test_pullback_field_batch_rejects_wrong_jacobian_shape():
+    sub = Submanifold(
+        embed=lambda s: np.concatenate([s, s], axis=-1),
+        jacobian=lambda s: np.ones(s.shape[:-1] + (1, 2)),
+        sigma_domain=Domain(((0.0, 1.0),)),
+        label="transposed",
+    )
+    field = pullback_field(constant_metric(np.eye(2), 2), sub)
+    with pytest.raises(InvalidConfigError, match="shape"):
+        field.batch(np.array([[0.2], [0.4]]))
+
+
 def test_coarse_grained_ei_against_adaptive_quadrature():
     """Same geometric definition evaluated with scipy's adaptive integrator
     on the closed-form pulled-back fields."""
