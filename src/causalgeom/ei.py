@@ -162,13 +162,15 @@ class _ScalarChain:
     intervention noise); built-in models satisfy this by construction.
     """
 
-    KERNEL_NODES = 48
+    KERNEL_NODES = 32
     KERNEL_ITERS = 8
     SCALE_INFLATION = 1.4
     SEGMENT_NODES = 16
     LADDER = (-12.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0, 12.0)
     EFFECT_GRID = 4001  # odd, so every other point is a grid of its own
     EFFECT_TOL = 1e-12
+    INVERSE_TABLE = 1025
+    NEWTON_STEPS = 3
 
     def __init__(self, ch_xt: GaussianChannel, ch_ty: GaussianChannel, x_set: InterventionSet):
         if ch_xt.dim_out != 1:
@@ -196,8 +198,15 @@ class _ScalarChain:
         self.mix_hi = hi
         self.ext_lo = lo - pad
         self.ext_hi = hi + pad
-        f_lo, f_hi = self.f(np.array([self.ext_lo, self.ext_hi]))[:, 0]
-        self.increasing = bool(f_hi >= f_lo)
+        self.theta_table = np.linspace(self.ext_lo, self.ext_hi, self.INVERSE_TABLE)
+        f_table = self.f(self.theta_table)[:, 0]
+        self.sign = 1.0 if f_table[-1] >= f_table[0] else -1.0
+        self.f_table = self.sign * f_table  # increasing
+        # a state-dependent sigma may name effect values where it has a kink
+        # (Weber noise at its floor); the segment rule needs a breakpoint there
+        kinks = getattr(getattr(ch_ty.noise, "sigma_fn", None), "kinks", ())
+        kink_bp = self.invert_effect(np.asarray(kinks, dtype=float))
+        self.fixed_bp = np.r_[self.mix_lo, self.mix_hi, kink_bp]
 
     # -- effect map shorthand ------------------------------------------------
 
@@ -269,16 +278,28 @@ class _ScalarChain:
         return (ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)) / (hi - lo)
 
     def invert_effect(self, targets: np.ndarray) -> np.ndarray:
-        """Parameter at which the scalar effect map equals each target."""
-        lo = np.full(targets.shape, self.ext_lo)
-        hi = np.full(targets.shape, self.ext_hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            val = self.f(mid)[..., 0]
-            go_up = (val < targets) if self.increasing else (val > targets)
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        return 0.5 * (lo + hi)
+        """Parameter at which the scalar effect map equals each target.
+
+        f is tabulated once per chain on INVERSE_TABLE points over the
+        extended range. Each target is bracketed with searchsorted, started
+        by linear interpolation inside its bracket and polished by
+        NEWTON_STEPS Newton steps on slope, clipped to the bracket. Targets
+        beyond f's range come back as ext_lo or ext_hi.
+        """
+        table = self.theta_table
+        z = self.sign * targets
+        j = np.clip(np.searchsorted(self.f_table, z) - 1, 0, table.size - 2)
+        lo, hi = table[j], table[j + 1]
+        f_lo, f_hi = self.f_table[j], self.f_table[j + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip((z - f_lo) / (f_hi - f_lo), 0.0, 1.0)
+        theta = lo + np.nan_to_num(t) * (hi - lo)
+        for _ in range(self.NEWTON_STEPS):
+            resid = self.f(theta)[..., 0] - targets
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.nan_to_num(resid / self.slope(theta)[..., 0])
+            theta = np.clip(theta - step, lo, hi)
+        return theta
 
     def _breakpoints(self, y: np.ndarray) -> np.ndarray:
         """Sorted integration breakpoints (n, k) for the averaged density.
@@ -287,26 +308,28 @@ class _ScalarChain:
         slope: a ladder of whitened distances is inverted back to parameter
         values, so plateaus of the effect map (where the slope collapses but
         the likelihood stays flat and alive) are still covered. Mixture
-        shoulders contribute breakpoints of their own.
+        shoulders and noise kinks contribute breakpoints of their own.
         """
         n = y.shape[0]
         eps_y = _sd(self.ch_ty.noise, y)
         targets = y[:, 0:1] + eps_y[:, None] * np.asarray(self.LADDER)[None, :]
         bp = self.invert_effect(targets.reshape(-1)).reshape(n, -1)
-        shoulders = np.broadcast_to([self.mix_lo, self.mix_hi], (n, 2))
-        bp = np.concatenate([bp, shoulders], axis=1)
+        fixed = np.broadcast_to(self.fixed_bp, (n, self.fixed_bp.size))
+        bp = np.concatenate([bp, fixed], axis=1)
         return np.sort(np.clip(bp, self.ext_lo, self.ext_hi), axis=1)
 
     def averaged_density(self, y: np.ndarray) -> np.ndarray:
         """Effect density averaged over interventions, at y rows (n, 1)."""
         return self._averaged(y)[0]
 
-    def _averaged(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Averaged effect density e and its slope de/dy at y rows (n, 1).
+    def _averaged(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Averaged effect density e, de/dy and d2e/dy2 at y rows (n, 1).
 
         Integrates mixture(theta) * p(y|theta) by composite quadrature over
-        segments between the likelihood/mixture breakpoints; the same
-        integrand times the effect score -Sigma^-1 (y - f) gives de/dy.
+        segments between the likelihood/mixture breakpoints. The same
+        integrand times the effect score s = -Sigma^-1 (y - f) gives de/dy,
+        and times s^2 - Sigma^-1 gives d2e/dy2, since Sigma depends on f(theta)
+        and not on y.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         n = y.shape[0]
@@ -321,7 +344,12 @@ class _ScalarChain:
         log_p = gaussian_log_density(noise, y[:, None, :], f_val)
         terms = weights * self.mixture_density(flat) * np.exp(log_p)
         score = -noise.whiten(noise.whiten(y[:, None, :] - f_val, f_val), f_val)[..., 0]
-        return np.sum(terms, axis=1), np.sum(terms * score, axis=1)
+        prec = noise.whiten(noise.whiten(np.ones_like(f_val), f_val), f_val)[..., 0]
+        return (
+            np.sum(terms, axis=1),
+            np.sum(terms * score, axis=1),
+            np.sum(terms * (score * score - prec), axis=1),
+        )
 
     def log_averaged_density(self, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """log e at effect nodes y (m, k), one row of nodes per intervention.
@@ -331,9 +359,10 @@ class _ScalarChain:
         envelopes are merged into disjoint windows: one grid spanning them
         all would cross gaps where e underflows. On each window e is
         evaluated once on a Chebyshev-Lobatto grid of EFFECT_GRID points and
-        log e is interpolated by cubic Hermite steps with slope e'/e. Steps
-        over every other grid point, checked at the points in between, bound
-        the error of each interval (about 16 times over where e is smooth). A
+        log e is interpolated by quintic Hermite steps with slope e'/e and
+        curvature e''/e - (e'/e)^2. Steps over every other grid point, checked
+        at the points in between, bound the error of each interval (about 64
+        times over where e is smooth, as the step error falls as h^6). A
         node whose weight times that bound exceeds EFFECT_TOL gets e
         directly, and so does every node when the grids would have more
         points than there are nodes.
@@ -344,16 +373,17 @@ class _ScalarChain:
         if y.size > lo.size * self.EFFECT_GRID:
             c = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, self.EFFECT_GRID)))
             x = lo[:, None] * (1.0 - c) + hi[:, None] * c  # (windows, EFFECT_GRID)
-            e, de = (v.reshape(x.shape) for v in self._averaged(x.reshape(-1, 1)))
+            e, de, d2e = (v.reshape(x.shape) for v in self._averaged(x.reshape(-1, 1)))
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_e, slope = np.log(e), de / e
-            every_other = (v[:, ::2].ravel() for v in (x, log_e, slope))
+                curv = d2e / e - slope * slope
+            every_other = (v[:, ::2].ravel() for v in (x, log_e, slope, curv))
             coarse, _ = _hermite(*every_other, x[:, 1::2].ravel())
             miss = np.abs(coarse.reshape(lo.size, -1) - log_e[:, 1::2])
             # each check point covers the two intervals beside it; the last
             # column stands for the step to the next window, only met at t = 0
             err = np.c_[np.repeat(miss, 2, axis=1), np.zeros(lo.size)]
-            out, j = _hermite(x.ravel(), log_e.ravel(), slope.ravel(), y)
+            out, j = _hermite(x.ravel(), log_e.ravel(), slope.ravel(), curv.ravel(), y)
             direct = ~(weight * err.ravel()[j] <= self.EFFECT_TOL)
         if np.any(direct):
             with np.errstate(divide="ignore"):
@@ -404,9 +434,9 @@ def _effect_windows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermite(
-    x: np.ndarray, v: np.ndarray, s: np.ndarray, at: np.ndarray
+    x: np.ndarray, v: np.ndarray, s: np.ndarray, c: np.ndarray, at: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic Hermite interpolant through values v and slopes s at sorted x.
+    """Quintic Hermite interpolant through values v, slopes s and curvatures c at sorted x.
 
     Returns the interpolant at the points `at` and the index of the interval
     holding each point.
@@ -415,13 +445,12 @@ def _hermite(
     h = x[j + 1] - x[j]
     t = (at - x[j]) / h
     r = 1.0 - t
-    out = (
-        (1.0 + 2.0 * t) * r * r * v[j]
-        + t * r * r * h * s[j]
-        + t * t * (3.0 - 2.0 * t) * v[j + 1]
-        - t * t * r * h * s[j + 1]
+    # the basis in factored form: r^3 (...) carries the left end, t^3 (...) the right
+    left = v[j] * (1.0 + t * (3.0 + 6.0 * t)) + h * t * (s[j] * (1.0 + 3.0 * t) + 0.5 * h * t * c[j])
+    right = v[j + 1] * (1.0 + r * (3.0 + 6.0 * r)) - h * r * (
+        s[j + 1] * (1.0 + 3.0 * r) - 0.5 * h * r * c[j + 1]
     )
-    return out, j
+    return r**3 * left + t**3 * right, j
 
 
 def _kl_integrand(p: np.ndarray, log_e: np.ndarray) -> np.ndarray:
@@ -507,12 +536,14 @@ def ei_exact_quadrature(
     The parameter is marginalized per intervention, the effect integral runs
     over a mean +- tail*sigma envelope, and the intervention average is a
     quadrature over the box (or a plain mean over discrete points). The
-    intervention-averaged effect density is evaluated once per pass on a
-    Chebyshev grid per effect window and interpolated at the effect nodes;
+    intervention-averaged effect density is evaluated, with its first two
+    derivatives, once per pass on a Chebyshev grid per effect window, and
+    log e is interpolated at the effect nodes by quintic Hermite steps;
     nodes the grid does not resolve to the kernel's tolerance are evaluated
-    directly. Against direct evaluation at every node this moves the bundled
-    figures by at most 1e-13 nats. A second pass at doubled node count
-    flags non-convergence beyond 1e-3 nats.
+    directly. Its integration breakpoints come from inverting f through a
+    table built once per chain. Against direct evaluation at every node the
+    grid moves the bundled figures by at most 1e-13 nats. A second pass at
+    doubled node count flags non-convergence beyond 1e-3 nats.
     """
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)

@@ -125,7 +125,9 @@ def weber_noise(eps0: float, floor: float = WEBER_FLOOR) -> tp.Callable[[np.ndar
     """Relative effect noise sigma(y) = eps0 * max(y, floor).
 
     The floor keeps the noise positive near (and below) zero output, where a
-    literal proportional law would make the channel deterministic.
+    literal proportional law would make the channel deterministic. The
+    callable names that output as its ``kinks``, so exact quadrature can put
+    a breakpoint there.
     """
     if eps0 <= 0.0 or floor <= 0.0:
         raise InvalidConfigError("weber noise needs eps0 > 0 and floor > 0")
@@ -133,6 +135,7 @@ def weber_noise(eps0: float, floor: float = WEBER_FLOOR) -> tp.Callable[[np.ndar
     def sigma(y: np.ndarray) -> np.ndarray:
         return eps0 * np.maximum(np.asarray(y, dtype=float), floor)
 
+    sigma.kinks = (floor,)  # type: ignore[attr-defined]
     return sigma
 
 

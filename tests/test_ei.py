@@ -37,6 +37,7 @@ from causalgeom import (
     UniformBox,
 )
 from causalgeom._quadrature import nodes_weights
+from causalgeom.channels import gaussian_log_density
 from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
     FLAG_NOT_CONVERGED,
@@ -369,9 +370,88 @@ def test_averaged_density_slope_matches_central_difference(model, spec):
     y = y[weight >= 1e-3][:, None]
     sigma = _sd(chain.ch_ty.noise, y)
     h = 1e-4 * sigma[:, None]
-    e, de = chain._averaged(y)
+    e, de, _ = chain._averaged(y)
     central = (chain.averaged_density(y + h) - chain.averaged_density(y - h)) / (2.0 * h[:, 0])
     assert np.max(np.abs(de - central) * sigma / e) <= 1e-5
+
+
+@pytest.mark.parametrize("model, spec", GRID_CASES.values(), ids=list(GRID_CASES))
+def test_averaged_density_curvature_matches_central_difference(model, spec):
+    """d2e/dy2 against a central difference of de/dy; as for the slope, the
+    difference also carries the motion of the breakpoints (worst measured
+    1.6e-5 of e/sigma^2, on family a = +-5)."""
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, weight, _ = kernel_nodes(chain, model.x_set, spec)
+    y = y[weight >= 1e-3][:, None]
+    sigma = _sd(chain.ch_ty.noise, y)
+    h = 1e-4 * sigma[:, None]
+    e, _, d2e = chain._averaged(y)
+    central = (chain._averaged(y + h)[1] - chain._averaged(y - h)[1]) / (2.0 * h[:, 0])
+    assert np.max(np.abs(d2e - central) * sigma**2 / e) <= 5e-5
+
+
+@pytest.mark.parametrize("a, share", [(-3.25, 0.01), (0.25, 0.01), (2.0, 0.01), (-5.0, 0.05)])
+def test_effect_grid_serves_nearly_every_node(a, share, monkeypatch):
+    """Quintic steps clear EFFECT_TOL almost everywhere on fig1b's family
+    (measured 0, 0, 0 and 3.3% of nodes evaluated directly; cubic steps
+    sent 11-20% there)."""
+    model = dimmer_family(a, 0.03, 0.03)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, weight, _ = kernel_nodes(chain, model.x_set, QuadratureSpec())
+    rows = []
+    averaged = chain.averaged_density
+    monkeypatch.setattr(chain, "averaged_density", lambda ys: rows.append(len(ys)) or averaged(ys))
+    chain.log_averaged_density(y, weight)
+    assert sum(rows) <= share * y.size
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dimmer_family(-5.0, 0.03, 0.03),
+        dimmer_family(5.0, 0.03, 0.03),
+        dimmer_model(linear_profile(), 1e-3, 1e-3),
+        dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003),
+    ],
+    ids=["family-a-5", "family-a5", "linear", "weber"],
+)
+def test_tabulated_inverse_matches_bisection(model):
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    f_lo, f_hi = chain.f(np.array([chain.ext_lo, chain.ext_hi]))[:, 0]
+    reach = f_hi - f_lo
+    targets = np.linspace(f_lo - 0.1 * reach, f_hi + 0.1 * reach, 20001)
+    lo = np.full(targets.shape, chain.ext_lo)
+    hi = np.full(targets.shape, chain.ext_hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = (chain.f(mid)[:, 0] < targets) == (f_hi > f_lo)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    got = chain.invert_effect(targets)
+    # measured worst 1.1e-14 of the range, on the plateau of a = -5
+    assert np.max(np.abs(got - 0.5 * (lo + hi))) <= 1e-13 * (chain.ext_hi - chain.ext_lo)
+    beyond = (targets < min(f_lo, f_hi)) | (targets > max(f_lo, f_hi))
+    ends = np.where((targets < f_lo) == (f_hi > f_lo), chain.ext_lo, chain.ext_hi)
+    assert np.all(got[beyond] == ends[beyond])
+
+
+def test_weber_kink_is_a_breakpoint():
+    """sigma = eps0 * max(f, floor) has a kink where f meets the floor; with a
+    breakpoint there e matches a dense trapezoid integral where the
+    conditional density is live (y = 1e-3; 1.7e-5 off without it). At
+    y = -9e-5 what is left is the mixture shoulder at theta = 0 under a flat
+    likelihood, which the segment rule does not resolve."""
+    model = dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y = np.array([[1e-3], [-9e-5]])
+    theta = np.linspace(chain.ext_lo, chain.ext_hi, 2_000_001)
+    mix = chain.mixture_density(theta)
+    f_val = chain.f(theta)
+    dense = [
+        integrate.trapezoid(mix * np.exp(gaussian_log_density(chain.ch_ty.noise, yy, f_val)), theta)
+        for yy in y
+    ]
+    rel = np.abs(chain.averaged_density(y) / dense - 1.0)
+    assert rel[0] <= 1e-10 and rel[1] <= 5e-5
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.01, 0.001])
