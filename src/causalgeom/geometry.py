@@ -16,6 +16,7 @@ import math
 import typing as tp
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import GaussianChannel, InvertedChannel
 from .errors import DegenerateModelError, IllPosedInterventionsError
@@ -27,24 +28,39 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+def _potrf(mats: np.ndarray) -> np.ndarray:
+    """LAPACK potrf on each matrix of a stack, through the gufunc that
+    ``np.linalg.cholesky`` wraps.
+
+    The gufunc fills a matrix that does not factor with NaN, upper triangle
+    included (a factor has a zero upper triangle), and sets the FP invalid
+    flag, which the public wrapper turns into one exception for the whole
+    stack. The flags are ignored here; the wrapper ignores all the others.
+    """
+    with np.errstate(all="ignore"):
+        return _umath_linalg.cholesky_lo(mats, signature="d->d")
+
+
 def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
     """Lower Cholesky factors of a stack (n, d, d); NaN where a matrix does not factor.
 
-    With ``jitter``, a failing matrix is retried once with 1e-12 * trace/d
-    added to its diagonal, which absorbs round-off but not a genuinely
-    indefinite matrix. numpy reports no per-matrix status, so a failing stack
-    is halved until its failing matrices are isolated.
+    With ``jitter``, the failing matrices are retried once, in one more call,
+    with 1e-12 * trace/d added to their diagonal, which absorbs round-off but
+    not a genuinely indefinite matrix. Every factor is LAPACK's own, as from
+    ``np.linalg.cholesky`` on that matrix alone; the private gufunc is used
+    because the public function reports no per-matrix status.
     """
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        pass
-    n, d = mats.shape[0], mats.shape[-1]
-    if n > 1:
-        return np.concatenate([_cholesky(mats[: n // 2], jitter), _cholesky(mats[n // 2 :], jitter)])
+    chol = _potrf(mats)
     if jitter:
-        return _cholesky(mats + (1e-12 * float(np.trace(mats[0])) / d) * np.eye(d))
-    return np.full_like(mats, np.nan)
+        # A failure is all NaN; a factor that inherits a NaN from its input
+        # keeps its zero upper triangle and is not retried.
+        failed = np.isnan(chol).all(axis=(-2, -1))
+        if failed.any():
+            bad = mats[failed]
+            d = mats.shape[-1]
+            shift = (1e-12 * np.trace(bad, axis1=-2, axis2=-1)) / d
+            chol[failed] = _potrf(bad + shift[:, None, None] * np.eye(d))
+    return chol
 
 
 def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:

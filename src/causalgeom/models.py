@@ -312,10 +312,13 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         theta = np.asarray(theta, dtype=float)
         return np.exp(-times * theta[..., 0:1]) + np.exp(-times * theta[..., 1:2])
 
-    def jac(theta):
+    def columns(theta):
+        """The Jacobian's two columns d mean / d theta_k, each (..., n)."""
         theta = np.asarray(theta, dtype=float)
-        cols = [-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)]
-        return np.stack(cols, axis=-1)
+        return [-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)]
+
+    def jac(theta):
+        return np.stack(columns(theta), axis=-1)
 
     a = cfg.matrix
     cov_u = a @ a.T * cfg.delta**2
@@ -343,8 +346,11 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
     )
 
     def g_batch(points: np.ndarray) -> np.ndarray:
-        j = jac(points)
-        return np.einsum("nki,nkj->nij", j, j) / cfg.epsilon**2
+        # J^T J entry by entry, each an in-order sum over the time points: the
+        # einsum's value, at a fraction of its cost on these short axes
+        j0, j1 = columns(points)
+        g00, g01, g11 = (sum(p[:, k] for k in range(n)) for p in (j0 * j0, j0 * j1, j1 * j1))
+        return np.stack([g00, g01, g01, g11], axis=-1).reshape(-1, 2, 2) / cfg.epsilon**2
 
     g = MetricField(lambda t: g_batch(t[None, :])[0], 2, g_batch)
     a_inv = np.linalg.inv(a)

@@ -13,16 +13,20 @@ from causalgeom import (
     GaussianChannel,
     MetricField,
     SmoothMap,
+    TwoSpeciesConfig,
     UniformBox,
     causal_eigenvalues,
     constant_metric,
     effect_metric,
+    ei_geometric,
     intervention_metric,
     invert_uniform_prior,
     mismatch,
     mismatch_at,
     reparameterize,
+    two_species_model,
 )
+from causalgeom import geometry
 from causalgeom.geometry import _cholesky, _mismatch_batch, chol_logdet
 
 UNIT = Domain(((0.0, 1.0),))
@@ -153,6 +157,90 @@ def test_mixed_stack_matches_pointwise_mismatch():
     h_stack[5] = np.diag([-2.0, 0.0])  # g + h indefinite at node 5 whatever g is there
     with pytest.raises(DegenerateModelError, match=r"g \+ h .* at \[5\. 0\.\]"):
         mismatch(field(g_stack), field(h_stack)).batch(points)
+
+
+def _cholesky_one(m: np.ndarray, jitter: bool) -> np.ndarray:
+    """One matrix alone through np.linalg.cholesky, with the one jitter retry."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        pass
+    if jitter:
+        d = m.shape[-1]
+        try:
+            return np.linalg.cholesky(m + (1e-12 * float(np.trace(m)) / d) * np.eye(d))
+        except np.linalg.LinAlgError:
+            pass
+    return np.full_like(m, np.nan)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_cholesky_stack_matches_each_matrix_alone(d, jitter):
+    """Shuffled SPD, singular, jitter-recoverable, indefinite and NaN-holding
+    matrices: every row is the factor np.linalg.cholesky gives that matrix
+    alone (bit for bit), and a row that does not factor is all NaN."""
+    rng = np.random.default_rng(23 + d)
+    nan_cases = [np.full((d, d), np.nan)]
+    if d == 1:
+        cases = [np.array([[2.5]]), np.array([[0.0]]), np.array([[-1e-300]]), np.array([[-1.0]])]
+    else:
+        cases = [
+            np.ones((d, d)),
+            np.diag([1.0] * (d - 1) + [-1e-20]),
+            np.diag([1.0] * (d - 1) + [-1.0]),
+            np.zeros((d, d)),
+        ]
+        # Zero pivots take the jitter as it is, so at d = 3 its last bit shows
+        # if 1e-12 * trace / d is evaluated in another order.
+        cases += [np.diag([x] + [0.0] * (d - 1)) for x in rng.uniform(0.5, 2.0, 6)]
+        for where in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            m = spd(rng, d)
+            m[where] = np.nan
+            nan_cases.append(m)
+    cases += nan_cases + [spd(rng, d) for _ in range(3)]
+    stack = np.stack([cases[k] for k in rng.permutation(np.repeat(np.arange(len(cases)), 5))])
+
+    expected = np.stack([_cholesky_one(m, jitter) for m in stack])
+    chol = _cholesky(stack, jitter)
+    np.testing.assert_array_equal(chol, expected)
+
+    failed = np.isnan(expected).all(axis=(1, 2))
+    assert failed.any() and not failed.all()
+    # The jitter recovers some rows above d = 1; a 1x1 jitter has the sign of the entry.
+    recovered = ~np.isnan(_cholesky(stack, True)).all(axis=(1, 2))
+    assert (recovered & np.isnan(_cholesky(stack)).all(axis=(1, 2))).any() == (d > 1)
+
+
+def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
+    """On a fig4a point where g does not factor at some nodes (two-species at
+    delta_t = 50), each stack costs one LAPACK call plus one for the jitter."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, n_points=3))
+    lapack_calls = []
+    cholesky_lo = geometry._umath_linalg.cholesky_lo
+
+    def counting_lo(*args, **kwargs):
+        lapack_calls.append(1)
+        return cholesky_lo(*args, **kwargs)
+
+    per_stack = []
+    failing_rows = []
+    cholesky = geometry._cholesky
+
+    def counting_cholesky(mats, jitter=False):
+        before = len(lapack_calls)
+        chol = cholesky(mats, jitter)
+        per_stack.append(len(lapack_calls) - before)
+        failing_rows.append(int(np.isnan(chol).all(axis=(-2, -1)).sum()))
+        return chol
+
+    monkeypatch.setattr(geometry._umath_linalg, "cholesky_lo", counting_lo)
+    monkeypatch.setattr(geometry, "_cholesky", counting_cholesky)
+    report = ei_geometric(model.g, model.h, model.theta_domain, nodes_per_axis=101)
+    assert report.nats == -math.inf
+    assert max(failing_rows) > 0
+    assert per_stack and max(per_stack) <= 2
+    assert len(lapack_calls) == sum(per_stack)
 
 
 def test_mismatch_field_matches_pointwise():

@@ -27,6 +27,7 @@ from causalgeom import (
     weber_noise,
     weber_optimal_profile,
 )
+from causalgeom.ei import _field_grid
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -99,6 +100,22 @@ def test_two_species_mean_map_and_metrics():
 
     g_fd = effect_metric(dataclasses.replace(model.ch_ty, jacobian=None))
     np.testing.assert_allclose(model.g(theta), g_fd(theta), rtol=1e-4)
+
+
+@pytest.mark.parametrize("n_points", [1, 3, 7])
+@pytest.mark.parametrize("delta_t", [0.02, 1.0, 50.0])
+def test_two_species_gram_is_bit_identical_to_einsum(n_points, delta_t):
+    """The Jacobian and the effect metric on the ei_geometric grid equal the
+    per-column Jacobian and its einsum Gram bit for bit."""
+    eps = 0.02
+    model = two_species_model(TwoSpeciesConfig(epsilon=eps, delta=eps, delta_t=delta_t, n_points=n_points))
+    pts, _ = _field_grid(model.theta_domain, 101)
+    assert pts.shape == (101 * 102, 2)
+    times = delta_t * np.arange(1, n_points + 1)
+    jac = np.stack([-times * np.exp(-times * pts[..., k : k + 1]) for k in (0, 1)], axis=-1)
+    np.testing.assert_array_equal(model.ch_ty.jac(pts), jac)
+    gram = np.einsum("nki,nkj->nij", jac, jac) / eps**2
+    np.testing.assert_array_equal(model.g.batch(pts), 0.5 * (gram + np.swapaxes(gram, -1, -2)))
 
 
 def test_two_species_skewed_matrix_intervention_metric():
