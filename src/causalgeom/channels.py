@@ -3,7 +3,8 @@
 A channel maps an input point to a Gaussian distribution over an output
 space: the mean comes from a smooth map, the covariance from a noise
 specification evaluated at that mean. Interventions are modelled as either a
-uniform box or a finite set of points with equal weights.
+uniform box or a finite set of points with equal weights; each set supplies
+the parameter mixture that the exact estimators average over.
 
 Inverting a channel against the uniform intervention prior gives, for each
 output value theta, a normalized density over the interventions that could
@@ -19,13 +20,15 @@ import math
 import typing as tp
 
 import numpy as np
+from scipy.special import logsumexp, ndtr
 
-from ._quadrature import gauss_legendre
+from ._quadrature import gauss_legendre, nodes_weights
 from .errors import (
     DegenerateDistributionError,
     DomainViolationError,
     InvalidConfigError,
     UnreachableParameterError,
+    UseMonteCarloError,
 )
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
@@ -83,6 +86,13 @@ class Domain:
         return bool(np.all(p >= self.lower - slack) and np.all(p <= self.upper + slack))
 
 
+# Every intervention set answers the same questions about the parameter law
+# it induces through an intervention channel, the mixture mean_x q(theta|do(x)):
+# its log density at parameter points (..., d), the range of its component
+# means, and the component means and weights of an outer average over the
+# set. The exact estimators average over a set only through these.
+
+
 @dataclasses.dataclass(frozen=True)
 class UniformBox:
     """Uniform density over a box of interventions."""
@@ -96,6 +106,71 @@ class UniformBox:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lo, hi = self.domain.lower, self.domain.upper
         return lo + (hi - lo) * rng.random((n, self.dim))
+
+    def log_mixture(self, channel: GaussianChannel) -> tp.Callable[[np.ndarray], np.ndarray]:
+        """log of the box average of q(theta | do(x)), for theta (..., d).
+
+        Closed forms need an identity intervention mean and noise that does
+        not depend on the state: normal CDF differences for diagonal noise in
+        any dimension, and one conditional-CDF quadrature for full covariance
+        in two dimensions. Anything else raises UseMonteCarloError.
+        """
+        if not channel.mean_is_identity:
+            raise UseMonteCarloError(
+                "a box-averaged parameter density needs an identity intervention mean "
+                "(reparameterize the interventions so the mean map is the identity)"
+            )
+        if isinstance(channel.noise, DiagonalStateDependent):
+            raise UseMonteCarloError(
+                "a box-averaged parameter density needs constant intervention noise"
+            )
+        lo, hi = self.domain.lower, self.domain.upper
+        log_vol = math.log(self.domain.volume)
+        cov = channel.noise.covariance(lo)
+
+        if np.allclose(cov, np.diag(np.diag(cov)), atol=0.0):
+            sig = np.sqrt(np.diag(cov))
+
+            def log_mix(theta: np.ndarray) -> np.ndarray:
+                probs = ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)
+                return np.sum(np.log(np.maximum(probs, 1e-300)), axis=-1) - log_vol
+
+            return log_mix
+
+        if self.dim == 2:
+            chol = np.linalg.cholesky(cov)
+            l11, l21, l22 = chol[0, 0], chol[1, 0], chol[1, 1]
+            z_nodes, z_w = gauss_legendre(0.0, 1.0, 64)
+
+            def log_mix(theta: np.ndarray) -> np.ndarray:
+                a = lo - theta  # (..., 2)
+                b = hi - theta
+                z_lo = np.maximum(a[..., 0] / l11, -9.0)
+                z_hi = np.minimum(b[..., 0] / l11, 9.0)
+                span = np.maximum(z_hi - z_lo, 0.0)
+                z = z_lo[..., None] + span[..., None] * z_nodes
+                phi = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+                inner = ndtr((b[..., 1, None] - l21 * z) / l22) - ndtr((a[..., 1, None] - l21 * z) / l22)
+                prob = span * np.sum(z_w * phi * inner, axis=-1)
+                return np.log(np.maximum(prob, 1e-300)) - log_vol
+
+            return log_mix
+
+        raise UseMonteCarloError(
+            "box-averaged density implemented for diagonal noise (any dimension) "
+            "or full covariance in two dimensions"
+        )
+
+    def mean_range(self, channel: GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
+        """The box edges: log_mixture admits only identity intervention means."""
+        return self.domain.lower, self.domain.upper
+
+    def components(self, channel: GaussianChannel, rule: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Means (m, d) and weights (m,), summing to one, of ``rule`` on a scalar box."""
+        if self.dim != 1:
+            raise UseMonteCarloError("an outer rule over a box needs scalar interventions")
+        x, w = nodes_weights(rule, *self.domain.axes[0], nodes)
+        return channel.mean(x[:, None]), w / self.domain.volume
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,6 +196,27 @@ class DiscretePoints:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(0, self.points.shape[0], size=n)
         return self.points[idx]
+
+    def log_mixture(self, channel: GaussianChannel) -> tp.Callable[[np.ndarray], np.ndarray]:
+        """log of the mean of q(theta | do(x)) over the points, for theta (..., d)."""
+        mus = channel.mean(self.points)  # (k, d)
+        log_k = math.log(mus.shape[0])
+
+        def log_mix(theta: np.ndarray) -> np.ndarray:
+            log_q = gaussian_log_density(channel.noise, theta[..., None, :], mus)
+            return logsumexp(log_q, axis=-1) - log_k
+
+        return log_mix
+
+    def mean_range(self, channel: GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
+        """The extreme point means on each axis."""
+        mus = channel.mean(self.points)
+        return np.min(mus, axis=0), np.max(mus, axis=0)
+
+    def components(self, channel: GaussianChannel, rule: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every point with equal weight; the rule and node count do not apply."""
+        k = self.points.shape[0]
+        return channel.mean(self.points), np.full(k, 1.0 / k)
 
 
 InterventionSet = tp.Union[UniformBox, DiscretePoints]

@@ -273,7 +273,7 @@ def _resolve_model(entry: dict) -> dict:
                 params[key] = arr.tolist()
             else:
                 params[key] = value
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfigError(f"model parameter {key}={value!r}: {exc}") from exc
     return {"name": name, **params}
 
@@ -347,6 +347,10 @@ def _resolve_config(doc: dict) -> dict:
     if theta is not None:
         theta = [float(t) for t in np.atleast_1d(theta)]
 
+    seed = int(doc.get("seed") or 0)
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
+
     if computation == "eigen":
         _check_eigen(models[0], theta, sweep)
     else:
@@ -370,7 +374,7 @@ def _resolve_config(doc: dict) -> dict:
         "submanifolds": subs,
         "theta": theta,
         "output": doc.get("output"),
-        "seed": int(doc.get("seed") or 0),
+        "seed": seed,
         "units": units,
         "threads": int(doc["threads"]) if doc.get("threads") is not None else None,
         "plot": bool(doc.get("plot", False)),
@@ -610,7 +614,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         doc["plot"] = True
     try:
         cfg = _resolve_config(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(str(exc)) from exc
     if not cfg["output"]:
         raise InvalidConfigError("no output directory (config key 'output' or --output)")

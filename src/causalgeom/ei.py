@@ -24,17 +24,13 @@ import math
 import typing as tp
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from ._quadrature import gauss_hermite, gauss_legendre, midpoint_axes, nodes_weights
 from .channels import (
-    DiagonalStateDependent,
-    DiscretePoints,
     Domain,
     FullConstant,
     GaussianChannel,
     InterventionSet,
-    UniformBox,
     gaussian_log_density,
 )
 from .errors import (
@@ -61,7 +57,7 @@ FLAG_UNRELIABLE = "unreliable-estimate"
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid sizes for the exact estimator and the metric-field integrals."""
+    """Grid sizes and rule of the exact quadrature estimator."""
 
     nodes_per_axis: int = 201
     rule: str = "gauss-legendre"
@@ -92,6 +88,8 @@ class MonteCarloSpec:
             raise InvalidConfigError("inner_samples must be at least 2")
         if self.batches < 8:
             raise InvalidConfigError("need at least 8 batches for a batch-means stderr")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,24 +129,6 @@ def _sd(noise, mean: np.ndarray) -> np.ndarray:
     return np.exp(np.broadcast_to(noise.half_logdet(mean), np.shape(mean)[:-1]))
 
 
-def _require_box_kernel(ch_xt: GaussianChannel) -> None:
-    """Refuse a channel whose box-averaged parameter density has no closed form.
-
-    Both estimators average one Gaussian kernel over the intervention box in
-    closed form, which needs an identity intervention mean and noise that
-    does not depend on the state; otherwise UseMonteCarloError.
-    """
-    if not getattr(ch_xt, "mean_is_identity", False):
-        raise UseMonteCarloError(
-            "a box-averaged parameter density needs an identity intervention mean "
-            "(reparameterize the interventions so the mean map is the identity)"
-        )
-    if isinstance(ch_xt.noise, DiagonalStateDependent):
-        raise UseMonteCarloError(
-            "a box-averaged parameter density needs constant intervention noise"
-        )
-
-
 # ---------------------------------------------------------------------------
 # scalar-parameter chain: core quadrature kernels
 # ---------------------------------------------------------------------------
@@ -183,16 +163,8 @@ class _ScalarChain:
         lo, hi = ch_xt.input_domain.lower, ch_xt.input_domain.upper
         probe = lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[:, None]
         self.sigma_q = ch_xt.noise.scale_bound(ch_xt.mean(probe))
-        if isinstance(x_set, UniformBox):
-            if ch_xt.dim_in != 1:
-                raise UseMonteCarloError(
-                    "exact quadrature over a continuous box requires scalar interventions"
-                )
-            _require_box_kernel(ch_xt)
-            lo, hi = x_set.domain.axes[0]
-        else:
-            mus = self.ch_xt.mean(x_set.points)[:, 0]
-            lo, hi = float(np.min(mus)), float(np.max(mus))
+        self.log_mix = x_set.log_mixture(ch_xt)
+        lo, hi = (float(v[0]) for v in x_set.mean_range(ch_xt))
         pad = 8.0 * self.sigma_q + 1e-12
         self.mix_lo = lo  # where the parameter mixture has its shoulders
         self.mix_hi = hi
@@ -218,10 +190,10 @@ class _ScalarChain:
         """df/dtheta at theta (...,), returning (..., 1)."""
         return np.asarray(self.ch_ty.jac(theta[..., None]), dtype=float)[..., 0]
 
-    def q_params_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-intervention parameter mean and sd for rows xs (m, d_in)."""
-        mus = self.ch_xt.mean(np.asarray(xs, dtype=float))
-        return mus[:, 0], _sd(self.ch_xt.noise, mus)
+    def components(self, rule: str, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Parameter mean, sd and weight of each component of the outer average."""
+        mus, weights = self.x_set.components(self.ch_xt, rule, nodes)
+        return mus[:, 0], _sd(self.ch_xt.noise, mus), weights
 
     # -- conditional effect density ------------------------------------------
 
@@ -265,17 +237,6 @@ class _ScalarChain:
         return log_q + gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(nodes))
 
     # -- averaged effect density ----------------------------------------------
-
-    def mixture_density(self, theta: np.ndarray) -> np.ndarray:
-        """Average of the intervention->parameter density over the x set."""
-        theta = np.asarray(theta, dtype=float)
-        if isinstance(self.x_set, DiscretePoints):
-            mus = self.ch_xt.mean(self.x_set.points)  # (K, 1)
-            log_q = gaussian_log_density(self.ch_xt.noise, theta[..., None, None], mus)
-            return np.mean(np.exp(log_q), axis=-1)
-        lo, hi = self.x_set.domain.axes[0]
-        sig = self.sigma_q
-        return (ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)) / (hi - lo)
 
     def invert_effect(self, targets: np.ndarray) -> np.ndarray:
         """Parameter at which the scalar effect map equals each target.
@@ -325,8 +286,9 @@ class _ScalarChain:
     def _averaged(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Averaged effect density e, de/dy and d2e/dy2 at y rows (n, 1).
 
-        Integrates mixture(theta) * p(y|theta) by composite quadrature over
-        segments between the likelihood/mixture breakpoints. The same
+        Integrates the parameter mixture times p(y|theta), summed in log space,
+        by composite quadrature over segments between the likelihood/mixture
+        breakpoints. The same
         integrand times the effect score s = -Sigma^-1 (y - f) gives de/dy,
         and times s^2 - Sigma^-1 gives d2e/dy2, since Sigma depends on f(theta)
         and not on y.
@@ -342,7 +304,7 @@ class _ScalarChain:
         f_val = self.f(flat)
         noise = self.ch_ty.noise
         log_p = gaussian_log_density(noise, y[:, None, :], f_val)
-        terms = weights * self.mixture_density(flat) * np.exp(log_p)
+        terms = weights * np.exp(self.log_mix(flat[..., None]) + log_p)
         score = -noise.whiten(noise.whiten(y[:, None, :] - f_val, f_val), f_val)[..., 0]
         prec = noise.whiten(noise.whiten(np.ones_like(f_val), f_val), f_val)[..., 0]
         return (
@@ -498,25 +460,16 @@ def effect_distribution(
     """Effect density averaged over the intervention set."""
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)
-    if isinstance(x_set, DiscretePoints):
-        probes = x_set.points
-    else:
-        probes = np.linspace(x_set.domain.lower, x_set.domain.upper, 33)
-    f0, cov = chain.predicted_moments_batch(*chain.q_params_batch(probes))
+    mu, sig, _ = chain.components("trapezoid", 33)  # a box's edges and 31 points between
+    f0, cov = chain.predicted_moments_batch(mu, sig)
     reach = spec.effect_tail_sigmas * np.sqrt(cov[:, 0, 0])
     window = ((float(np.min(f0[:, 0] - reach)), float(np.max(f0[:, 0] + reach))),)
     return DensityEstimate(density=chain.averaged_density, window=Domain(window))
 
 
-def _quadrature_pass(x_set: InterventionSet, chain: _ScalarChain, spec: QuadratureSpec, nodes: int) -> float:
-    if isinstance(x_set, DiscretePoints):
-        mu, sig = chain.q_params_batch(x_set.points)
-        return float(np.mean(chain.kl_all(mu, sig, spec, nodes)))
-    lo, hi = x_set.domain.axes[0]
-    x_nodes, x_w = nodes_weights(spec.rule, lo, hi, nodes)
-    mu, sig = chain.q_params_batch(x_nodes[:, None])
-    kls = chain.kl_all(mu, sig, spec, nodes)
-    return float(np.sum(x_w * kls) / (hi - lo))
+def _quadrature_pass(chain: _ScalarChain, spec: QuadratureSpec, nodes: int) -> float:
+    mu, sig, w = chain.components(spec.rule, nodes)
+    return float(w @ chain.kl_all(mu, sig, spec, nodes))
 
 
 def ei_exact_quadrature(
@@ -547,10 +500,10 @@ def ei_exact_quadrature(
     """
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)
-    nats = _quadrature_pass(x_set, chain, spec, spec.nodes_per_axis)
+    nats = _quadrature_pass(chain, spec, spec.nodes_per_axis)
     flags: tuple[str, ...] = ()
     if check_convergence:
-        doubled = _quadrature_pass(x_set, chain, spec, 2 * spec.nodes_per_axis)
+        doubled = _quadrature_pass(chain, spec, 2 * spec.nodes_per_axis)
         if abs(doubled - nats) > 1e-3:
             flags = (FLAG_NOT_CONVERGED,)
     grid = f"{spec.rule}:{spec.nodes_per_axis} nodes/axis, tail {spec.effect_tail_sigmas} sigma"
@@ -560,55 +513,6 @@ def ei_exact_quadrature(
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
-
-
-def _log_box_mixture_factory(
-    ch_xt: GaussianChannel, box: Domain
-) -> tp.Callable[[np.ndarray], np.ndarray]:
-    """log of the box-averaged intervention->parameter density.
-
-    Closed form (normal CDF differences) for identity-mean channels; the
-    correlated two-dimensional case reduces to a single conditional-CDF
-    quadrature.
-    """
-    _require_box_kernel(ch_xt)
-    lo, hi = box.lower, box.upper
-    vol = box.volume
-    cov = ch_xt.noise.covariance(lo)
-
-    if np.allclose(cov, np.diag(np.diag(cov)), atol=0.0):
-        sig = np.sqrt(np.diag(cov))
-
-        def log_mix(theta: np.ndarray) -> np.ndarray:
-            probs = ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)
-            probs = np.maximum(probs, 1e-300)
-            return np.sum(np.log(probs), axis=-1) - math.log(vol)
-
-        return log_mix
-
-    if box.dim == 2:
-        chol = np.linalg.cholesky(cov)
-        l11, l21, l22 = chol[0, 0], chol[1, 0], chol[1, 1]
-        z_nodes, z_w = gauss_legendre(0.0, 1.0, 64)
-
-        def log_mix(theta: np.ndarray) -> np.ndarray:
-            a = lo - theta  # (n, 2)
-            b = hi - theta
-            z_lo = np.maximum(a[:, 0] / l11, -9.0)
-            z_hi = np.minimum(b[:, 0] / l11, 9.0)
-            span = np.maximum(z_hi - z_lo, 0.0)
-            z = z_lo[:, None] + span[:, None] * z_nodes[None, :]
-            phi = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
-            inner = ndtr((b[:, 1, None] - l21 * z) / l22) - ndtr((a[:, 1, None] - l21 * z) / l22)
-            prob = span * np.sum(z_w[None, :] * phi * inner, axis=1)
-            return np.log(np.maximum(prob, 1e-300)) - math.log(vol)
-
-        return log_mix
-
-    raise UseMonteCarloError(
-        "box-averaged density implemented for diagonal noise (any dimension) "
-        "or full covariance in two dimensions"
-    )
 
 
 def _logmeanexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -724,17 +628,8 @@ def ei_exact_mc(
     inflate_avg = 1.6**2
 
     noise_xt = ch_xt.noise
-    if isinstance(x_set, UniformBox):
-        log_mix = _log_box_mixture_factory(ch_xt, x_set.domain)
-        clip_lo, clip_hi = x_set.domain.lower, x_set.domain.upper
-    else:
-        mus_pts = ch_xt.mean(x_set.points)  # (K, d_t)
-
-        def log_mix(theta_flat: np.ndarray) -> np.ndarray:
-            lpk = gaussian_log_density(noise_xt, theta_flat[:, None, :], mus_pts[None])
-            return logsumexp(lpk, axis=1) - math.log(mus_pts.shape[0])
-
-        clip_lo, clip_hi = np.min(mus_pts, axis=0), np.max(mus_pts, axis=0)
+    log_mix = x_set.log_mixture(ch_xt)
+    clip_lo, clip_hi = x_set.mean_range(ch_xt)
 
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.batches)
     batch_means = np.empty(spec.batches)
@@ -780,7 +675,7 @@ def ei_exact_mc(
             np.clip(th_e, clip_lo, clip_hi),
             inflate_avg * np.linalg.inv(lam_e) + noise_xt.covariance(mu),
             draw_mix,
-            lambda th: log_mix(th.reshape(-1, d_t)).reshape(th.shape[:2]),
+            log_mix,
         )
 
         vals = log_cond - log_avg

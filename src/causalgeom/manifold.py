@@ -115,6 +115,8 @@ class SweepSpec:
         if steps < 2:
             raise InvalidConfigError("sweep needs at least two steps")
         if log:
+            if not (start > 0 and stop > 0):
+                raise InvalidConfigError("log-spaced sweep values must be positive")
             vals = np.geomspace(start, stop, steps)
         else:
             vals = np.linspace(start, stop, steps)

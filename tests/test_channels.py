@@ -1,5 +1,6 @@
 """Channel construction, push-forward densities, and uniform-prior inversion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,18 @@ from causalgeom import (
     InvalidConfigError,
     UnreachableParameterError,
     DegenerateDistributionError,
+    TwoSpeciesConfig,
     UniformBox,
+    UseMonteCarloError,
     invert_uniform_prior,
     push_forward,
+    two_species_model,
 )
+from causalgeom._quadrature import gauss_legendre
+from causalgeom.channels import gaussian_log_density
 
 UNIT = Domain(((0.0, 1.0),))
+CUBE = Domain(((0.0, 1.0),) * 3)
 
 
 def scalar_channel(delta: float, fn=None, jac=None) -> GaussianChannel:
@@ -156,3 +163,98 @@ def test_fisher_of_identity_inversion_is_one_over_delta_squared():
     inv = invert_uniform_prior(ch, UniformBox(UNIT))
     info = inv.fisher(0.5)
     assert info[0, 0] == pytest.approx(1.0 / delta**2, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the parameter mixture each intervention set supplies
+# ---------------------------------------------------------------------------
+
+
+def dense_box_log_mixture(channel, box, theta, nodes=200, reach=12.0):
+    """log of (1 / vol) * integral over the box of q(theta | do(x)), by a tensor
+    Gauss-Legendre rule on the part of the box within reach sds of theta."""
+    sds = np.sqrt(np.diag(channel.noise.covariance(box.lower)))
+    out = []
+    for t in theta:
+        lo = np.maximum(box.lower, t - reach * sds)
+        hi = np.minimum(box.upper, t + reach * sds)
+        axes = [gauss_legendre(a, b, nodes) for a, b in zip(lo, hi)]
+        x = np.stack(np.meshgrid(*(n for n, _ in axes), indexing="ij"), axis=-1).reshape(-1, box.dim)
+        w = np.prod(np.stack(np.meshgrid(*(v for _, v in axes), indexing="ij"), axis=-1), axis=-1).reshape(-1)
+        q = np.exp(gaussian_log_density(channel.noise, t, channel.mean(x)))
+        out.append(math.log(np.sum(w * q) / box.volume))
+    return np.array(out)
+
+
+def identity_channel(box, noise):
+    return GaussianChannel(
+        mean_map=lambda x: np.asarray(x, dtype=float),
+        noise=noise,
+        input_domain=box,
+        output_domain=box,
+        mean_is_identity=True,
+    )
+
+
+def near_the_edges(box, sds, rng, n=12):
+    """Points within three sds of a box edge on some axis, plus interior ones."""
+    lo, hi = box.lower, box.upper
+    inner = lo + (hi - lo) * rng.random((n, box.dim))
+    edge = np.where(rng.random((n, box.dim)) < 0.5, lo, hi) + sds * rng.uniform(-3.0, 3.0, (n, box.dim))
+    return np.concatenate([inner, edge])
+
+
+SQUARE = Domain(((0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        identity_channel(UNIT, ConstantIsotropic(0.05)),
+        identity_channel(SQUARE, FullConstant(np.diag([0.03, 0.08]) ** 2)),
+        two_species_model(TwoSpeciesConfig(0.01, 0.01, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))).ch_xt,
+    ],
+    ids=["1d-isotropic", "2d-diagonal", "2d-full"],
+)
+def test_box_log_mixture_matches_a_dense_tensor_rule(channel):
+    """The closed forms (CDF differences; one conditional-CDF rule for the
+    correlated square) against a dense average, in log: measured worst
+    7e-14, 1.2e-13 and 1.7e-13."""
+    box = UniformBox(channel.input_domain)
+    sds = np.sqrt(np.diag(channel.noise.covariance(box.domain.lower)))
+    theta = near_the_edges(box.domain, sds, np.random.default_rng(3))
+    got = box.log_mixture(channel)(theta)
+    ref = dense_box_log_mixture(channel, box.domain, theta)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    # any leading shape: one value per parameter point
+    assert np.array_equal(box.log_mixture(channel)(theta.reshape(2, -1, box.dim)).reshape(-1), got)
+
+
+def test_box_log_mixture_refuses_what_has_no_closed_form():
+    iso = identity_channel(UNIT, ConstantIsotropic(0.05))
+    refused = [
+        dataclasses.replace(iso, mean_is_identity=False),
+        dataclasses.replace(iso, noise=DiagonalStateDependent(lambda t: 0.02 + 0.1 * t)),
+        identity_channel(CUBE, FullConstant(np.full((3, 3), 0.5) + 0.5 * np.eye(3))),
+    ]
+    for channel in refused:
+        with pytest.raises(UseMonteCarloError):
+            UniformBox(channel.input_domain).log_mixture(channel)
+
+
+def test_point_log_mixture_is_the_mean_over_the_points():
+    cov = np.array([[0.04, 0.01], [0.01, 0.02]])
+    channel = GaussianChannel(
+        mean_map=lambda x: np.concatenate([x[..., :1] + x[..., 1:], x[..., :1] - 0.5 * x[..., 1:]], axis=-1),
+        noise=FullConstant(cov),
+        input_domain=SQUARE,
+        output_domain=Domain(((-1.0, 2.0), (-1.0, 2.0))),
+    )
+    points = DiscretePoints(np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]]))
+    theta = np.random.default_rng(5).uniform(-0.5, 1.5, (40, 2))
+    got = points.log_mixture(channel)(theta)
+    means = channel.mean(points.points)
+    ref = np.mean([stats.multivariate_normal(m, cov).pdf(theta) for m in means], axis=0)
+    np.testing.assert_allclose(np.exp(got), ref, rtol=1e-12)
+    lo, hi = points.mean_range(channel)
+    assert np.array_equal(lo, means.min(axis=0)) and np.array_equal(hi, means.max(axis=0))

@@ -353,3 +353,30 @@ def test_output_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypa
         err = capsys.readouterr().err
         assert code == 2 and "config error" in err and "Traceback" not in err
     assert target.read_text(encoding="utf-8") == "keep me\n"
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exits_2_without_traceback(tmp_path, capsys, where):
+    doc = {"schema_version": 1, "model": {"name": "two-species"}, "computation": "ei-exact"}
+    if where == "config":
+        doc["seed"] = -1
+    code, out = run_into(tmp_path, doc, extra=("--seed", "-1") if where == "flag" else ())
+    err = capsys.readouterr().err
+    assert code == 2 and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(MINI, seed=float("inf")),
+        dict(MINI, threads=float("inf")),
+        dict(SCAN, model={"name": "two-species", "n_points": float("inf")}),
+        dict(SCAN, sweep={"variable": "delta", "from": 0.0, "to": 0.1, "steps": 3, "log": True}),
+    ],
+    ids=["infinite-seed", "infinite-threads", "infinite-integer-parameter", "log-sweep-from-zero"],
+)
+def test_infinite_integers_and_a_log_sweep_from_zero_exit_2(tmp_path, capsys, doc):
+    code, out = run_into(tmp_path, doc)
+    assert code == 2 and "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
