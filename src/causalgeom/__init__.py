@@ -20,7 +20,6 @@ from .ei import (
     MonteCarloSpec,
     QuadratureSpec,
     effect_distribution,
-    ei_dimmer_approx,
     ei_exact_mc,
     ei_exact_quadrature,
     ei_geometric,
@@ -30,7 +29,6 @@ from .errors import (
     DegenerateDistributionError,
     DegenerateEmbeddingError,
     DegenerateModelError,
-    DegenerateProfileError,
     DomainViolationError,
     IllPosedInterventionsError,
     InvalidConfigError,

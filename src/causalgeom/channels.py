@@ -231,8 +231,10 @@ InterventionSet = tp.Union[UniformBox, DiscretePoints]
 # at a batch of channel means (..., d): the matrix itself, a whitened residual
 # (a symmetric W with W W = Sigma^-1 applied along the last axis, so whitening
 # twice applies the precision), half its log-determinant, a draw, and a bound
-# on its largest standard deviation over a set of means. Callers branch on the
-# kind of noise only to refuse it or to pick a closed form.
+# on its largest standard deviation over a set of means. Each also names the
+# channel means where its covariance has a kink (``kinks``), so an integration
+# rule can break there. Callers branch on the kind of noise only to refuse it
+# or to pick a closed form.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -240,6 +242,7 @@ class ConstantIsotropic:
     """sigma * identity, the same at every state."""
 
     sigma: float
+    kinks: tp.ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -264,9 +267,15 @@ class ConstantIsotropic:
 
 @dataclasses.dataclass(frozen=True)
 class DiagonalStateDependent:
-    """Per-axis sigma as a function of the output point (the channel mean)."""
+    """Per-axis sigma as a function of the output point (the channel mean).
+
+    ``kinks`` lists the scalar outputs where ``sigma_fn`` is not smooth, such
+    as the floor of :func:`~causalgeom.models.weber_noise`; exact quadrature
+    puts an integration breakpoint at each.
+    """
 
     sigma_fn: tp.Callable[[np.ndarray], np.ndarray]
+    kinks: tuple[float, ...] = ()
 
     def sigma_diag(self, mean: np.ndarray) -> np.ndarray:
         sig = np.asarray(self.sigma_fn(np.asarray(mean, dtype=float)), dtype=float)
@@ -301,6 +310,7 @@ class FullConstant:
     """
 
     cov: np.ndarray
+    kinks: tp.ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.cov, dtype=float))

@@ -135,7 +135,7 @@ def _build_two_species(p: dict) -> ChainModel:
         epsilon=float(p["epsilon"]),
         delta=float(p["delta"]),
         delta_t=float(p["delta_t"]),
-        n_points=int(p["n_points"]),
+        n_points=_integer(p["n_points"], "model parameter n_points"),
         matrix=np.asarray(p["matrix"], dtype=float),
     )
     return two_species_model(cfg)
@@ -244,6 +244,24 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _integer(value, key: str) -> int:
+    """An integral config value as an int: 2.7 is refused, not truncated to 2."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfigError(f"{key} must be an integer, got {value!r}") from exc
+    if not isinstance(value, str) and number != value:
+        raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
+    return number
+
+
+def _names(value, key: str) -> list[str]:
+    """A list of names; a bare string is refused rather than split into letters."""
+    if not isinstance(value, list):
+        raise InvalidConfigError(f"{key} must be a list of names, got {value!r}")
+    return [str(v) for v in value]
+
+
 def _resolve_model(entry: dict) -> dict:
     if not isinstance(entry, dict) or "name" not in entry:
         raise InvalidConfigError("each model needs at least a 'name' key")
@@ -262,7 +280,7 @@ def _resolve_model(entry: dict) -> dict:
             if isinstance(default, bool) or isinstance(value, bool):
                 raise TypeError("boolean is not a valid parameter value")
             if isinstance(default, int):
-                params[key] = int(value)
+                params[key] = _integer(value, f"model parameter {key}")
             elif isinstance(default, float):
                 params[key] = float(value)
             elif isinstance(default, list):
@@ -319,22 +337,23 @@ def _resolve_config(doc: dict) -> dict:
         extra = set(sweep) - required - {"log", "tie"}
         if extra:
             raise InvalidConfigError(f"unknown sweep keys: {sorted(extra)}")
-        if int(sweep["steps"]) < 2:
+        steps = _integer(sweep["steps"], "sweep steps")
+        if steps < 2:
             raise InvalidConfigError("sweep steps must be at least 2")
         sweep = {
             "variable": str(sweep["variable"]),
             "from": float(sweep["from"]),
             "to": float(sweep["to"]),
-            "steps": int(sweep["steps"]),
+            "steps": steps,
             "log": bool(sweep.get("log", False)),
-            "tie": [str(t) for t in sweep.get("tie", [])],
+            "tie": _names(sweep.get("tie", []), "sweep tie"),
         }
         for var in [sweep["variable"], *sweep["tie"]]:
             ok = any(var in m or var == "theta" for m in models)
             if not ok:
                 raise InvalidConfigError(f"sweep variable {var!r} is not a model parameter")
 
-    subs = [str(s) for s in doc.get("submanifolds", [])]
+    subs = _names(doc.get("submanifolds", []), "submanifolds")
     for s in subs:
         if s not in _SUBMANIFOLDS:
             raise InvalidConfigError(
@@ -347,7 +366,7 @@ def _resolve_config(doc: dict) -> dict:
     if theta is not None:
         theta = [float(t) for t in np.atleast_1d(theta)]
 
-    seed = int(doc.get("seed") or 0)
+    seed = _integer(doc.get("seed") or 0, "seed")
     if seed < 0:
         raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
 
@@ -376,7 +395,7 @@ def _resolve_config(doc: dict) -> dict:
         "output": doc.get("output"),
         "seed": seed,
         "units": units,
-        "threads": int(doc["threads"]) if doc.get("threads") is not None else None,
+        "threads": _integer(doc["threads"], "threads") if doc.get("threads") is not None else None,
         "plot": bool(doc.get("plot", False)),
     }
 

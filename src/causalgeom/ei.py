@@ -12,9 +12,6 @@ Three estimators are provided:
 * a nested Monte Carlo estimator for anything else,
 * a geometric estimate built purely from the two metric fields, which is the
   quantity the sweep/crossover machinery works with.
-
-A fourth routine evaluates the closed-form small-noise approximation for
-one-dimensional response profiles.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .channels import (
     gaussian_log_density,
 )
 from .errors import (
-    DegenerateProfileError,
     InvalidConfigError,
     NumericalFailureError,
     UseMonteCarloError,
@@ -174,10 +170,9 @@ class _ScalarChain:
         f_table = self.f(self.theta_table)[:, 0]
         self.sign = 1.0 if f_table[-1] >= f_table[0] else -1.0
         self.f_table = self.sign * f_table  # increasing
-        # a state-dependent sigma may name effect values where it has a kink
-        # (Weber noise at its floor); the segment rule needs a breakpoint there
-        kinks = getattr(getattr(ch_ty.noise, "sigma_fn", None), "kinks", ())
-        kink_bp = self.invert_effect(np.asarray(kinks, dtype=float))
+        # the effect noise names effect values where it has a kink (Weber
+        # noise at its floor); the segment rule needs a breakpoint there
+        kink_bp = self.invert_effect(np.asarray(ch_ty.noise.kinks, dtype=float))
         self.fixed_bp = np.r_[self.mix_lo, self.mix_hi, kink_bp]
 
     # -- effect map shorthand ------------------------------------------------
@@ -718,9 +713,12 @@ def ei_geometric(
     nats = log(V / (2 pi e)^{d/2}) - <l>, with V the intervention-metric
     volume of the box and <l> the volume-weighted mean mismatch. Midpoint
     grids (staggered counts across axes above one dimension) keep nodes off
-    symmetry-aligned singular lines. The value may legitimately be negative,
-    and is -inf when g is singular at a node; it is reported as-is with a
-    flag. An h that is not positive definite at a node raises, naming it.
+    symmetry-aligned singular lines. For a scalar dimmer, with h = 1/delta^2
+    and g = f'^2/sigma(f)^2 over an interval of length L, this is the
+    small-noise closed form log L - <0.5 log(2 pi e (delta^2 + sigma^2/f'^2))>.
+    The value may legitimately be negative, and is -inf when g is singular at
+    a node; it is reported as-is with a flag. An h that is not positive
+    definite at a node raises, naming it.
     """
     if g.dim != h.dim or g.dim != domain.dim:
         raise InvalidConfigError("metric fields and domain must share a dimension")
@@ -751,39 +749,3 @@ def ei_geometric(
         mean_mismatch=mean_l,
         flags=flags,
     )
-
-
-# ---------------------------------------------------------------------------
-# closed-form profile approximation
-# ---------------------------------------------------------------------------
-
-
-def ei_dimmer_approx(
-    profile,
-    eps: float | tp.Callable[[np.ndarray], np.ndarray],
-    delta: float,
-    domain: Domain | None = None,
-    nodes: int = 201,
-) -> EIReport:
-    """Small-noise approximation for a scalar response profile.
-
-    EI ~ log L - (1/L) * integral of 0.5 * log[2 pi e ((eps/f')^2 + delta^2)]
-    over the parameter interval. Valid when the profile curves slowly
-    relative to both noise scales.
-    """
-    domain = domain or Domain(((0.0, 1.0),))
-    if domain.dim != 1:
-        raise InvalidConfigError("profile approximation is one-dimensional")
-    lo, hi = domain.axes[0]
-    theta, w = gauss_legendre(lo, hi, nodes)
-    f_val = np.asarray(profile.f(theta), dtype=float)
-    slope = np.asarray(profile.df(theta), dtype=float)
-    if np.any(slope == 0.0):
-        idx = int(np.argmax(slope == 0.0))
-        raise DegenerateProfileError(f"profile slope vanishes at theta={theta[idx]:.6g}")
-    eps_val = eps(f_val) if callable(eps) else np.full_like(theta, float(eps))
-    eps_val = np.asarray(eps_val, dtype=float)
-    length = hi - lo
-    integrand = 0.5 * (_LOG_2PIE + np.log((eps_val / slope) ** 2 + delta**2))
-    nats = math.log(length) - float(np.sum(w * integrand)) / length
-    return EIReport.build(nats, "dimmer-approx", f"gauss-legendre:{nodes}")

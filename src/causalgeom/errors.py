@@ -49,10 +49,6 @@ class DegenerateEmbeddingError(CausalGeomError):
     """A submanifold embedding has a rank-deficient Jacobian."""
 
 
-class DegenerateProfileError(CausalGeomError):
-    """A response profile has zero slope where a slope is divided by."""
-
-
 class UseMonteCarloError(CausalGeomError):
     """The requested exact quadrature is not feasible at this dimension."""
 

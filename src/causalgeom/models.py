@@ -24,10 +24,11 @@ from .channels import (
     FullConstant,
     GaussianChannel,
     InterventionSet,
+    NoiseSpec,
     UniformBox,
 )
 from .errors import InvalidConfigError, RegimeError
-from .geometry import MetricField, constant_metric
+from .geometry import MetricField, constant_metric, effect_metric
 from .manifold import Submanifold
 
 WEBER_FLOOR = 1e-3
@@ -121,13 +122,13 @@ def weber_optimal_profile(r: float) -> DimmerProfile:
     return _exp_profile(1.0 / r, f"weber-optimal(r={r:g})")
 
 
-def weber_noise(eps0: float, floor: float = WEBER_FLOOR) -> tp.Callable[[np.ndarray], np.ndarray]:
+def weber_noise(eps0: float, floor: float = WEBER_FLOOR) -> DiagonalStateDependent:
     """Relative effect noise sigma(y) = eps0 * max(y, floor).
 
     The floor keeps the noise positive near (and below) zero output, where a
-    literal proportional law would make the channel deterministic. The
-    callable names that output as its ``kinks``, so exact quadrature can put
-    a breakpoint there.
+    literal proportional law would make the channel deterministic. The spec
+    names that output among its ``kinks``, so exact quadrature can put a
+    breakpoint there.
     """
     if eps0 <= 0.0 or floor <= 0.0:
         raise InvalidConfigError("weber noise needs eps0 > 0 and floor > 0")
@@ -135,8 +136,7 @@ def weber_noise(eps0: float, floor: float = WEBER_FLOOR) -> tp.Callable[[np.ndar
     def sigma(y: np.ndarray) -> np.ndarray:
         return eps0 * np.maximum(np.asarray(y, dtype=float), floor)
 
-    sigma.kinks = (floor,)  # type: ignore[attr-defined]
-    return sigma
+    return DiagonalStateDependent(sigma, kinks=(floor,))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ class ChainModel:
     h: MetricField
 
 
-def _identity_channel(delta: float, domain: Domain) -> GaussianChannel:
+def _identity_channel(noise: NoiseSpec, domain: Domain) -> GaussianChannel:
     dim = domain.dim
 
     def identity(x):
@@ -172,7 +172,7 @@ def _identity_channel(delta: float, domain: Domain) -> GaussianChannel:
 
     return GaussianChannel(
         mean_map=identity,
-        noise=ConstantIsotropic(delta),
+        noise=noise,
         input_domain=domain,
         output_domain=domain,
         jacobian=jac,
@@ -180,9 +180,7 @@ def _identity_channel(delta: float, domain: Domain) -> GaussianChannel:
     )
 
 
-def _profile_channel(
-    profile: DimmerProfile, eps: float | tp.Callable[[np.ndarray], np.ndarray]
-) -> GaussianChannel:
+def _profile_channel(profile: DimmerProfile, noise: NoiseSpec) -> GaussianChannel:
     def mean(theta):
         theta = np.asarray(theta, dtype=float)
         return np.asarray(profile.f(theta[..., 0]), dtype=float)[..., None]
@@ -191,7 +189,6 @@ def _profile_channel(
         theta = np.asarray(theta, dtype=float)
         return np.asarray(profile.df(theta[..., 0]), dtype=float)[..., None, None]
 
-    noise = ConstantIsotropic(eps) if not callable(eps) else DiagonalStateDependent(eps)
     return GaussianChannel(
         mean_map=mean,
         noise=noise,
@@ -201,42 +198,25 @@ def _profile_channel(
     )
 
 
-def _dimmer_metrics(
-    profile: DimmerProfile,
-    eps: float | tp.Callable[[np.ndarray], np.ndarray],
-    delta: float,
-) -> tuple[MetricField, MetricField]:
-    def g_batch(points: np.ndarray) -> np.ndarray:
-        t = points[..., 0]
-        slope = np.asarray(profile.df(t), dtype=float)
-        if callable(eps):
-            noise = np.asarray(eps(np.asarray(profile.f(t), dtype=float)), dtype=float)
-        else:
-            noise = np.full_like(slope, float(eps))
-        return ((slope / noise) ** 2)[..., None, None]
+def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -> ChainModel:
+    """Continuous dimmer: uniform interventions on [0, 1], scalar response.
 
-    g = MetricField(lambda t: g_batch(t[None, :])[0], 1, g_batch)
-    h = constant_metric(np.array([[1.0 / delta**2]]), 1)
-    return g, h
-
-
-def dimmer_model(
-    profile: DimmerProfile,
-    eps: float | tp.Callable[[np.ndarray], np.ndarray],
-    delta: float,
-) -> ChainModel:
-    """Continuous dimmer: uniform interventions on [0, 1], scalar response."""
+    ``eps`` is the effect noise: a float for constant noise of that sigma, or
+    a noise spec such as :func:`weber_noise` for noise that depends on the
+    output. g is the Fisher metric of the effect channel, (f'/sigma(f))^2,
+    and h the constant 1/delta^2 of the intervention channel.
+    """
     if delta <= 0.0:
         raise InvalidConfigError("intervention noise delta must be positive")
-    g, h = _dimmer_metrics(profile, eps, delta)
+    ch_ty = _profile_channel(profile, ConstantIsotropic(float(eps)) if np.isscalar(eps) else eps)
     return ChainModel(
         label=f"dimmer[{profile.label}]",
         x_set=UniformBox(UNIT_INTERVAL),
-        ch_xt=_identity_channel(delta, UNIT_INTERVAL),
-        ch_ty=_profile_channel(profile, eps),
+        ch_xt=_identity_channel(ConstantIsotropic(delta), UNIT_INTERVAL),
+        ch_ty=ch_ty,
         theta_domain=UNIT_INTERVAL,
-        g=g,
-        h=h,
+        g=effect_metric(ch_ty),
+        h=constant_metric(np.array([[1.0 / delta**2]]), 1),
     )
 
 
@@ -321,21 +301,7 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         return np.stack(columns(theta), axis=-1)
 
     a = cfg.matrix
-    cov_u = a @ a.T * cfg.delta**2
-
-    def ch_xt_jac(x):
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(2)
-        return np.broadcast_to(eye, x.shape[:-1] + (2, 2)).copy()
-
-    ch_xt = GaussianChannel(
-        mean_map=lambda x: np.asarray(x, dtype=float),
-        noise=FullConstant(cov_u),
-        input_domain=UNIT_SQUARE,
-        output_domain=UNIT_SQUARE,
-        jacobian=ch_xt_jac,
-        mean_is_identity=True,
-    )
+    ch_xt = _identity_channel(FullConstant(a @ a.T * cfg.delta**2), UNIT_SQUARE)
     y_domain = Domain(tuple((0.0, 2.0) for _ in range(n)))
     ch_ty = GaussianChannel(
         mean_map=mean,
@@ -503,4 +469,4 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
 def decay_causal_channel(cfg: DecayConfounderConfig, x_domain: Domain | None = None) -> GaussianChannel:
     """The targeted-experiment channel, for cross-checks against h_caus."""
     x_domain = x_domain or Domain(((-2.0, 3.0),))
-    return _identity_channel(cfg.alpha * cfg.sigma_t, x_domain)
+    return _identity_channel(ConstantIsotropic(cfg.alpha * cfg.sigma_t), x_domain)

@@ -380,3 +380,35 @@ def test_infinite_integers_and_a_log_sweep_from_zero_exit_2(tmp_path, capsys, do
     code, out = run_into(tmp_path, doc)
     assert code == 2 and "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (dict(MINI, seed=2.7), "seed"),
+        (dict(MINI, threads=1.9), "threads"),
+        (dict(SCAN, sweep=dict(SCAN["sweep"], steps=2.9)), "sweep steps"),
+        (dict(SCAN, model={"name": "two-species", "n_points": 3.5}), "n_points"),
+    ],
+    ids=["seed", "threads", "sweep-steps", "n-points"],
+)
+def test_non_integral_integers_exit_2_naming_the_key(tmp_path, capsys, doc, key):
+    code, out = run_into(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and key in err and "must be an integer" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(SCAN, submanifolds="diagonal"),
+        dict(SCAN, sweep=dict(SCAN["sweep"], tie="epsilon")),
+    ],
+    ids=["submanifolds", "sweep-tie"],
+)
+def test_a_bare_string_for_a_name_list_exits_2(tmp_path, capsys, doc):
+    code, out = run_into(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and "must be a list of names" in err and "Traceback" not in err
+    assert not out.exists()

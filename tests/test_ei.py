@@ -25,7 +25,6 @@ from causalgeom import (
     dimmer_family,
     dimmer_model,
     effect_distribution,
-    ei_dimmer_approx,
     ei_exact_mc,
     ei_exact_quadrature,
     ei_geometric,
@@ -121,8 +120,13 @@ def test_profile_ranking_quadratic_below_linear():
 def test_weber_profile_beats_linear_under_weber_noise():
     noise = weber_noise(0.03)
     delta = 0.003
-    best = ei_dimmer_approx(weber_optimal_profile(0.1), lambda y: noise(y), delta)
-    base = ei_dimmer_approx(linear_profile(), lambda y: noise(y), delta)
+
+    def geometric(profile):
+        model = dimmer_model(profile, noise, delta)
+        return ei_geometric(model.g, model.h, model.theta_domain)
+
+    best = geometric(weber_optimal_profile(0.1))
+    base = geometric(linear_profile())
     assert best.nats > base.nats
 
 
@@ -212,7 +216,8 @@ def test_mc_on_discrete_interventions():
 
 def test_dimmer_approx_closed_form_value():
     eps = delta = 0.03
-    report = ei_dimmer_approx(linear_profile(), eps, delta)
+    model = dimmer_model(linear_profile(), eps, delta)
+    report = ei_geometric(model.g, model.h, model.theta_domain)
     expected = -0.5 * math.log(2 * math.pi * math.e * (eps**2 + delta**2))
     assert report.nats == pytest.approx(expected, rel=1e-10)
 
@@ -328,7 +333,7 @@ GRID_CASES = {
         QuadratureSpec(nodes_per_axis=5001, rule="trapezoid"),
     ),
     "state-dependent": (
-        dimmer_model(linear_profile(), lambda y: 0.02 + 0.05 * y, 0.03),
+        dimmer_model(linear_profile(), DiagonalStateDependent(lambda y: 0.02 + 0.05 * y), 0.03),
         QuadratureSpec(),
     ),
 }

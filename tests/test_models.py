@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from causalgeom import (
+    ConstantIsotropic,
     DecayConfounderConfig,
     DiscretePoints,
+    FullConstant,
     InvalidConfigError,
     RegimeError,
     TwoSpeciesConfig,
@@ -57,8 +59,34 @@ def test_family_profile_is_linear_at_zero_and_continuous_there():
 
 def test_weber_noise_floor():
     noise = weber_noise(0.05, floor=1e-3)
-    assert noise(np.array([0.0]))[0] == pytest.approx(0.05 * 1e-3)
-    assert noise(np.array([0.4]))[0] == pytest.approx(0.02)
+    assert noise.sigma_fn(np.array([0.0]))[0] == pytest.approx(0.05 * 1e-3)
+    assert noise.sigma_fn(np.array([0.4]))[0] == pytest.approx(0.02)
+
+
+def test_noise_specs_name_their_kinks():
+    assert weber_noise(0.05, floor=1e-3).kinks == (1e-3,)
+    assert ConstantIsotropic(0.1).kinks == ()
+    assert FullConstant(np.eye(2)).kinks == ()
+
+
+@pytest.mark.parametrize(
+    "profile, noise",
+    [
+        (family_profile(-5.0), 0.03),
+        (family_profile(5.0), 0.03),
+        (linear_profile(), 1e-3),
+        (weber_optimal_profile(0.1), weber_noise(0.03)),
+    ],
+    ids=["family-a-5", "family-a5", "linear-1e-3", "weber"],
+)
+def test_dimmer_g_is_the_effect_fisher_metric(profile, noise):
+    """g = (f'/sigma(f))^2 bit for bit, one point at a time and stacked."""
+    model = dimmer_model(profile, noise, 0.03)
+    t = np.linspace(-0.1, 1.1, 241)
+    sigma = noise if np.isscalar(noise) else noise.sigma_fn(profile.f(t))
+    expected = (profile.df(t) / sigma) ** 2
+    np.testing.assert_array_equal(model.g.batch(t[:, None])[:, 0, 0], expected)
+    np.testing.assert_array_equal([model.g(x)[0, 0] for x in t], expected)
 
 
 def test_dimmer_model_metrics_match_numerical_routes():
