@@ -245,7 +245,10 @@ def _load_config(path: str) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    """An integral config value as an int: 2.7 is refused, not truncated to 2."""
+    """An integral config value as an int: 2.7 is refused, not truncated to 2,
+    and a boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -362,11 +365,15 @@ def _resolve_config(doc: dict) -> dict:
     if computation == "crossover-scan" and sweep is None:
         raise InvalidConfigError("crossover-scan requires a sweep")
 
+    threads = doc.get("threads")
+    if threads is not None:
+        threads = _positive_count(_integer(threads, "threads"), "config key threads")
+
     theta = doc.get("theta")
     if theta is not None:
         theta = [float(t) for t in np.atleast_1d(theta)]
 
-    seed = _integer(doc.get("seed") or 0, "seed")
+    seed = _integer(doc["seed"], "seed") if doc.get("seed") is not None else 0
     if seed < 0:
         raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
 
@@ -395,7 +402,7 @@ def _resolve_config(doc: dict) -> dict:
         "output": doc.get("output"),
         "seed": seed,
         "units": units,
-        "threads": _integer(doc["threads"], "threads") if doc.get("threads") is not None else None,
+        "threads": threads,
         "plot": bool(doc.get("plot", False)),
     }
 
@@ -419,17 +426,25 @@ def _check_eigen(model_cfg: dict, theta: list[float] | None, sweep: dict | None)
         )
 
 
+def _positive_count(count: int, source: str) -> int:
+    """A thread count from ``source``; below 1 is refused, not clamped to 1."""
+    if count < 1:
+        raise InvalidConfigError(f"{source} must be at least 1, got {count}")
+    return count
+
+
 def _thread_count(flag: int | None, cfg: dict) -> int:
     if flag is not None:
-        return max(1, flag)
+        return _positive_count(flag, "--threads")
     env = os.environ.get("CG_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError as exc:
             raise InvalidConfigError(f"CG_THREADS must be an integer, got {env!r}") from exc
+        return _positive_count(count, "CG_THREADS")
     if cfg["threads"] is not None:
-        return max(1, cfg["threads"])
+        return cfg["threads"]
     return os.cpu_count() or 1
 
 

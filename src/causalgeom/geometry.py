@@ -29,32 +29,53 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _potrf(mats: np.ndarray) -> np.ndarray:
-    """LAPACK potrf on each matrix of a stack, through the gufunc that
-    ``np.linalg.cholesky`` wraps.
+    """Lower Cholesky factor of each matrix of a stack (..., d, d).
 
-    The gufunc fills a matrix that does not factor with NaN, upper triangle
-    included (a factor has a zero upper triangle), and sets the FP invalid
-    flag, which the public wrapper turns into one exception for the whole
-    stack. The flags are ignored here; the wrapper ignores all the others.
+    A matrix that does not factor becomes all NaN, upper triangle included;
+    a factor has a zero upper triangle. For d <= 2 the factor is computed
+    element-wise with the operations of LAPACK's unblocked potf2 (as OpenBLAS
+    builds it), in its order: l00 = sqrt(a), l10 = b * (1 / l00),
+    l11 = sqrt(c - l10 * l10), failing where a pivot is <= 0. A NaN pivot is
+    no failure, so a factor that inherits a NaN keeps its zero upper
+    triangle. That is the gufunc behind ``np.linalg.cholesky`` bit for bit,
+    without its per-matrix copy and LAPACK call; the one exception is a +inf
+    pivot over an infinite or NaN b, where OpenBLAS scales by 1 / l00 = 0 by
+    writing zeros and IEEE arithmetic gives NaN. For d >= 3 the gufunc
+    factors the stack in one call. FP flags are ignored; the public wrapper
+    turns the invalid flag into one exception for the whole stack.
     """
+    d = mats.shape[-1]
     with np.errstate(all="ignore"):
-        return _umath_linalg.cholesky_lo(mats, signature="d->d")
+        if d > 2:
+            return _umath_linalg.cholesky_lo(mats, signature="d->d")
+        chol = np.zeros(mats.shape)
+        chol[..., 0, 0] = np.sqrt(mats[..., 0, 0])
+        failed = mats[..., 0, 0] <= 0.0
+        if d == 2:
+            l10 = mats[..., 1, 0] * (1.0 / chol[..., 0, 0])
+            pivot = mats[..., 1, 1] - l10 * l10
+            chol[..., 1, 0] = l10
+            chol[..., 1, 1] = np.sqrt(pivot)
+            failed |= pivot <= 0.0
+        chol[failed] = np.nan
+    return chol
 
 
 def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
     """Lower Cholesky factors of a stack (n, d, d); NaN where a matrix does not factor.
 
-    With ``jitter``, the failing matrices are retried once, in one more call,
-    with 1e-12 * trace/d added to their diagonal, which absorbs round-off but
-    not a genuinely indefinite matrix. Every factor is LAPACK's own, as from
-    ``np.linalg.cholesky`` on that matrix alone; the private gufunc is used
-    because the public function reports no per-matrix status.
+    With ``jitter``, the failing matrices are retried once, in one more
+    :func:`_potrf` call, with 1e-12 * trace/d added to their diagonal, which
+    absorbs round-off but not a genuinely indefinite matrix. Every factor is
+    the one ``np.linalg.cholesky`` gives that matrix alone: LAPACK's
+    arithmetic for d <= 2, the gufunc itself above, which unlike the public
+    function reports a failure per matrix.
     """
     chol = _potrf(mats)
     if jitter:
-        # A failure is all NaN; a factor that inherits a NaN from its input
-        # keeps its zero upper triangle and is not retried.
-        failed = np.isnan(chol).all(axis=(-2, -1))
+        # A failure is all NaN, while a factor's upper corner is 0 even when
+        # it inherits a NaN from its input; such a factor is not retried.
+        failed = np.isnan(chol[..., 0, -1])
         if failed.any():
             bad = mats[failed]
             d = mats.shape[-1]
@@ -66,7 +87,8 @@ def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
 def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
     """log det of each matrix of a stack via :func:`_cholesky`; NaN where it fails."""
     chol = _cholesky(mats, jitter)
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    # Summed in order, as np.sum does over fewer than 8 terms.
+    return 2.0 * sum(np.log(chol[..., j, j]) for j in range(mats.shape[-1]))
 
 
 def _require_factored(logdet: np.ndarray, points: np.ndarray | None, what: str) -> None:

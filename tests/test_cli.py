@@ -412,3 +412,47 @@ def test_a_bare_string_for_a_name_list_exits_2(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert code == 2 and "must be a list of names" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "threads, extra, env, source",
+    [
+        (-3, (), None, "config key threads"),
+        (0, (), None, "config key threads"),
+        (None, ("--threads", "0"), None, "--threads"),
+        (None, ("--threads", "-2"), None, "--threads"),
+        (None, (), "0", "CG_THREADS"),
+        (None, (), "-4", "CG_THREADS"),
+    ],
+    ids=["config-negative", "config-zero", "flag-zero", "flag-negative", "env-zero", "env-negative"],
+)
+def test_thread_count_below_one_exits_2_naming_its_source(
+    tmp_path, capsys, monkeypatch, threads, extra, env, source
+):
+    doc = MINI if threads is None else dict(MINI, threads=threads)
+    if env is None:
+        monkeypatch.delenv("CG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CG_THREADS", env)
+    code, out = run_into(tmp_path, doc, extra=extra)
+    err = capsys.readouterr().err
+    assert code == 2 and f"{source} must be at least 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (dict(MINI, seed=True), "seed"),
+        (dict(MINI, seed=False), "seed"),
+        (dict(MINI, threads=True), "threads"),
+        (dict(SCAN, sweep=dict(SCAN["sweep"], steps=True)), "sweep steps"),
+        (dict(SCAN, model={"name": "two-species", "n_points": True}), "n_points"),
+    ],
+    ids=["seed-true", "seed-false", "threads", "sweep-steps", "n-points"],
+)
+def test_boolean_integers_exit_2_naming_the_key(tmp_path, capsys, doc, key):
+    code, out = run_into(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and key in err and ("True" in err or "False" in err)
+    assert "Traceback" not in err and not out.exists()

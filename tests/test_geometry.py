@@ -27,6 +27,7 @@ from causalgeom import (
     two_species_model,
 )
 from causalgeom import geometry
+from causalgeom.ei import _field_grid
 from causalgeom.geometry import _cholesky, _mismatch_batch, chol_logdet
 
 UNIT = Domain(((0.0, 1.0),))
@@ -241,6 +242,90 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
     assert max(failing_rows) > 0
     assert per_stack and max(per_stack) <= 2
     assert len(lapack_calls) == sum(per_stack)
+
+
+def _lapack_factor(stack: np.ndarray) -> np.ndarray:
+    """The stack through the gufunc behind np.linalg.cholesky, flags ignored."""
+    with np.errstate(all="ignore"):
+        return geometry._umath_linalg.cholesky_lo(stack, signature="d->d")
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
+def test_small_factor_matches_lapack_on_two_species_stacks(matrix):
+    """The element-wise d <= 2 factor equals LAPACK's bit for bit on the g,
+    g + h and h stacks that ei_geometric factors for two-species, from short
+    intervals to delta_t = 50, where g does not factor at some nodes."""
+    failing = 0
+    for delta_t in (0.02, 0.1, 1.0, 5.0, 13.57, 20.0, 50.0):
+        model = two_species_model(
+            TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix)
+        )
+        pts = _field_grid(model.theta_domain, 101)[0]
+        g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
+        for stack in (g_stack, g_stack + h_stack, h_stack):
+            expected = _lapack_factor(stack)
+            np.testing.assert_array_equal(geometry._potrf(stack), expected)
+            failing += int(np.isnan(expected).all(axis=(1, 2)).sum())
+    assert failing > 0
+
+
+def test_small_factor_matches_lapack_on_edge_entries():
+    """Zero and -0.0 pivots, subnormals, infinities, a second pivot of exactly
+    0 and a NaN in each entry, at d = 1 and d = 2: the factor, its zero upper
+    triangle and its all-NaN failures are LAPACK's."""
+    specials = [0.0, -0.0, 5e-324, 1e-310, math.inf, -math.inf, math.nan, -1.0]
+    scalars = np.array(specials + [2.5, 1e-300, 1e300])[:, None, None]
+    np.testing.assert_array_equal(geometry._potrf(scalars), _lapack_factor(scalars))
+
+    # [[4, 2], [2, 1]] has c - l10 * l10 == 0 exactly: 2 * (1 / 2) = 1.
+    bases = [np.array([[4.0, 2.0], [2.0, 3.0]]), np.array([[4.0, 2.0], [2.0, 1.0]])]
+    bases += [np.array([[1.0, 3.0], [3.0, 9.0]]), np.array([[2.0, 0.0], [0.0, 5.0]])]
+    cases = list(bases)
+    for base in bases:
+        for where in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            for v in specials:
+                m = base.copy()
+                m[where] = v
+                cases.append(m)
+    mats = np.stack(cases)
+    expected = _lapack_factor(mats)
+    np.testing.assert_array_equal(geometry._potrf(mats), expected)
+    failed = np.isnan(expected).all(axis=(1, 2))
+    assert failed[1] and failed.any() and not failed.all()
+    assert np.all(expected[~failed, 0, 1] == 0.0)
+
+
+def _count_lapack_calls(monkeypatch) -> list:
+    calls = []
+    cholesky_lo = geometry._umath_linalg.cholesky_lo
+
+    def counting_lo(*args, **kwargs):
+        calls.append(1)
+        return cholesky_lo(*args, **kwargs)
+
+    monkeypatch.setattr(geometry._umath_linalg, "cholesky_lo", counting_lo)
+    return calls
+
+
+def test_small_stacks_make_no_lapack_call(monkeypatch):
+    """A d = 2 stack with failing and jitter-recovered rows is factored
+    without the gufunc."""
+    stack = np.stack([np.eye(2), np.diag([1.0, -1e-20]), np.diag([1.0, -1.0])] * 4)
+    calls = _count_lapack_calls(monkeypatch)
+    chol = _cholesky(stack, jitter=True)
+    assert not calls
+    assert np.isnan(chol[2::3]).all() and not np.isnan(chol[1::3]).any()
+
+
+def test_large_stacks_make_at_most_two_lapack_calls(monkeypatch):
+    """A d = 3 stack with failing rows costs one gufunc call plus one for the
+    jitter retry."""
+    rng = np.random.default_rng(31)
+    stack = np.stack([spd(rng, 3), np.diag([1.0, 1.0, -1e-20]), np.diag([1.0, 1.0, -1.0])] * 4)
+    calls = _count_lapack_calls(monkeypatch)
+    chol = _cholesky(stack, jitter=True)
+    assert 1 <= len(calls) <= 2
+    assert np.isnan(chol[2::3]).all() and not np.isnan(chol[1::3]).any()
 
 
 def test_mismatch_field_matches_pointwise():
