@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -107,48 +108,34 @@ class ModelEntry(tp.NamedTuple):
 
 
 def _build_dimmer(p: dict) -> ChainModel:
-    kind = p["profile"]
-    if kind == "linear":
-        profile = linear_profile()
-    elif kind == "power":
-        profile = power_profile(float(p["exponent"]))
-    else:
-        raise InvalidConfigError(f"unknown dimmer profile {kind!r} (linear or power)")
-    return dimmer_model(profile, float(p["epsilon"]), float(p["delta"]))
+    profile = power_profile(p["exponent"]) if p["profile"] == "power" else linear_profile()
+    return dimmer_model(profile, p["epsilon"], p["delta"])
 
 
 def _build_family(p: dict) -> ChainModel:
-    return dimmer_family(float(p["a"]), float(p["epsilon"]), float(p["delta"]))
+    return dimmer_family(p["a"], p["epsilon"], p["delta"])
 
 
 def _build_weber(p: dict) -> ChainModel:
-    noise = weber_noise(float(p["epsilon0"]), floor=float(p["floor"]))
-    return dimmer_model(weber_optimal_profile(float(p["r"])), noise, float(p["delta"]))
+    noise = weber_noise(p["epsilon0"], floor=p["floor"])
+    return dimmer_model(weber_optimal_profile(p["r"]), noise, p["delta"])
 
 
 def _build_binary(p: dict) -> ChainModel:
-    return binary_switch_model(float(p["epsilon"]), float(p["delta"]))
+    return binary_switch_model(p["epsilon"], p["delta"])
+
+
+def _fields(p: dict) -> dict:
+    """A model's parameters without its name; the config table has typed them."""
+    return {k: v for k, v in p.items() if k != "name"}
 
 
 def _build_two_species(p: dict) -> ChainModel:
-    cfg = TwoSpeciesConfig(
-        epsilon=float(p["epsilon"]),
-        delta=float(p["delta"]),
-        delta_t=float(p["delta_t"]),
-        n_points=_integer(p["n_points"], "model parameter n_points"),
-        matrix=np.asarray(p["matrix"], dtype=float),
-    )
-    return two_species_model(cfg)
+    return two_species_model(TwoSpeciesConfig(**_fields(p)))
 
 
 def _build_decay(p: dict):
-    cfg = DecayConfounderConfig(
-        sigma_t=float(p["sigma_t"]),
-        sigma_x=float(p["sigma_x"]),
-        alpha=float(p["alpha"]),
-        x_hat=float(p["x_hat"]),
-    )
-    return decay_confounder_metrics(cfg)
+    return decay_confounder_metrics(DecayConfounderConfig(**_fields(p)))
 
 
 MODELS: dict[str, ModelEntry] = {
@@ -209,21 +196,6 @@ MODELS: dict[str, ModelEntry] = {
 # config handling
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "schema_version",
-    "model",
-    "models",
-    "computation",
-    "estimator",
-    "sweep",
-    "submanifolds",
-    "theta",
-    "output",
-    "seed",
-    "units",
-    "threads",
-    "plot",
-}
 _COMPUTATIONS = ("ei-exact", "ei-geom", "ei-both", "eigen", "crossover-scan")
 _IMPLIED_ESTIMATOR = {"ei-exact": "exact", "ei-geom": "geometric"}
 
@@ -244,141 +216,192 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _integer(value, key: str) -> int:
-    """An integral config value as an int: 2.7 is refused, not truncated to 2,
-    and a boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
-    try:
+class Key(tp.NamedTuple):
+    """One config key: its type, its constraint and its default.
+
+    ``kind`` is ``int``, ``float`` (finite; ``shape`` makes it an array, and
+    ``(-1,)`` a list of any length), ``bool``, ``name``, ``names`` (a list of
+    names), or a mapping read by its own table: ``sweep``, ``model`` or
+    ``models`` (a list of models). ``choices`` limits a value or each name;
+    ``minimum`` bounds a number below; ``positive_when`` names a boolean key
+    beside it that, when true, needs the number above 0. An absent or null
+    key takes ``default``, unless it is ``required``.
+    """
+
+    kind: str
+    default: tp.Any = None
+    required: bool = False
+    choices: tuple = ()
+    minimum: int | None = None
+    shape: tuple[int, ...] = ()
+    positive_when: str | None = None
+
+
+_WORDS = {
+    "int": "an integer",
+    "float": "a finite number",
+    "bool": "true or false",
+    "name": "a name",
+    "names": "a list of names",
+}
+
+
+def _parse(key: Key, value):
+    """``value`` as ``key.kind``; TypeError or ValueError if it is not one.
+
+    An integer is refused when it is 2.7, not truncated to 2; a boolean is
+    never read as a single number; a bare string is not a list of names.
+    """
+    if isinstance(value, bool) != (key.kind == "bool"):
+        raise TypeError
+    if key.kind == "int":
         number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfigError(f"{key} must be an integer, got {value!r}") from exc
-    if not isinstance(value, str) and number != value:
-        raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
-    return number
+        if not isinstance(value, str) and number != value:
+            raise ValueError
+        return number
+    if key.kind == "float":
+        arr = np.asarray(value if key.shape else float(value), dtype=float)
+        want = key.shape
+        if want == (-1,):  # a lone number is a list of one
+            arr = np.atleast_1d(arr)
+            want = arr.shape[:1]
+        if arr.shape != want or not all(map(math.isfinite, arr.flat)):
+            raise ValueError
+        return arr.tolist()
+    if key.kind == "bool" or (key.kind == "name" and isinstance(value, str)):
+        return value
+    if key.kind == "names" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise TypeError
 
 
-def _names(value, key: str) -> list[str]:
-    """A list of names; a bare string is refused rather than split into letters."""
-    if not isinstance(value, list):
-        raise InvalidConfigError(f"{key} must be a list of names, got {value!r}")
-    return [str(v) for v in value]
+def _read(key: Key, value, label: str):
+    """``value`` read as ``key`` says; an InvalidConfigError names ``label``."""
+    if key.kind == "sweep":
+        return _walk(_SWEEP, value, "sweep")
+    if key.kind == "model":
+        return _resolve_model(value)
+    if key.kind == "models":
+        if not isinstance(value, list) or not value:
+            raise InvalidConfigError(f"{label} must be a non-empty list of models, got {value!r}")
+        return [_resolve_model(m) for m in value]
+    try:
+        out = _parse(key, value)
+    except (TypeError, ValueError, OverflowError):
+        words = _WORDS[key.kind]
+        if key.shape:
+            words = f"a {key.shape} array of finite numbers"
+        if key.shape == (-1,):
+            words = "a list of finite numbers"
+        raise InvalidConfigError(f"{label} must be {words}, got {value!r}") from None
+    outside = [v for v in (out if key.kind == "names" else [out]) if v not in key.choices]
+    if key.choices and outside:
+        choices = ", ".join(map(str, key.choices))
+        raise InvalidConfigError(f"{label} must be one of {choices}; got {outside[0]!r}")
+    if key.minimum is not None and out < key.minimum:
+        raise InvalidConfigError(f"{label} must be at least {key.minimum}, got {out}")
+    return out
 
 
-def _resolve_model(entry: dict) -> dict:
-    if not isinstance(entry, dict) or "name" not in entry:
-        raise InvalidConfigError("each model needs at least a 'name' key")
-    name = entry["name"]
-    if name not in MODELS:
-        known = ", ".join(sorted(MODELS))
-        raise InvalidConfigError(f"unknown model {name!r}; built-in models: {known}")
-    params = dict(MODELS[name].defaults)
-    for key, value in entry.items():
-        if key == "name":
-            continue
-        if key not in params:
-            raise InvalidConfigError(f"model {name!r} has no parameter {key!r}")
-        default = params[key]
-        try:
-            if isinstance(default, bool) or isinstance(value, bool):
-                raise TypeError("boolean is not a valid parameter value")
-            if isinstance(default, int):
-                params[key] = _integer(value, f"model parameter {key}")
-            elif isinstance(default, float):
-                params[key] = float(value)
-            elif isinstance(default, list):
-                arr = np.asarray(value, dtype=float)
-                if arr.shape != np.shape(default) or not np.all(np.isfinite(arr)):
-                    shape = "x".join(str(n) for n in np.shape(default))
-                    raise ValueError(f"expected a {shape} array of finite numbers")
-                params[key] = arr.tolist()
-            else:
-                params[key] = value
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidConfigError(f"model parameter {key}={value!r}: {exc}") from exc
-    return {"name": name, **params}
+def _walk(table: dict[str, Key], doc, where: str) -> dict:
+    """Each key of ``table`` read from the mapping ``doc``; errors name ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"{where} must be a mapping of keys to values, got {doc!r}")
+    out = {}
+    for name, key in table.items():
+        if doc.get(name) is not None:
+            out[name] = _read(key, doc[name], f"{where} {name}")
+        elif key.required:
+            raise InvalidConfigError(f"{where} {name} is required")
+        else:
+            out[name] = key.default
+    unknown = [str(k) for k in doc if k not in table]
+    if unknown:
+        raise InvalidConfigError(f"unknown {where} {', '.join(unknown)}; known: {', '.join(table)}")
+    for name, key in table.items():
+        if key.positive_when and out[key.positive_when] and out[name] <= 0:
+            raise InvalidConfigError(
+                f"{where} {name} must be above 0 when {where} {key.positive_when} is true, got {out[name]}"
+            )
+    return out
+
+
+_MODEL_NAME = Key("name", required=True, choices=tuple(MODELS))
+_PARAMS = {  # every other model parameter is a finite float
+    "profile": Key("name", choices=("linear", "power")),
+    "n_points": Key("int", minimum=1),
+    "matrix": Key("float", shape=(2, 2)),
+}
+
+
+_MODEL_KEYS = {  # each model's name, then its parameters with their MODELS defaults
+    name: {
+        "name": _MODEL_NAME,
+        **{k: _PARAMS.get(k, Key("float"))._replace(default=v) for k, v in m.defaults.items()},
+    }
+    for name, m in MODELS.items()
+}
+
+
+def _resolve_model(entry) -> dict:
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if isinstance(name, str) and name in MODELS:
+        return _walk(_MODEL_KEYS[name], entry, f"model {name}")
+    return _walk({"name": _MODEL_NAME}, entry, "model")
+
+
+_SWEEP = {
+    "variable": Key("name", required=True),
+    "from": Key("float", required=True, positive_when="log"),
+    "to": Key("float", required=True, positive_when="log"),
+    "steps": Key("int", required=True, minimum=2),
+    "log": Key("bool", False),
+    "tie": Key("names", []),
+}
+_TOP = {
+    "schema_version": Key("int", required=True, choices=(SCHEMA_VERSION,)),
+    "model": Key("model"),
+    "models": Key("models"),
+    "computation": Key("name", required=True, choices=_COMPUTATIONS),
+    "estimator": Key("name", choices=ESTIMATORS),  # its default follows the computation
+    "sweep": Key("sweep"),
+    "submanifolds": Key("names", [], choices=tuple(_SUBMANIFOLDS)),
+    "theta": Key("float", shape=(-1,)),
+    "output": Key("name"),
+    "seed": Key("int", 0, minimum=0),
+    "units": Key("name", "bits", choices=("bits", "nats")),
+    "threads": Key("int", minimum=1),
+    "plot": Key("bool", False),
+}
 
 
 def _resolve_config(doc: dict) -> dict:
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidConfigError(
-            f"config schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-        )
-    if ("model" in doc) == ("models" in doc):
+    """Every key read through the table, then the rules that span several keys."""
+    cfg = _walk(_TOP, doc, "config key")
+    model = cfg.pop("model")
+    if (model is None) == (cfg["models"] is None):
         raise InvalidConfigError("config needs exactly one of 'model' or 'models'")
-    models = [_resolve_model(m) for m in (doc.get("models") or [doc["model"]])]
-
-    computation = doc.get("computation")
-    if computation not in _COMPUTATIONS:
-        raise InvalidConfigError(
-            f"computation must be one of {', '.join(_COMPUTATIONS)}; got {computation!r}"
-        )
+    models = cfg["models"] = cfg["models"] or [model]
+    computation, sweep = cfg["computation"], cfg["sweep"]
     if len(models) > 1 and computation != "crossover-scan":
         raise InvalidConfigError("multiple models are only supported for crossover-scan")
 
     entries = [MODELS[m["name"]] for m in models]
     geometric = all("geometric" in e.estimators for e in entries)
     implied = _IMPLIED_ESTIMATOR.get(computation)
-    estimator = doc.get("estimator", implied or ("geometric" if geometric else "exact"))
-    if estimator not in ESTIMATORS:
-        raise InvalidConfigError("estimator must be 'exact' or 'geometric'")
+    estimator = cfg["estimator"] = cfg["estimator"] or implied or ("geometric" if geometric else "exact")
     if implied not in (None, estimator):
         raise InvalidConfigError(f"computation {computation} uses the {implied} estimator, not {estimator}")
 
-    units = doc.get("units", "bits")
-    if units not in ("bits", "nats"):
-        raise InvalidConfigError("units must be 'bits' or 'nats'")
-
-    sweep = doc.get("sweep")
     if sweep is not None:
-        required = {"variable", "from", "to", "steps"}
-        if not isinstance(sweep, dict) or not required <= set(sweep):
-            raise InvalidConfigError("sweep needs keys variable, from, to, steps")
-        extra = set(sweep) - required - {"log", "tie"}
-        if extra:
-            raise InvalidConfigError(f"unknown sweep keys: {sorted(extra)}")
-        steps = _integer(sweep["steps"], "sweep steps")
-        if steps < 2:
-            raise InvalidConfigError("sweep steps must be at least 2")
-        sweep = {
-            "variable": str(sweep["variable"]),
-            "from": float(sweep["from"]),
-            "to": float(sweep["to"]),
-            "steps": steps,
-            "log": bool(sweep.get("log", False)),
-            "tie": _names(sweep.get("tie", []), "sweep tie"),
-        }
         for var in [sweep["variable"], *sweep["tie"]]:
-            ok = any(var in m or var == "theta" for m in models)
-            if not ok:
+            if var != "theta" and not any(var in e.defaults for e in entries):
                 raise InvalidConfigError(f"sweep variable {var!r} is not a model parameter")
-
-    subs = _names(doc.get("submanifolds", []), "submanifolds")
-    for s in subs:
-        if s not in _SUBMANIFOLDS:
-            raise InvalidConfigError(
-                f"unknown submanifold {s!r}; available: {', '.join(_SUBMANIFOLDS)}"
-            )
-    if computation == "crossover-scan" and sweep is None:
+    elif computation == "crossover-scan":
         raise InvalidConfigError("crossover-scan requires a sweep")
 
-    threads = doc.get("threads")
-    if threads is not None:
-        threads = _positive_count(_integer(threads, "threads"), "config key threads")
-
-    theta = doc.get("theta")
-    if theta is not None:
-        theta = [float(t) for t in np.atleast_1d(theta)]
-
-    seed = _integer(doc["seed"], "seed") if doc.get("seed") is not None else 0
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
-
     if computation == "eigen":
-        _check_eigen(models[0], theta, sweep)
+        _check_eigen(models[0], cfg["theta"], sweep)
     else:
         needed = ESTIMATORS if computation == "ei-both" else (estimator,)
         for m, entry in zip(models, entries):
@@ -388,23 +411,9 @@ def _resolve_config(doc: dict) -> dict:
                         f"model {m['name']!r} cannot compute {computation} with the {est} "
                         f"estimator; it supports: {', '.join(entry.computations)}"
                     )
-        if computation != "ei-both" and subs and (entries[0].dim != 2 or not geometric):
+        if computation != "ei-both" and cfg["submanifolds"] and (entries[0].dim != 2 or not geometric):
             raise InvalidConfigError("submanifolds need a two-parameter model with metrics")
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "models": models,
-        "computation": computation,
-        "estimator": estimator,
-        "sweep": sweep,
-        "submanifolds": subs,
-        "theta": theta,
-        "output": doc.get("output"),
-        "seed": seed,
-        "units": units,
-        "threads": threads,
-        "plot": bool(doc.get("plot", False)),
-    }
+    return cfg
 
 
 def _check_eigen(model_cfg: dict, theta: list[float] | None, sweep: dict | None) -> None:
@@ -426,26 +435,14 @@ def _check_eigen(model_cfg: dict, theta: list[float] | None, sweep: dict | None)
         )
 
 
-def _positive_count(count: int, source: str) -> int:
-    """A thread count from ``source``; below 1 is refused, not clamped to 1."""
-    if count < 1:
-        raise InvalidConfigError(f"{source} must be at least 1, got {count}")
-    return count
-
-
 def _thread_count(flag: int | None, cfg: dict) -> int:
-    if flag is not None:
-        return _positive_count(flag, "--threads")
+    """--threads, else CG_THREADS, else the config key, else the CPU count."""
     env = os.environ.get("CG_THREADS")
+    if flag is not None:
+        return _read(_TOP["threads"], flag, "--threads")
     if env is not None:
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise InvalidConfigError(f"CG_THREADS must be an integer, got {env!r}") from exc
-        return _positive_count(count, "CG_THREADS")
-    if cfg["threads"] is not None:
-        return cfg["threads"]
-    return os.cpu_count() or 1
+        return _read(_TOP["threads"], env, "CG_THREADS")
+    return cfg["threads"] or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +451,11 @@ def _thread_count(flag: int | None, cfg: dict) -> int:
 
 
 def _instantiate(model_cfg: dict, overrides: dict) -> tp.Any:
-    params = {**model_cfg, **{k: v for k, v in overrides.items() if k in model_cfg}}
-    return MODELS[model_cfg["name"]].build(params)
+    """The model at a sweep point; each swept value is read as its key says."""
+    name = model_cfg["name"]
+    keys = _MODEL_KEYS[name]
+    swept = {k: _read(keys[k], v, f"model {name} {k}") for k, v in overrides.items() if k in model_cfg}
+    return MODELS[name].build({**model_cfg, **swept})
 
 
 def _exact_report(model: ChainModel, seed: int, in_sweep: bool) -> EIReport:
@@ -646,10 +646,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             doc[key] = value
     if args.plot:
         doc["plot"] = True
-    try:
-        cfg = _resolve_config(doc)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfigError(str(exc)) from exc
+    cfg = _resolve_config(doc)
     if not cfg["output"]:
         raise InvalidConfigError("no output directory (config key 'output' or --output)")
     out_dir = pathlib.Path(cfg["output"])
@@ -695,10 +692,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
         key, raw = item.split("=", 1)
         params[key] = yaml.safe_load(raw)
     model_cfg = _resolve_model({"name": args.model, **params})
-    try:
-        theta = [float(t) for t in args.theta.split(",")]
-    except ValueError as exc:
-        raise InvalidConfigError(f"--theta expects comma-separated numbers: {exc}") from exc
+    theta = _read(_TOP["theta"], args.theta.split(","), "--theta")
     _check_eigen(model_cfg, theta, None)
     for name, value in _eigen_row({"models": [model_cfg], "theta": theta}, {}).items():
         print(f"{name} {value:.17g}")
@@ -733,14 +727,14 @@ def main(argv: tp.Sequence[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "list-models": _cmd_list_models, "eigen": _cmd_eigen}
     try:
         return handlers[args.command](args)
-    except InvalidConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+    except (InvalidConfigError, yaml.YAMLError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CausalGeomError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. a sweep grid too large to allocate
+        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 
