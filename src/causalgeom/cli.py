@@ -19,6 +19,7 @@ import math
 import os
 import pathlib
 import sys
+import threading
 import typing as tp
 
 import numpy as np
@@ -246,13 +247,18 @@ _WORDS = {
 }
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _parse(key: Key, value):
     """``value`` as ``key.kind``; TypeError or ValueError if it is not one.
 
     An integer is refused when it is 2.7, not truncated to 2; a boolean is
-    never read as a single number; a bare string is not a list of names.
+    never read as a number, alone or as an array element; a bare string is
+    not a list of names.
     """
-    if isinstance(value, bool) != (key.kind == "bool"):
+    if isinstance(value, bool) != (key.kind == "bool") or (key.shape and _has_bool(value)):
         raise TypeError
     if key.kind == "int":
         number = int(value)
@@ -395,6 +401,8 @@ def _resolve_config(doc: dict) -> dict:
 
     if sweep is not None:
         for var in [sweep["variable"], *sweep["tie"]]:
+            if var == "theta" and computation != "eigen":
+                raise InvalidConfigError(f"sweep variable 'theta' is read only by eigen, not {computation}")
             if var != "theta" and not any(var in e.defaults for e in entries):
                 raise InvalidConfigError(f"sweep variable {var!r} is not a model parameter")
     elif computation == "crossover-scan":
@@ -475,31 +483,38 @@ def _to_units(nats: float, units: str) -> float:
 def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
     """(label, sweep overrides -> EIReport) for each value column of an EI computation.
 
-    Each call builds its own model, so every column is an independent curve
-    that sweeps, ``ei-both`` and crossover scans evaluate alike.
+    Every column is a curve that sweeps, ``ei-both`` and crossover scans
+    evaluate alike. Columns on the same model share its build at a sweep
+    value: each thread keeps the models of the overrides it evaluated last,
+    so a point's columns, and a crossover scan's curves at one value, build
+    each model once. No model crosses threads or outlives the run.
     """
     seed, in_sweep = cfg["seed"], cfg["sweep"] is not None
     estimate = {
         "exact": lambda model: _exact_report(model, seed, in_sweep),
         "geometric": lambda model: ei_geometric(model.g, model.h, model.theta_domain),
     }
-
-    def column(model_cfg: dict, fn: tp.Callable[[tp.Any], EIReport]) -> tp.Callable[[dict], EIReport]:
-        return lambda overrides: fn(_instantiate(model_cfg, overrides))
-
     models = cfg["models"]
+    last = threading.local()
+
+    def model_at(index: int, overrides: dict) -> tp.Any:
+        if getattr(last, "overrides", None) != overrides:
+            last.overrides, last.models = dict(overrides), {}
+        if index not in last.models:
+            last.models[index] = _instantiate(models[index], overrides)
+        return last.models[index]
+
+    def column(index: int, fn: tp.Callable[[tp.Any], EIReport]) -> tp.Callable[[dict], EIReport]:
+        return lambda overrides: fn(model_at(index, overrides))
+
     if cfg["computation"] == "ei-both":
-        return [
-            ("exact", column(models[0], estimate["exact"])),
-            ("geom", column(models[0], estimate["geometric"])),
-        ]
+        return [("exact", column(0, estimate["exact"])), ("geom", column(0, estimate["geometric"]))]
     multi = len(models) > 1 or bool(cfg["submanifolds"])
     fn = estimate[cfg["estimator"]]
-    columns = [(MODELS[m["name"]].label if multi else "", column(m, fn)) for m in models]
+    columns = [(MODELS[m["name"]].label if multi else "", column(i, fn)) for i, m in enumerate(models)]
     for name in cfg["submanifolds"]:
         factory, label = _SUBMANIFOLDS[name]
-        restricted = column(models[0], lambda model, f=factory: coarse_grained_ei(model, f()))
-        columns.append((label, restricted))
+        columns.append((label, column(0, lambda model, f=factory: coarse_grained_ei(model, f()))))
     return columns
 
 

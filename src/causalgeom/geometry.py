@@ -85,7 +85,13 @@ def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
 
 
 def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
-    """log det of each matrix of a stack via :func:`_cholesky`; NaN where it fails."""
+    """log det of each matrix of a stack via :func:`_cholesky`; NaN where it fails.
+
+    A stack that repeats one matrix along a stride-0 axis 0 (a constant
+    metric's batch) is factored once, and that log det is broadcast.
+    """
+    if len(mats) > 1 and mats.strides[0] == 0:
+        return np.broadcast_to(_logdet(mats[:1], jitter), mats.shape[:1])
     chol = _cholesky(mats, jitter)
     # Summed in order, as np.sum does over fewer than 8 terms.
     return 2.0 * sum(np.log(chol[..., j, j]) for j in range(mats.shape[-1]))
@@ -108,7 +114,12 @@ def chol_logdet(m: np.ndarray) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class MetricField:
-    """A symmetric-matrix-valued function of the parameter point."""
+    """A symmetric-matrix-valued function of the parameter point.
+
+    ``func`` and ``batch_func`` must return symmetric matrices; the field
+    passes them on as they are. A constructor whose arithmetic can break
+    symmetry in the last bit symmetrizes once, itself.
+    """
 
     func: tp.Callable[[np.ndarray], np.ndarray]
     dim: int
@@ -116,13 +127,13 @@ class MetricField:
 
     def __call__(self, theta: ArrayLike) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _sym(np.asarray(self.func(theta), dtype=float))
+        return np.asarray(self.func(theta), dtype=float)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at (n, dim) points, returning (n, dim, dim)."""
         points = np.asarray(points, dtype=float)
         if self.batch_func is not None:
-            return _sym(np.asarray(self.batch_func(points), dtype=float))
+            return np.asarray(self.batch_func(points), dtype=float)
         return np.stack([self(p) for p in points])
 
 
@@ -182,7 +193,7 @@ def effect_metric(channel: GaussianChannel) -> MetricField:
         mean = channel.mean(theta)
         jac = np.asarray(channel.jac(theta), dtype=float)  # (..., dy, dt)
         wj_t = channel.noise.whiten(np.swapaxes(jac, -1, -2), mean[..., None, :])  # (W J)^T
-        return wj_t @ np.swapaxes(wj_t, -1, -2)
+        return _sym(wj_t @ np.swapaxes(wj_t, -1, -2))
 
     return MetricField(fisher, channel.dim_in, fisher)
 
@@ -193,11 +204,16 @@ def intervention_metric(inverted: InvertedChannel) -> MetricField:
 
 
 def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:
-    """A metric field equal to the same matrix everywhere."""
+    """A metric field equal to the same matrix everywhere.
+
+    Its batch is a read-only view repeating the matrix along a stride-0
+    axis 0, which :func:`_logdet` factors once.
+    """
     matrix = _sym(np.atleast_2d(np.asarray(matrix, dtype=float)))
+    matrix.setflags(write=False)  # every call hands out this one array
 
     def batch(points: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(matrix, (points.shape[0],) + matrix.shape).copy()
+        return np.broadcast_to(matrix, (points.shape[0],) + matrix.shape)
 
     return MetricField(lambda theta: matrix, dim, batch)
 
@@ -277,6 +293,6 @@ def reparameterize(m: MetricField, phi: SmoothMap) -> MetricField:
 
     def single(theta_new: np.ndarray) -> np.ndarray:
         jac = np.atleast_2d(np.asarray(phi.jacobian(theta_new), dtype=float))
-        return jac.T @ m(np.atleast_1d(np.asarray(phi.func(theta_new), dtype=float))) @ jac
+        return _sym(jac.T @ m(np.atleast_1d(np.asarray(phi.func(theta_new), dtype=float))) @ jac)
 
     return MetricField(single, m.dim)

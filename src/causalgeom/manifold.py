@@ -19,7 +19,7 @@ import numpy as np
 from .channels import Domain
 from .ei import EIReport, ei_geometric
 from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigError
-from .geometry import MetricField
+from .geometry import MetricField, _sym
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 
@@ -68,7 +68,7 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
             bad = points[int(np.argmax(rank_deficient))]
             raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {bad}")
         mats = m.batch(np.asarray(sub.embed(points), dtype=float))
-        return np.swapaxes(jac, -1, -2) @ mats @ jac
+        return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
 
     return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
 

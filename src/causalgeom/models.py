@@ -292,13 +292,10 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         theta = np.asarray(theta, dtype=float)
         return np.exp(-times * theta[..., 0:1]) + np.exp(-times * theta[..., 1:2])
 
-    def columns(theta):
-        """The Jacobian's two columns d mean / d theta_k, each (..., n)."""
-        theta = np.asarray(theta, dtype=float)
-        return [-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)]
-
     def jac(theta):
-        return np.stack(columns(theta), axis=-1)
+        """d mean / d theta, (..., n, 2): column k is -t exp(-t theta_k)."""
+        theta = np.asarray(theta, dtype=float)
+        return np.stack([-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)], axis=-1)
 
     a = cfg.matrix
     ch_xt = _identity_channel(FullConstant(a @ a.T * cfg.delta**2), UNIT_SQUARE)
@@ -313,9 +310,12 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
 
     def g_batch(points: np.ndarray) -> np.ndarray:
         # J^T J entry by entry, each an in-order sum over the time points: the
-        # einsum's value, at a fraction of its cost on these short axes
-        j0, j1 = columns(points)
-        g00, g01, g11 = (sum(p[:, k] for k in range(n)) for p in (j0 * j0, j0 * j1, j1 * j1))
+        # einsum's value, at a fraction of its cost on these short axes. The
+        # columns are time-major, (n, N), so each operation runs over the N
+        # points in one loop; the products are those of `jac`.
+        neg_t = -times[:, None]
+        j0, j1 = (neg_t * np.exp(neg_t * points[:, k]) for k in (0, 1))
+        g00, g01, g11 = (sum(p[k] for k in range(n)) for p in (j0 * j0, j0 * j1, j1 * j1))
         return np.stack([g00, g01, g01, g11], axis=-1).reshape(-1, 2, 2) / cfg.epsilon**2
 
     g = MetricField(lambda t: g_batch(t[None, :])[0], 2, g_batch)

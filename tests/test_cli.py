@@ -3,13 +3,16 @@
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+from causalgeom import cli
 from causalgeom.cli import MODELS, _resolve_config, _resolve_model, main
 from causalgeom.errors import InvalidConfigError
+from causalgeom.manifold import crossover_scan
 
 MINI = {
     "schema_version": 1,
@@ -125,6 +128,91 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("CG_THREADS", "3")
     _, out2 = run_into(tmp_path, doc, "three")
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_thread_count_does_not_change_bytes_when_columns_share_a_model(tmp_path, monkeypatch):
+    """ei-both evaluates its exact and geometric columns on one model per
+    sweep value; the pool's threads must not mix those models up, even when
+    they switch far more often than by default."""
+    monkeypatch.delenv("CG_THREADS", raising=False)
+    doc = dict(MINI, sweep={"variable": "epsilon", "tie": ["delta"], "from": 0.1, "to": 0.5, "steps": 6})
+    _, out1 = run_into(tmp_path, doc, "one", extra=("--threads", "1"))
+    monkeypatch.setenv("CG_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, out2 = run_into(tmp_path, doc, "three")
+    finally:
+        sys.setswitchinterval(interval)
+    rows = (out1 / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "epsilon,ei_exact_bits,ei_geom_bits" and len(rows) == 7
+    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_a_crossover_scan_builds_one_model_per_evaluated_value(tmp_path, monkeypatch):
+    """All three curves at a grid value, and both curves at a refinement
+    midpoint, evaluate one model built for that value. A midpoint that a
+    later bisection visits again is built again: no model outlives its
+    visit."""
+    entry = MODELS["two-species"]
+    built, called = [], []
+
+    def build(p):
+        built.append(p["delta_t"])
+        return entry.build(p)
+
+    def scan(curves, sweep):
+        def counted(fn):
+            return lambda v: called.append(v) or fn(v)
+
+        return crossover_scan([(label, counted(fn)) for label, fn in curves], sweep)
+
+    monkeypatch.setitem(MODELS, "two-species", entry._replace(build=build))
+    monkeypatch.setattr(cli, "crossover_scan", scan)
+    doc = dict(
+        SCAN,
+        model={"name": "two-species", "epsilon": 0.02, "delta": 0.02},
+        submanifolds=["diagonal", "antidiagonal"],
+        sweep={"variable": "delta_t", "from": 0.02, "to": 50.0, "steps": 7, "log": True},
+    )
+    code, out = run_into(tmp_path, doc)
+    assert code == 0 and "#crossing" in (out / "results.csv").read_text(encoding="utf-8")
+    # a visit is a run of calls at one value: a grid value, or a bisection midpoint
+    visits = [v for i, v in enumerate(called) if i == 0 or v != called[i - 1]]
+    assert built == visits
+    assert len(called) == 3 * 7 + 2 * (len(visits) - 7)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (dict(MINI, computation="eigen", theta=[True]), "theta"),
+        (dict(MINI, computation="ei-geom", model={"name": "two-species", "matrix": [[True, 0], [0, 1]]}), "matrix"),
+    ],
+    ids=["theta", "matrix"],
+)
+def test_boolean_array_elements_exit_2_naming_the_key(tmp_path, capsys, doc, key):
+    code, out = run_into(tmp_path, doc)
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2 and line.startswith("config error:") and key in line and "True" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"variable": "theta", "from": 0.2, "to": 0.8, "steps": 3},
+        {"variable": "epsilon", "tie": ["theta"], "from": 0.2, "to": 0.8, "steps": 3},
+    ],
+    ids=["variable", "tie"],
+)
+@pytest.mark.parametrize("computation", ["ei-geom", "ei-both", "crossover-scan"])
+def test_a_theta_sweep_outside_eigen_exits_2(tmp_path, capsys, computation, sweep):
+    """Only eigen reads theta; elsewhere a theta sweep would repeat one row."""
+    code, out = run_into(tmp_path, dict(MINI, computation=computation, sweep=sweep))
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2 and line.startswith("config error:") and "theta" in line
+    assert not out.exists()
 
 
 def test_crossover_scan_csv_shape(tmp_path):

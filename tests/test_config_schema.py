@@ -57,7 +57,7 @@ def refused(key: cli.Key) -> list:
         for n in reversed(key.shape):
             good = [good] * (1 if n == -1 else n)
         values = ["abc", True, {"k": 1}, [good]]
-        values += [with_first(good, x) for x in (float("nan"), float("inf"), float("-inf"), "x")]
+        values += [with_first(good, x) for x in (float("nan"), float("inf"), float("-inf"), "x", True)]
     else:
         values = list(NOT_OF_KIND[key.kind])
     if key.choices:

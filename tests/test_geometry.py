@@ -389,3 +389,29 @@ def test_pencil_spectrum_invariant_under_reparameterization():
     g_alone_before = np.sort(np.linalg.eigvalsh(g(theta)))
     g_alone_after = np.sort(np.linalg.eigvalsh(reparameterize(g, phi)(theta_new)))
     assert np.max(np.abs(g_alone_after / g_alone_before - 1.0)) > 0.10
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TwoSpeciesConfig(epsilon=1e-2, delta=1e-2),
+        # g fails to factor at some nodes here; there is no retry for g alone
+        TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, matrix=np.array([[1.0, 0.8], [0.7, 1.0]])),
+    ],
+)
+def test_two_species_ei_geometric_factors_the_constant_h_once(monkeypatch, cfg):
+    """The constant h reaches the factorization as one row; g + h and g as
+    one row per grid node each."""
+    rows = []
+    potrf = geometry._potrf
+
+    def counting(mats):
+        rows.append(math.prod(mats.shape[:-2]))
+        return potrf(mats)
+
+    model = two_species_model(cfg)
+    expected = ei_geometric(model.g, model.h, model.theta_domain)
+    monkeypatch.setattr(geometry, "_potrf", counting)
+    report = ei_geometric(model.g, model.h, model.theta_domain)
+    assert rows == [1, 101 * 102, 101 * 102]
+    assert report == expected

@@ -1,5 +1,6 @@
 """Built-in model constructors: profiles, chains, and the confounded decay."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from causalgeom import (
     DiscretePoints,
     FullConstant,
     InvalidConfigError,
+    MetricField,
     RegimeError,
     TwoSpeciesConfig,
     UniformBox,
@@ -25,10 +27,14 @@ from causalgeom import (
     invert_uniform_prior,
     linear_profile,
     power_profile,
+    antidiagonal_submanifold,
+    diagonal_submanifold,
+    pullback_field,
     two_species_model,
     weber_noise,
     weber_optimal_profile,
 )
+from causalgeom.cli import MODELS
 from causalgeom.ei import _field_grid
 
 GRID = np.linspace(0.0, 1.0, 201)
@@ -226,3 +232,33 @@ def test_decay_confounder_config_validation():
         DecayConfounderConfig(sigma_t=-0.1, sigma_x=1.0, alpha=1.0, x_hat=1.0)
     with pytest.raises(InvalidConfigError):
         DecayConfounderConfig(sigma_t=0.05, sigma_x=0.0, alpha=1.0, x_hat=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        *((name, {}) for name in MODELS),
+        ("dimmer", {"profile": "power", "exponent": 3.0}),
+        ("two-species", {"delta_t": 50.0, "matrix": [[1.0, 0.8], [0.7, 1.0]]}),
+        ("two-species", {"delta_t": 0.02, "n_points": 7}),
+    ],
+)
+def test_bundled_metric_stacks_equal_their_transpose(name, params):
+    """A metric field passes its stacks on as they are, so every bundled
+    model's g and h, and two-species' diagonal and antidiagonal pullbacks,
+    must come out symmetric bit for bit."""
+    entry = MODELS[name]
+    model = entry.build({**entry.defaults, **params})
+    fields = [getattr(model, f.name) for f in dataclasses.fields(model)]
+    fields = [f for f in fields if isinstance(f, MetricField)]
+    domain = model.config.theta_domain if name == "decay-confounder" else model.theta_domain
+    pts = _field_grid(domain, 101 if domain.dim == 2 else 41)[0]
+    stacks = [f.batch(pts) for f in fields]
+    if name == "two-species":
+        sigmas = _field_grid(diagonal_submanifold().sigma_domain, 101)[0]
+        for sub in (diagonal_submanifold(), antidiagonal_submanifold()):
+            stacks += [pullback_field(f, sub).batch(sigmas) for f in fields]
+    assert len(stacks) == (6 if name == "two-species" else 2)
+    for stack in stacks:
+        assert stack.shape[1:] == (domain.dim,) * 2 or stack.shape[1:] == (1, 1)
+        np.testing.assert_array_equal(stack, np.swapaxes(stack, -1, -2))
