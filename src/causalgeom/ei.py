@@ -17,6 +17,7 @@ Three estimators are provided:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing as tp
 
@@ -694,12 +695,20 @@ def ei_exact_mc(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _field_grid(domain: Domain, nodes_per_axis: int) -> tuple[np.ndarray, float]:
+    """Midpoint nodes (N, d) of the box and the cell volume, built once per grid.
+
+    The nodes are read-only: every call with this grid shares the one array.
+    """
     axes, cell = midpoint_axes(domain.lower, domain.upper, nodes_per_axis)
     if domain.dim == 1:
-        return axes[0][:, None], cell
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1), cell
+        pts = axes[0][:, None]
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    pts.flags.writeable = False
+    return pts, cell
 
 
 def ei_geometric(

@@ -28,48 +28,72 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+def _potf2(mats: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray]:
+    """LAPACK's unblocked potf2 on each matrix of a stack (..., d, d), d <= 2.
+
+    Returns the factor's diagonal [l00] or [l00, l11], its l10 (None for
+    d = 1) and where a matrix fails, with the operations of potf2 (as
+    OpenBLAS builds it) in its order on stack-shaped vectors:
+    l00 = sqrt(a), l10 = b * (1 / l00), l11 = sqrt(c - l10 * l10), failing
+    where a pivot is <= 0. A NaN pivot is no failure. The entries of a
+    failing matrix are left as the arithmetic makes them. FP flags are
+    ignored; the public wrapper turns the invalid flag into one exception
+    for the whole stack.
+    """
+    with np.errstate(all="ignore"):
+        a = mats[..., 0, 0]
+        diag = [np.sqrt(a)]
+        failed = a <= 0.0
+        l10 = None
+        if mats.shape[-1] == 2:
+            l10 = mats[..., 1, 0] * (1.0 / diag[0])
+            pivot = mats[..., 1, 1] - l10 * l10
+            diag.append(np.sqrt(pivot))
+            failed |= pivot <= 0.0
+    return diag, l10, failed
+
+
 def _potrf(mats: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of each matrix of a stack (..., d, d).
 
     A matrix that does not factor becomes all NaN, upper triangle included;
-    a factor has a zero upper triangle. For d <= 2 the factor is computed
-    element-wise with the operations of LAPACK's unblocked potf2 (as OpenBLAS
-    builds it), in its order: l00 = sqrt(a), l10 = b * (1 / l00),
-    l11 = sqrt(c - l10 * l10), failing where a pivot is <= 0. A NaN pivot is
-    no failure, so a factor that inherits a NaN keeps its zero upper
-    triangle. That is the gufunc behind ``np.linalg.cholesky`` bit for bit,
+    a factor has a zero upper triangle. For d <= 2 the factor is assembled
+    from :func:`_potf2`; a NaN pivot is no failure, so a factor that inherits
+    a NaN keeps its zero upper triangle. That is the gufunc behind ``np.linalg.cholesky`` bit for bit,
     without its per-matrix copy and LAPACK call; the one exception is a +inf
     pivot over an infinite or NaN b, where OpenBLAS scales by 1 / l00 = 0 by
     writing zeros and IEEE arithmetic gives NaN. For d >= 3 the gufunc
-    factors the stack in one call. FP flags are ignored; the public wrapper
-    turns the invalid flag into one exception for the whole stack.
+    factors the stack in one call, its FP flags ignored.
     """
-    d = mats.shape[-1]
-    with np.errstate(all="ignore"):
-        if d > 2:
+    if mats.shape[-1] > 2:
+        with np.errstate(all="ignore"):
             return _umath_linalg.cholesky_lo(mats, signature="d->d")
-        chol = np.zeros(mats.shape)
-        chol[..., 0, 0] = np.sqrt(mats[..., 0, 0])
-        failed = mats[..., 0, 0] <= 0.0
-        if d == 2:
-            l10 = mats[..., 1, 0] * (1.0 / chol[..., 0, 0])
-            pivot = mats[..., 1, 1] - l10 * l10
-            chol[..., 1, 0] = l10
-            chol[..., 1, 1] = np.sqrt(pivot)
-            failed |= pivot <= 0.0
-        chol[failed] = np.nan
+    diag, l10, failed = _potf2(mats)
+    chol = np.zeros(mats.shape)
+    for j, l_jj in enumerate(diag):
+        chol[..., j, j] = l_jj
+    if l10 is not None:
+        chol[..., 1, 0] = l10
+    chol[failed] = np.nan
     return chol
+
+
+def _jittered(mats: np.ndarray) -> np.ndarray:
+    """The stack (n, d, d) with 1e-12 * trace/d added to each diagonal: the one retry."""
+    d = mats.shape[-1]
+    shift = (1e-12 * np.trace(mats, axis1=-2, axis2=-1)) / d
+    return mats + shift[:, None, None] * np.eye(d)
 
 
 def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
     """Lower Cholesky factors of a stack (n, d, d); NaN where a matrix does not factor.
 
     With ``jitter``, the failing matrices are retried once, in one more
-    :func:`_potrf` call, with 1e-12 * trace/d added to their diagonal, which
-    absorbs round-off but not a genuinely indefinite matrix. Every factor is
-    the one ``np.linalg.cholesky`` gives that matrix alone: LAPACK's
-    arithmetic for d <= 2, the gufunc itself above, which unlike the public
-    function reports a failure per matrix.
+    :func:`_potrf` call, through :func:`_jittered`, which absorbs round-off
+    but not a genuinely indefinite matrix. Every factor is the one
+    ``np.linalg.cholesky`` gives that matrix alone: LAPACK's arithmetic for
+    d <= 2, the gufunc itself above, which unlike the public function reports
+    a failure per matrix.
     """
     chol = _potrf(mats)
     if jitter:
@@ -77,24 +101,39 @@ def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
         # it inherits a NaN from its input; such a factor is not retried.
         failed = np.isnan(chol[..., 0, -1])
         if failed.any():
-            bad = mats[failed]
-            d = mats.shape[-1]
-            shift = (1e-12 * np.trace(bad, axis1=-2, axis2=-1)) / d
-            chol[failed] = _potrf(bad + shift[:, None, None] * np.eye(d))
+            chol[failed] = _potrf(_jittered(mats[failed]))
     return chol
 
 
-def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
-    """log det of each matrix of a stack via :func:`_cholesky`; NaN where it fails.
+def _small_logdet(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log det of each matrix of a stack (n, d, d), d <= 2, and where it fails (NaN)."""
+    diag, _, failed = _potf2(mats)
+    with np.errstate(all="ignore"):
+        logdet = 2.0 * sum(np.log(l_jj) for l_jj in diag)
+    np.copyto(logdet, np.nan, where=failed)
+    return logdet, failed
 
-    A stack that repeats one matrix along a stride-0 axis 0 (a constant
-    metric's batch) is factored once, and that log det is broadcast.
+
+def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
+    """log det of each matrix of a stack (n, d, d); NaN where it does not factor.
+
+    2 * the sum of the logs of the Cholesky diagonal of :func:`_cholesky`,
+    with the same jitter rule. For d <= 2 the diagonal comes from the potf2
+    pivots (:func:`_potf2`) as stack-shaped vectors, without building the
+    factor stack. A stack that repeats one matrix along a stride-0 axis 0 (a
+    constant metric's batch) is factored once, and that log det is broadcast.
     """
     if len(mats) > 1 and mats.strides[0] == 0:
         return np.broadcast_to(_logdet(mats[:1], jitter), mats.shape[:1])
-    chol = _cholesky(mats, jitter)
-    # Summed in order, as np.sum does over fewer than 8 terms.
-    return 2.0 * sum(np.log(chol[..., j, j]) for j in range(mats.shape[-1]))
+    d = mats.shape[-1]
+    if d > 2:
+        chol = _cholesky(mats, jitter)
+        # Summed in order, as np.sum does over fewer than 8 terms.
+        return 2.0 * sum(np.log(chol[..., j, j]) for j in range(d))
+    logdet, failed = _small_logdet(mats)
+    if jitter and failed.any():
+        logdet[failed] = _small_logdet(_jittered(mats[failed]))[0]
+    return logdet
 
 
 def _require_factored(logdet: np.ndarray, points: np.ndarray | None, what: str) -> None:

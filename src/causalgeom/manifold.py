@@ -17,7 +17,7 @@ import typing as tp
 import numpy as np
 
 from .channels import Domain
-from .ei import EIReport, ei_geometric
+from .ei import EIReport, _field_grid, ei_geometric
 from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigError
 from .geometry import MetricField, _sym
 
@@ -49,6 +49,41 @@ def pullback(m: MetricField, sub: Submanifold, sigma: ArrayLike) -> np.ndarray:
     return pullback_field(m, sub)(sigma)
 
 
+def _embedding_jacobian(sub: Submanifold, dims: tp.Iterable[int], points: np.ndarray) -> np.ndarray:
+    """The embedding Jacobian (n, d, k) at ``points``, checked for shape and rank.
+
+    Raises InvalidConfigError when it is not (d, k) for each metric dimension
+    d in ``dims``, and DegenerateEmbeddingError where it is rank deficient.
+    """
+    jac = np.asarray(sub.jacobian(points), dtype=float)  # (n, d, k)
+    for dim in dims:
+        if jac.shape != (len(points), dim, sub.dim):
+            raise InvalidConfigError(
+                f"embedding Jacobian has shape {jac.shape[1:]}, expected {(dim, sub.dim)}"
+            )
+    svals = np.linalg.svd(jac, compute_uv=False)
+    rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
+    if rank_deficient.any():
+        bad = points[int(np.argmax(rank_deficient))]
+        raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {bad}")
+    return jac
+
+
+def _pullback(m: MetricField, sub: Submanifold, jac: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """J^T m J at ``points``, given the embedding Jacobian J there."""
+    mats = m.batch(np.asarray(sub.embed(points), dtype=float))
+    return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
+
+
+def _unchecked_pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
+    """:func:`pullback_field` for points whose embedding Jacobian is already checked."""
+
+    def batch(points: np.ndarray) -> np.ndarray:
+        return _pullback(m, sub, np.asarray(sub.jacobian(points), dtype=float), points)
+
+    return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
+
+
 def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     """The pulled-back metric J^T m J as a field over the submanifold coordinates.
 
@@ -57,18 +92,7 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     """
 
     def batch(points: np.ndarray) -> np.ndarray:
-        jac = np.asarray(sub.jacobian(points), dtype=float)  # (n, d, k)
-        if jac.shape != (len(points), m.dim, sub.dim):
-            raise InvalidConfigError(
-                f"embedding Jacobian has shape {jac.shape[1:]}, expected {(m.dim, sub.dim)}"
-            )
-        svals = np.linalg.svd(jac, compute_uv=False)
-        rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
-        if rank_deficient.any():
-            bad = points[int(np.argmax(rank_deficient))]
-            raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {bad}")
-        mats = m.batch(np.asarray(sub.embed(points), dtype=float))
-        return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
+        return _pullback(m, sub, _embedding_jacobian(sub, (m.dim,), points), points)
 
     return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
 
@@ -78,10 +102,13 @@ def coarse_grained_ei(model, sub: Submanifold, nodes_per_axis: int = 101) -> EIR
 
     ``model`` must expose metric fields ``g`` and ``h``; both are pulled back
     through the embedding and integrated over the submanifold's own box, with
-    the dimension in the volume term equal to the submanifold dimension.
+    the dimension in the volume term equal to the submanifold dimension. The
+    embedding Jacobian is checked once on that box's grid, for both fields.
     """
-    g_hat = pullback_field(model.g, sub)
-    h_hat = pullback_field(model.h, sub)
+    grid = _field_grid(sub.sigma_domain, nodes_per_axis)[0]
+    _embedding_jacobian(sub, (model.h.dim, model.g.dim), grid)
+    g_hat = _unchecked_pullback_field(model.g, sub)
+    h_hat = _unchecked_pullback_field(model.h, sub)
     return ei_geometric(g_hat, h_hat, sub.sigma_domain, nodes_per_axis)
 
 
@@ -192,12 +219,23 @@ def crossover_scan(
     if len(set(labels)) != len(labels):
         raise InvalidConfigError("model labels must be distinct")
     fns = dict(models)
+    # Crossings that share a grid bracket bisect it through the same
+    # midpoints, so each (curve, value) is evaluated once per scan.
+    memo: dict[tuple[str, float], EIReport] = {}
+
+    def curve(label: str) -> CurveFn:
+        def call(value: float) -> EIReport:
+            if (label, value) not in memo:
+                memo[label, value] = fns[label](value)
+            return memo[label, value]
+
+        return call
 
     curves: dict[str, list[EIReport | None]] = {label: [] for label in labels}
     for v in sweep.values:
-        for label, fn in models:
+        for label in labels:
             try:
-                curves[label].append(fn(float(v)))
+                curves[label].append(curve(label)(float(v)))
             except CausalGeomError as exc:
                 logger.warning(
                     "%s at %s = %r left as a gap: %s", label, sweep.variable, float(v), exc
@@ -225,8 +263,8 @@ def crossover_scan(
                 d1 = quad[2].nats - quad[3].nats
                 if d0 == 0.0 or math.copysign(1.0, d0) != math.copysign(1.0, d1):
                     value, bracket = _refine_crossing(
-                        fns[la],
-                        fns[lb],
+                        curve(la),
+                        curve(lb),
                         float(sweep.values[i]),
                         float(sweep.values[i + 1]),
                         d0,

@@ -310,13 +310,21 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
 
     def g_batch(points: np.ndarray) -> np.ndarray:
         # J^T J entry by entry, each an in-order sum over the time points: the
-        # einsum's value, at a fraction of its cost on these short axes. The
-        # columns are time-major, (n, N), so each operation runs over the N
-        # points in one loop; the products are those of `jac`.
-        neg_t = -times[:, None]
-        j0, j1 = (neg_t * np.exp(neg_t * points[:, k]) for k in (0, 1))
-        g00, g01, g11 = (sum(p[k] for k in range(n)) for p in (j0 * j0, j0 * j1, j1 * j1))
-        return np.stack([g00, g01, g01, g11], axis=-1).reshape(-1, 2, 2) / cfg.epsilon**2
+        # einsum's value, at a fraction of its cost on these short axes. One
+        # time point at a time on N-vectors, so no (n, N) temporary is built;
+        # the products are those of `jac`.
+        th0, th1 = points[:, 0], points[:, 1]
+        g00 = g01 = g11 = 0
+        for neg_t in -times:
+            j0 = neg_t * np.exp(neg_t * th0)
+            j1 = neg_t * np.exp(neg_t * th1)
+            g00 = g00 + j0 * j0
+            g01 = g01 + j0 * j1
+            g11 = g11 + j1 * j1
+        out = np.empty((len(points), 2, 2))
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = g00, g01, g01, g11
+        out /= cfg.epsilon**2
+        return out
 
     g = MetricField(lambda t: g_batch(t[None, :])[0], 2, g_batch)
     a_inv = np.linalg.inv(a)

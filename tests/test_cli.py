@@ -1,5 +1,6 @@
 """Command line driver: configs, artifacts, determinism, exit codes."""
 
+import itertools
 import json
 import math
 import pathlib
@@ -152,8 +153,9 @@ def test_thread_count_does_not_change_bytes_when_columns_share_a_model(tmp_path,
 def test_a_crossover_scan_builds_one_model_per_evaluated_value(tmp_path, monkeypatch):
     """All three curves at a grid value, and both curves at a refinement
     midpoint, evaluate one model built for that value. A midpoint that a
-    later bisection visits again is built again: no model outlives its
-    visit."""
+    later bisection visits again evaluates only the curve not yet evaluated
+    there, on a model built again: no model outlives its visit, and no
+    (curve, value) is evaluated twice."""
     entry = MODELS["two-species"]
     built, called = [], []
 
@@ -162,10 +164,10 @@ def test_a_crossover_scan_builds_one_model_per_evaluated_value(tmp_path, monkeyp
         return entry.build(p)
 
     def scan(curves, sweep):
-        def counted(fn):
-            return lambda v: called.append(v) or fn(v)
+        def counted(label, fn):
+            return lambda v: called.append((label, v)) or fn(v)
 
-        return crossover_scan([(label, counted(fn)) for label, fn in curves], sweep)
+        return crossover_scan([(label, counted(label, fn)) for label, fn in curves], sweep)
 
     monkeypatch.setitem(MODELS, "two-species", entry._replace(build=build))
     monkeypatch.setattr(cli, "crossover_scan", scan)
@@ -178,9 +180,12 @@ def test_a_crossover_scan_builds_one_model_per_evaluated_value(tmp_path, monkeyp
     code, out = run_into(tmp_path, doc)
     assert code == 0 and "#crossing" in (out / "results.csv").read_text(encoding="utf-8")
     # a visit is a run of calls at one value: a grid value, or a bisection midpoint
-    visits = [v for i, v in enumerate(called) if i == 0 or v != called[i - 1]]
+    values = [v for _, v in called]
+    visits = [v for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
     assert built == visits
-    assert len(called) == 3 * 7 + 2 * (len(visits) - 7)
+    assert len(set(called)) == len(called)
+    sizes = [len(list(run)) for _, run in itertools.groupby(values)]
+    assert sizes[:7] == [3] * 7 and set(sizes[7:]) == {1, 2}
 
 
 @pytest.mark.parametrize(

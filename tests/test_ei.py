@@ -43,6 +43,7 @@ from causalgeom.ei import (
     FLAG_NOT_CONVERGED,
     _effect_windows,
     _ScalarChain,
+    _field_grid,
     _sd,
 )
 
@@ -228,6 +229,17 @@ def test_geometric_midpoint_grid_avoids_singular_center():
     model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01))
     report = ei_geometric(model.g, model.h, model.theta_domain)
     assert math.isfinite(report.nats)
+
+
+def test_field_grid_is_built_once_per_grid_and_read_only():
+    """Equal boxes share one read-only node array; another count is another grid."""
+    pts, cell = _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
+    again, cell_again = _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
+    assert again is pts and cell_again == cell
+    assert pts.shape == (11 * 12, 2) and not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
+    assert _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 12)[0].shape == (12 * 13, 2)
 
 
 def test_geometric_rejects_indefinite_intervention_metric_with_positive_determinant():

@@ -175,12 +175,9 @@ def _cholesky_one(m: np.ndarray, jitter: bool) -> np.ndarray:
     return np.full_like(m, np.nan)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("jitter", [False, True])
-def test_cholesky_stack_matches_each_matrix_alone(d, jitter):
+def _edge_stack(d: int) -> np.ndarray:
     """Shuffled SPD, singular, jitter-recoverable, indefinite and NaN-holding
-    matrices: every row is the factor np.linalg.cholesky gives that matrix
-    alone (bit for bit), and a row that does not factor is all NaN."""
+    d x d matrices, each five times."""
     rng = np.random.default_rng(23 + d)
     nan_cases = [np.full((d, d), np.nan)]
     if d == 1:
@@ -200,8 +197,16 @@ def test_cholesky_stack_matches_each_matrix_alone(d, jitter):
             m[where] = np.nan
             nan_cases.append(m)
     cases += nan_cases + [spd(rng, d) for _ in range(3)]
-    stack = np.stack([cases[k] for k in rng.permutation(np.repeat(np.arange(len(cases)), 5))])
+    return np.stack([cases[k] for k in rng.permutation(np.repeat(np.arange(len(cases)), 5))])
 
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_cholesky_stack_matches_each_matrix_alone(d, jitter):
+    """Shuffled SPD, singular, jitter-recoverable, indefinite and NaN-holding
+    matrices: every row is the factor np.linalg.cholesky gives that matrix
+    alone (bit for bit), and a row that does not factor is all NaN."""
+    stack = _edge_stack(d)
     expected = np.stack([_cholesky_one(m, jitter) for m in stack])
     chol = _cholesky(stack, jitter)
     np.testing.assert_array_equal(chol, expected)
@@ -213,9 +218,38 @@ def test_cholesky_stack_matches_each_matrix_alone(d, jitter):
     assert (recovered & np.isnan(_cholesky(stack)).all(axis=(1, 2))).any() == (d > 1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
+    """On the same edge stacks, the log det (for d <= 2 taken from the potf2
+    pivots, with no factor stack) is 2 * the in-order sum of the logs of the
+    diagonal np.linalg.cholesky gives each matrix alone, bit for bit; NaN
+    where that matrix does not factor."""
+    stack = _edge_stack(d)
+    factors = np.stack([_cholesky_one(m, jitter) for m in stack])
+    expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
+    logdet = geometry._logdet(stack, jitter)
+    np.testing.assert_array_equal(logdet, expected)
+    assert np.isnan(logdet).any() and not np.isnan(logdet).all()
+    # and with zero, -0.0, subnormal, inf, NaN and negative entries in each place
+    specials = [0.0, -0.0, 5e-324, 1e-310, math.inf, math.nan, -1.0, 2.5]
+    if d <= 2:
+        cases = []
+        for v in specials:
+            for where in np.ndindex(d, d):
+                m = np.diag([4.0, 3.0][:d])
+                m[where] = v
+                cases.append(m)
+        mats = np.stack(cases)
+        factors = np.stack([_cholesky_one(m, jitter) for m in mats])
+        expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
+        np.testing.assert_array_equal(geometry._logdet(mats, jitter), expected)
+
+
 def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
     """On a fig4a point where g does not factor at some nodes (two-species at
-    delta_t = 50), each stack costs one LAPACK call plus one for the jitter."""
+    delta_t = 50), each stack costs at most one LAPACK call plus one for the
+    jitter; the 2x2 stacks go through potf2 element-wise and cost none."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, n_points=3))
     lapack_calls = []
     cholesky_lo = geometry._umath_linalg.cholesky_lo
@@ -226,17 +260,17 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
 
     per_stack = []
     failing_rows = []
-    cholesky = geometry._cholesky
+    potf2 = geometry._potf2
 
-    def counting_cholesky(mats, jitter=False):
+    def counting_potf2(mats):
         before = len(lapack_calls)
-        chol = cholesky(mats, jitter)
+        diag, l10, failed = potf2(mats)
         per_stack.append(len(lapack_calls) - before)
-        failing_rows.append(int(np.isnan(chol).all(axis=(-2, -1)).sum()))
-        return chol
+        failing_rows.append(int(failed.sum()))
+        return diag, l10, failed
 
     monkeypatch.setattr(geometry._umath_linalg, "cholesky_lo", counting_lo)
-    monkeypatch.setattr(geometry, "_cholesky", counting_cholesky)
+    monkeypatch.setattr(geometry, "_potf2", counting_potf2)
     report = ei_geometric(model.g, model.h, model.theta_domain, nodes_per_axis=101)
     assert report.nats == -math.inf
     assert max(failing_rows) > 0
@@ -403,15 +437,15 @@ def test_two_species_ei_geometric_factors_the_constant_h_once(monkeypatch, cfg):
     """The constant h reaches the factorization as one row; g + h and g as
     one row per grid node each."""
     rows = []
-    potrf = geometry._potrf
+    potf2 = geometry._potf2
 
     def counting(mats):
         rows.append(math.prod(mats.shape[:-2]))
-        return potrf(mats)
+        return potf2(mats)
 
     model = two_species_model(cfg)
     expected = ei_geometric(model.g, model.h, model.theta_domain)
-    monkeypatch.setattr(geometry, "_potrf", counting)
+    monkeypatch.setattr(geometry, "_potf2", counting)
     report = ei_geometric(model.g, model.h, model.theta_domain)
     assert rows == [1, 101 * 102, 101 * 102]
     assert report == expected

@@ -20,6 +20,7 @@ from causalgeom import (
     crossover_scan,
     diagonal_submanifold,
     antidiagonal_submanifold,
+    ei_geometric,
     pullback,
     pullback_field,
     two_species_model,
@@ -81,6 +82,26 @@ def test_coarse_grained_ei_rejects_degenerate_embedding():
     model = two_species_model(TwoSpeciesConfig(epsilon=0.05, delta=0.05))
     with pytest.raises(DegenerateEmbeddingError, match="rank deficient at"):
         coarse_grained_ei(model, sub)
+
+
+def test_coarse_grained_ei_checks_the_embedding_rank_once(monkeypatch):
+    """g and h are pulled back through one checked Jacobian: one SVD per
+    call, and the same report as the two checked pullback fields."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
+    sub = antidiagonal_submanifold()
+    expected = ei_geometric(
+        pullback_field(model.g, sub), pullback_field(model.h, sub), sub.sigma_domain
+    )
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert coarse_grained_ei(model, sub) == expected
+    assert len(calls) == 1
 
 
 def test_pullback_field_batch_rejects_wrong_jacobian_shape():
@@ -167,6 +188,34 @@ def test_crossover_scan_finds_single_crossing():
     assert c.value == pytest.approx(math.exp(0.3), rel=1e-3)
     assert c.bracket[0] <= c.value <= c.bracket[1]
     assert scan.argmax[0] == "flat" and scan.argmax[-1] == "rising"
+
+
+def test_crossover_scan_evaluates_each_curve_value_once():
+    """Two crossings in one grid bracket bisect through common midpoints;
+    each (curve, value) is still evaluated once."""
+    calls = []
+
+    def counted(label, fn):
+        def call(v):
+            calls.append((label, v))
+            return EIReport.build(fn(v), "synthetic", "n/a")
+
+        return label, call
+
+    sweep = SweepSpec.from_range("v", 0.0, 1.0, 2, log=False)
+    scan = crossover_scan(
+        [
+            counted("flat", lambda v: 0.0),
+            counted("early", lambda v: v - 0.3),
+            counted("late", lambda v: v - 0.6),
+        ],
+        sweep,
+    )
+    assert [(c.first, c.second) for c in scan.crossings] == [("flat", "early"), ("flat", "late")]
+    assert scan.crossings[0].value == pytest.approx(0.3, abs=1e-3)
+    assert scan.crossings[1].value == pytest.approx(0.6, abs=1e-3)
+    assert ("flat", 0.5) in calls
+    assert len(calls) == len(set(calls))
 
 
 def test_crossover_scan_keeps_failures_as_gaps():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,22 @@ def test_two_species_gram_is_bit_identical_to_einsum(n_points, delta_t):
     np.testing.assert_array_equal(model.ch_ty.jac(pts), jac)
     gram = np.einsum("nki,nkj->nij", jac, jac) / eps**2
     np.testing.assert_array_equal(model.g.batch(pts), 0.5 * (gram + np.swapaxes(gram, -1, -2)))
+
+
+def test_two_species_g_batch_peak_memory_is_a_few_outputs():
+    """g on the 101 x 102 grid builds no (n_points, N) temporaries: its traced
+    peak stays within 3 times the (N, 2, 2) stack it returns."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
+    pts, _ = _field_grid(model.theta_domain, 101)
+    model.g.batch(pts)
+    tracemalloc.start()
+    try:
+        out = model.g.batch(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (101 * 102, 2, 2)
+    assert peak <= 3 * out.nbytes
 
 
 def test_two_species_skewed_matrix_intervention_metric():
