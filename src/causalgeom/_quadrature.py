@@ -1,6 +1,7 @@
 """Small quadrature toolbox used by the numeric modules.
 
-Thin wrappers around numpy's Gauss rules plus the midpoint grids used for
+Thin wrappers around numpy's Gauss rules, a composite Gauss-Legendre rule
+graded into layers of the integrand, and the midpoint grids used for
 metric-field integrals. Nothing here is model specific.
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre",
+    "graded_gauss_legendre",
     "trapezoid",
     "nodes_weights",
     "gauss_hermite",
@@ -43,6 +45,29 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * t, half * w
+
+
+# breakpoints of graded_gauss_legendre, in layer widths from a layer's centre
+GRADING = (1.0, 3.0, 6.0, 12.0, 24.0)
+
+
+def graded_gauss_legendre(
+    a: float, b: float, centres: np.ndarray, widths: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [a, b] with n nodes per panel.
+
+    The panels are graded into a layer around each centre c of width w:
+    breakpoints sit at c, c - k w and c + k w for k in GRADING, clipped to
+    [a, b] and deduplicated. So a layer at an edge is graded from one side,
+    and one inside the interval from both.
+    """
+    steps = np.r_[-np.asarray(GRADING)[::-1], 0.0, GRADING]
+    inner = np.asarray(centres, dtype=float)[:, None] + np.asarray(widths, dtype=float)[:, None] * steps
+    bp = np.unique(np.clip(np.r_[a, inner.ravel(), b], a, b))
+    t, w = _leggauss(int(n))
+    mid = 0.5 * (bp[:-1] + bp[1:])
+    half = 0.5 * np.diff(bp)
+    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
 
 
 def trapezoid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import typing as tp
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from ._quadrature import gauss_legendre, nodes_weights
+from ._quadrature import gauss_legendre, graded_gauss_legendre, nodes_weights
 from .errors import (
     DegenerateDistributionError,
     DomainViolationError,
@@ -90,7 +90,11 @@ class Domain:
 # it induces through an intervention channel, the mixture mean_x q(theta|do(x)):
 # its log density at parameter points (..., d), the range of its component
 # means, and the component means and weights of an outer average over the
-# set. The exact estimators average over a set only through these.
+# set. The exact estimators average over a set only through these. An outer
+# rule may be graded into layers of the integrand: their centres and widths,
+# two arrays (n,) in parameter units.
+
+Layers = tuple[np.ndarray, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,11 +169,23 @@ class UniformBox:
         """The box edges: log_mixture admits only identity intervention means."""
         return self.domain.lower, self.domain.upper
 
-    def components(self, channel: GaussianChannel, rule: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Means (m, d) and weights (m,), summing to one, of ``rule`` on a scalar box."""
+    def components(
+        self, channel: GaussianChannel, rule: str, nodes: int, layers: Layers
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Means (m, d) and weights (m,), summing to one, of ``rule`` on a scalar box.
+
+        The trapezoid rule spreads ``nodes`` nodes evenly. Gauss-Legendre puts
+        ``nodes`` nodes on each panel of a composite rule graded into
+        ``layers`` (log_mixture admits only an identity intervention mean, so
+        parameter values are intervention values here).
+        """
         if self.dim != 1:
             raise UseMonteCarloError("an outer rule over a box needs scalar interventions")
-        x, w = nodes_weights(rule, *self.domain.axes[0], nodes)
+        lo, hi = self.domain.axes[0]
+        if rule == "gauss-legendre":
+            x, w = graded_gauss_legendre(lo, hi, *layers, nodes)
+        else:
+            x, w = nodes_weights(rule, lo, hi, nodes)
         return channel.mean(x[:, None]), w / self.domain.volume
 
 
@@ -213,8 +229,10 @@ class DiscretePoints:
         mus = channel.mean(self.points)
         return np.min(mus, axis=0), np.max(mus, axis=0)
 
-    def components(self, channel: GaussianChannel, rule: str, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every point with equal weight; the rule and node count do not apply."""
+    def components(
+        self, channel: GaussianChannel, rule: str, nodes: int, layers: Layers
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every point with equal weight; the rule, node count and layers do not apply."""
         k = self.points.shape[0]
         return channel.mean(self.points), np.full(k, 1.0 / k)
 

@@ -61,7 +61,10 @@ def _embedding_jacobian(sub: Submanifold, dims: tp.Iterable[int], points: np.nda
             raise InvalidConfigError(
                 f"embedding Jacobian has shape {jac.shape[1:]}, expected {(dim, sub.dim)}"
             )
-    svals = np.linalg.svd(jac, compute_uv=False)
+    if sub.dim == 1:  # the one singular value is the column norm
+        svals = np.sqrt(np.sum(jac * jac, axis=1))
+    else:
+        svals = np.linalg.svd(jac, compute_uv=False)
     rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
     if rank_deficient.any():
         bad = points[int(np.argmax(rank_deficient))]

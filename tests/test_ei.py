@@ -36,7 +36,7 @@ from causalgeom import (
     TwoSpeciesConfig,
     UniformBox,
 )
-from causalgeom._quadrature import nodes_weights
+from causalgeom._quadrature import GRADING, gauss_legendre, graded_gauss_legendre, nodes_weights
 from causalgeom.channels import gaussian_log_density
 from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
@@ -288,7 +288,7 @@ def test_discrete_averaged_density_is_the_mean_of_the_conditionals():
     model = binary_switch_model(0.05, 0.05)
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     y = np.array([[-0.1], [0.2], [0.5], [1.05]])
-    mus, sigs, _ = chain.components("gauss-legendre", 201)
+    mus, sigs, _ = chain.components(QuadratureSpec())
     per_point = [chain.conditional_density(y, mu, sig) for mu, sig in zip(mus, sigs)]
     assert chain.averaged_density(y) == pytest.approx(np.mean(per_point, axis=0), rel=1e-12)
 
@@ -310,10 +310,10 @@ def test_box_quadrature_refuses_state_dependent_intervention_noise():
     assert 0.0 < report.nats <= math.log(2.0)
 
 
-def kernel_nodes(chain, spec):
+def kernel_nodes(chain, spec, refine=1):
     """Effect nodes (m, k) of one kl_all pass and their KL weights sd * p."""
-    nodes = spec.nodes_per_axis
-    mu, sig, _ = chain.components(spec.rule, nodes)
+    nodes = refine * spec.nodes_per_axis
+    mu, sig, _ = chain.components(spec, refine)
     f0, cov = chain.predicted_moments_batch(mu, sig)
     sd = np.sqrt(cov[:, 0, 0])
     u, w = nodes_weights(spec.rule, -spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
@@ -419,6 +419,146 @@ def test_effect_grid_serves_nearly_every_node(a, share, monkeypatch):
     monkeypatch.setattr(chain, "averaged_density", lambda ys: rows.append(len(ys)) or averaged(ys))
     chain.log_averaged_density(y, weight)
     assert sum(rows) <= share * y.size
+
+
+def test_fragmented_rows_take_the_grid_path_within_effect_grid(monkeypatch):
+    """Graded outer rows of the linear dimmer at 1e-3 leave gaps between
+    their effect envelopes, in both passes; the windows then share
+    EFFECT_GRID points in one grid evaluation instead of falling back to
+    direct evaluation at every node (the bounds are those of the shared-grid
+    test, which runs this chain too)."""
+    model = dimmer_model(linear_profile(), 1e-3, 1e-3)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    for refine in (1, 2):
+        y, weight, w = kernel_nodes(chain, QuadratureSpec(), refine)
+        assert _effect_windows(y)[0].size > 1
+        direct = np.log(chain.averaged_density(y.reshape(-1, 1))).reshape(y.shape)
+        grids, averaged = [], chain._averaged
+        monkeypatch.setattr(chain, "_averaged", lambda ys: grids.append(len(ys)) or averaged(ys))
+        got = chain.log_averaged_density(y, weight)
+        monkeypatch.undo()
+        # the first evaluation is the grids', the rest are direct
+        assert grids[0] <= chain.EFFECT_GRID and sum(grids[1:]) < y.size / 10
+        assert np.max(np.abs(got - direct)[weight >= 1e-3]) <= 1e-9
+        assert np.max(np.abs((weight * (got - direct)) @ w)) <= 1e-10
+
+
+def test_one_window_keeps_the_whole_effect_grid(monkeypatch):
+    model = dimmer_family(0.0, 0.03, 0.03)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, weight, _ = kernel_nodes(chain, QuadratureSpec())
+    assert _effect_windows(y)[0].size == 1
+    grids, averaged = [], chain._averaged
+    monkeypatch.setattr(chain, "_averaged", lambda ys: grids.append(len(ys)) or averaged(ys))
+    chain.log_averaged_density(y, weight)
+    assert grids == [chain.EFFECT_GRID]
+
+
+def test_window_sizes_share_the_effect_grid_by_rows():
+    model = dimmer_family(0.0, 0.03, 0.03)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    grid, floor = chain.EFFECT_GRID, chain.WINDOW_FLOOR
+    assert chain.window_sizes(np.array([7])).tolist() == [grid]
+    for rows in ([60, 1, 1, 1, 60], [1, 2], [3] * 12, [1] * 121, [5, 400, 2, 9]):
+        sizes = chain.window_sizes(np.array(rows))
+        assert np.all(sizes % 2 == 1) and grid - 1 <= np.sum(sizes) <= grid
+        share = (grid - len(rows) * floor) * np.array(rows) / np.sum(rows)
+        assert np.all(np.abs(sizes - floor - share) <= 2.0)
+
+
+OUTER_CASES = {
+    **{f"family-a{a:g}": dimmer_family(a, 0.03, 0.03) for a in (-5.0, -2.0, 0.0, 2.0, 5.0)},
+    "linear-1e-3": dimmer_model(linear_profile(), 1e-3, 1e-3),
+    "linear-1e-2": dimmer_model(linear_profile(), 1e-2, 1e-2),
+}
+
+
+def uniform_outer_ei(chain, nodes, spec=QuadratureSpec()):
+    """EI with a uniform Gauss-Legendre outer rule and the production effect axis."""
+    (lo, hi), = chain.x_set.domain.axes
+    x, wx = gauss_legendre(lo, hi, nodes)
+    mus = chain.ch_xt.mean(x[:, None])
+    kl = chain.kl_all(mus[:, 0], _sd(chain.ch_xt.noise, mus), spec, spec.nodes_per_axis)
+    return (wx / chain.x_set.domain.volume) @ kl
+
+
+@pytest.mark.parametrize("model", OUTER_CASES.values(), ids=list(OUTER_CASES))
+def test_graded_outer_panels_match_a_uniform_401_node_rule(model):
+    """12 nodes per graded panel (84-132 nodes) against uniform G401: measured
+    worst 1.7e-12 nats, on a = +-5, where uniform G201 is itself 2e-12 off;
+    8 nodes per panel miss by 2.9e-9 there."""
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    mu, sig, w = chain.components(QuadratureSpec())
+    assert mu.size <= 132
+    graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
+    assert abs(graded - uniform_outer_ei(chain, 401)) <= 5e-12
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *OUTER_CASES.values(),
+        dimmer_model(power_profile(2.0), 1e-3, 1e-3),
+        dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003),
+    ],
+    ids=[*OUTER_CASES, "square-1e-3", "weber"],
+)
+def test_graded_panels_tile_the_box(model):
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    (lo, hi), = model.x_set.domain.axes
+    for n in (12, 24):
+        x, w = graded_gauss_legendre(lo, hi, *chain.outer_layers, n)
+        assert abs(np.sum(w) - (hi - lo)) <= 1e-15
+        assert np.all((x > lo) & (x < hi)) and np.all(np.diff(x) > 0)
+
+
+def test_weber_kink_is_an_outer_layer():
+    """The per-intervention KL turns sharply where Weber noise meets its
+    floor; graded around that kink the outer rule matches uniform G1601 to
+    1.1e-9 nats (edge layers alone: 2.5e-5, uniform G201: 4.6e-7)."""
+    model = dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    kink = chain.invert_effect(np.asarray(model.ch_ty.noise.kinks))
+    assert kink[0] in chain.outer_layers[0]
+    mu, sig, w = chain.components(QuadratureSpec())
+    graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
+    assert abs(graded - uniform_outer_ei(chain, 1601)) <= 1e-8
+
+
+def test_flat_edge_is_graded_from_the_intervention_noise():
+    """f = theta^2 has f' = 0 at theta = 0: the edge noise is infinite there,
+    with no division warning, so the first-order ladder puts no breakpoint
+    at that edge (2.8e-3 nats off at 1e-3). Instead the edge is graded from
+    sigma_q across the box; measured 6e-11 nats from uniform G1601, which
+    uniform G401 misses by 8e-10."""
+    model = dimmer_model(power_profile(2.0), 1e-3, 1e-3)
+    with np.errstate(all="raise"):
+        chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    assert chain.edge_noise(np.array([0.0]))[0] == np.inf
+    centres, widths = chain.outer_layers
+    flat = widths[centres == 0.0]
+    ladder = flat[:, None] * np.asarray(GRADING)
+    assert flat[0] == pytest.approx(1e-3) and np.all(np.diff(flat) > 0) and ladder.max() >= 1.0
+    mu, sig, w = chain.components(QuadratureSpec())
+    graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
+    assert abs(graded - uniform_outer_ei(chain, 401)) <= 5e-9
+
+
+def test_doubled_pass_doubles_the_panel_and_effect_nodes(monkeypatch):
+    model = dimmer_family(1.0, 0.03, 0.03)
+    passes = []
+    kl_all = _ScalarChain.kl_all
+
+    def recording(self, mu_q, sig_q, spec, nodes):
+        passes.append((mu_q.size, nodes))
+        return kl_all(self, mu_q, sig_q, spec, nodes)
+
+    monkeypatch.setattr(_ScalarChain, "kl_all", recording)
+    report = quad_ei(model)
+    (outer, effect), (outer2, effect2) = passes
+    assert outer % _ScalarChain.PANEL_NODES == 0 and (outer2, effect2) == (2 * outer, 2 * effect)
+    assert effect == 201 and f"{outer} outer nodes" in report.grid_or_samples
+    assert "12 per graded panel" in report.grid_or_samples
 
 
 @pytest.mark.parametrize(

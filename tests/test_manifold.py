@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from causalgeom import manifold
 from causalgeom import (
     CausalGeomError,
     DegenerateEmbeddingError,
@@ -85,22 +86,50 @@ def test_coarse_grained_ei_rejects_degenerate_embedding():
 
 
 def test_coarse_grained_ei_checks_the_embedding_rank_once(monkeypatch):
-    """g and h are pulled back through one checked Jacobian: one SVD per
-    call, and the same report as the two checked pullback fields."""
+    """g and h are pulled back through one checked Jacobian: one rank check
+    per call, and the same report as the two checked pullback fields."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
     sub = antidiagonal_submanifold()
     expected = ei_geometric(
         pullback_field(model.g, sub), pullback_field(model.h, sub), sub.sigma_domain
     )
     calls = []
-    svd = np.linalg.svd
+    check = manifold._embedding_jacobian
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return check(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(manifold, "_embedding_jacobian", counting)
     assert coarse_grained_ei(model, sub) == expected
+    assert len(calls) == 1
+
+
+def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
+    """For k = 1 the one singular value is the column norm, so no SVD runs;
+    a zero column still raises the same error. k = 2 keeps the SVD."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    points = np.linspace(0.0, 1.0, 5)[:, None]
+    jac = manifold._embedding_jacobian(diagonal_submanifold(), (2,), points)
+    assert jac.shape == (5, 2, 1)
+    collapsed = Submanifold(
+        embed=lambda s: np.stack([s[..., 0], s[..., 0] * 0.0], axis=-1),
+        jacobian=lambda s: np.zeros(s.shape[:-1] + (2, 1)),
+        sigma_domain=Domain(((0.0, 1.0),)),
+        label="collapsed",
+    )
+    with pytest.raises(DegenerateEmbeddingError, match=r"embedding Jacobian is rank deficient at \[0.\]"):
+        manifold._embedding_jacobian(collapsed, (2,), points)
+    assert calls == []
+    plane = Submanifold(
+        embed=lambda s: s,
+        jacobian=lambda s: np.broadcast_to(np.eye(2), s.shape[:-1] + (2, 2)),
+        sigma_domain=Domain(((0.0, 1.0), (0.0, 1.0))),
+        label="plane",
+    )
+    manifold._embedding_jacobian(plane, (2,), np.zeros((3, 2)))
     assert len(calls) == 1
 
 
