@@ -4,9 +4,10 @@
 Usage: python3 scripts/run_all_figures.py [--plot]
 
 With --plot each run also writes plot.svg (requires matplotlib). The full
-set took 8.8 s on a 2-core x86-64 host with two worker threads (Python 3.11,
-numpy 2.4): about 3 s each for fig1b, whose 41 grid points are exact
-quadratures, and fig1c, and under 1 s for each geometric config.
+set took 4.3 s (median of three runs) on a 2-core x86-64 host with two
+worker threads and BLAS pinned to one thread (Python 3.11, numpy 2.4): 1.8 s
+for fig1b, whose 41 grid points are exact quadratures, 1.4 s for fig1c, and
+0.1 s or less for each geometric config.
 """
 
 from __future__ import annotations

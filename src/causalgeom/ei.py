@@ -151,8 +151,7 @@ class _ScalarChain:
     SEGMENT_NODES = 16
     LADDER = (-12.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0, 12.0)
     PANEL_NODES = 12  # per graded panel of a box's outer rule
-    EFFECT_GRID = 4001  # odd, so every other point is a grid of its own
-    WINDOW_FLOOR = 33  # the fewest grid points of one effect window, odd
+    WINDOW_FLOOR = 33  # the points an effect window starts with, odd
     EFFECT_TOL = 2.5e-13
     INVERSE_TABLE = 1025
     NEWTON_STEPS = 3
@@ -325,30 +324,18 @@ class _ScalarChain:
 
     def averaged_density(self, y: np.ndarray) -> np.ndarray:
         """Effect density averaged over interventions, at y rows (n, 1)."""
-        return self._averaged(y)[0]
+        return np.sum(self._segment_terms(np.atleast_2d(np.asarray(y, dtype=float)))[0], axis=1)
 
     def _averaged(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Averaged effect density e, de/dy and d2e/dy2 at y rows (n, 1).
 
-        Integrates the parameter mixture times p(y|theta), summed in log space,
-        by composite quadrature over segments between the likelihood/mixture
-        breakpoints. The same
-        integrand times the effect score s = -Sigma^-1 (y - f) gives de/dy,
-        and times s^2 - Sigma^-1 gives d2e/dy2, since Sigma depends on f(theta)
-        and not on y.
+        The segment terms of e times the effect score s = -Sigma^-1 (y - f)
+        give de/dy, and times s^2 - Sigma^-1 give d2e/dy2, since Sigma
+        depends on f(theta) and not on y.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        n = y.shape[0]
-        bp = self._breakpoints(y)
-        widths = np.diff(bp, axis=1)  # (n, s)
-        t, w = gauss_legendre(0.0, 1.0, self.SEGMENT_NODES)
-        nodes = bp[:, :-1, None] + widths[:, :, None] * t[None, None, :]
-        weights = (widths[:, :, None] * w[None, None, :]).reshape(n, -1)
-        flat = nodes.reshape(n, -1)  # (n, s*k)
-        f_val = self.f(flat)
+        terms, f_val = self._segment_terms(y)
         noise = self.ch_ty.noise
-        log_p = gaussian_log_density(noise, y[:, None, :], f_val)
-        terms = weights * np.exp(self.log_mix(flat[..., None]) + log_p)
         score = -noise.whiten(noise.whiten(y[:, None, :] - f_val, f_val), f_val)[..., 0]
         prec = noise.whiten(noise.whiten(np.ones_like(f_val), f_val), f_val)[..., 0]
         return (
@@ -357,62 +344,104 @@ class _ScalarChain:
             np.sum(terms * (score * score - prec), axis=1),
         )
 
+    def _segment_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature terms of e at y rows (n, 1), each row summing to e, and f at the nodes.
+
+        A term is the parameter mixture times p(y|theta), formed in log
+        space, at a node of the composite Gauss-Legendre rule over the
+        segments between the likelihood/mixture breakpoints, times its weight.
+        """
+        n = y.shape[0]
+        bp = self._breakpoints(y)
+        widths = np.diff(bp, axis=1)  # (n, s)
+        t, w = gauss_legendre(0.0, 1.0, self.SEGMENT_NODES)
+        nodes = bp[:, :-1, None] + widths[:, :, None] * t[None, None, :]
+        weights = (widths[:, :, None] * w[None, None, :]).reshape(n, -1)
+        flat = nodes.reshape(n, -1)  # (n, s*k)
+        f_val = self.f(flat)
+        log_p = gaussian_log_density(self.ch_ty.noise, y[:, None, :], f_val)
+        return weights * np.exp(self.log_mix(flat[..., None]) + log_p), f_val
+
     def log_averaged_density(self, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """log e at effect nodes y (m, k), one row of nodes per intervention.
 
         weight (m, k) is how far each node's KL term moves per unit error in
-        log e, up to its rule weight (sd * p in kl_all). The rows' [min, max]
-        envelopes are merged into disjoint windows: one grid spanning them
-        all would cross gaps where e underflows. On each window e is
-        evaluated once on a Chebyshev-Lobatto grid of EFFECT_GRID points and
-        log e is interpolated by quintic Hermite steps with slope e'/e and
-        curvature e''/e - (e'/e)^2. Steps over every other grid point, checked
-        at the points in between, bound the error of each interval (about 64
-        times over where e is smooth, as the step error falls as h^6). A
-        node whose weight times that bound exceeds EFFECT_TOL gets e
-        directly, and so does every node when the grids would have more
-        points than there are nodes. The windows share EFFECT_GRID points
-        (window_sizes), so a single window has them all.
+        log e, up to its rule weight (sd * p in kl_all). log e comes from
+        the grids of effect_grids, by quintic Hermite steps with slope e'/e
+        and curvature e''/e - (e'/e)^2, except at the nodes it leaves for
+        direct evaluation.
         """
         out = np.empty(y.shape)
-        direct = np.ones(y.shape, dtype=bool)
-        lo, hi = _effect_windows(y)
-        rows = np.bincount(np.searchsorted(lo, np.min(y, axis=1), side="right") - 1, minlength=lo.size)
-        sizes = self.window_sizes(rows)
-        if y.size > np.sum(sizes):
-            c = [0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, n))) for n in sizes]
-            x = np.concatenate([a + (b - a) * cn for a, b, cn in zip(lo, hi, c)])
-            e, de, d2e = self._averaged(x[:, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_e, slope = np.log(e), de / e
-                curv = d2e / e - slope * slope
-            # every other point of each window, both of its ends included
-            odd = (np.arange(x.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)) % 2 == 1
-            every_other = (v[~odd] for v in (x, log_e, slope, curv))
-            coarse, _ = _hermite(*every_other, x[odd])
-            # each check point covers the two intervals beside it; the step
-            # from a window's last point to the next window, only met at t = 0,
-            # keeps a zero bound
-            err = np.zeros(x.size)
-            err[odd] = err[np.flatnonzero(odd) - 1] = np.abs(coarse - log_e[odd])
-            out, j = _hermite(x, log_e, slope, curv, y)
-            direct = ~(weight * err[j] <= self.EFFECT_TOL)
+        x, grid, _, direct = self.effect_grids(y, weight)
+        out[~direct] = _hermite(x, grid, y[~direct])
         if np.any(direct):
             with np.errstate(divide="ignore"):
                 out[direct] = np.log(self.averaged_density(y[direct][:, None]))
         return out
 
-    def window_sizes(self, rows: np.ndarray) -> np.ndarray:
-        """Odd grid point counts of effect windows holding these numbers of rows.
+    def effect_grids(
+        self, y: np.ndarray, weight: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nested Chebyshev-Lobatto grids of log e over the windows of nodes y (m, k).
 
-        Each window gets WINDOW_FLOOR points plus a share of the rest of
-        EFFECT_GRID in proportion to its rows, that is to the nodes it
-        serves. The counts add up to at most EFFECT_GRID (unless the floors
-        alone exceed it), and one window gets exactly EFFECT_GRID.
+        The rows' [min, max] envelopes are merged into disjoint windows: one
+        grid spanning them all would cross gaps where e underflows. A window
+        with more nodes than WINDOW_FLOOR starts with that many grid points;
+        the others are left to direct evaluation. Steps over every other
+        grid point, checked at the points in between, bound the error of
+        each interval (_grid_errors; about 64 times over where e is smooth,
+        as the step error falls as h^6), and a node fails when its weight
+        times that bound exceeds EFFECT_TOL. A doubling from n to 2n - 1
+        points evaluates only the n - 1 new ones, as the old grid sits at
+        the even indices, and cuts the bound by that same factor of 64. So a
+        window doubles while n - 1 plus its nodes failing at 64 EFFECT_TOL
+        is less than its nodes failing now: while the nodes a doubling is
+        expected to clear outnumber the points it costs. Each round
+        evaluates the new points of every growing window at once.
+
+        Returns the grid points x (N,) of all windows in order, log e, its
+        slope and its curvature there (3, N), the point count of each window
+        and the nodes (m, k) that still fail, for direct evaluation.
         """
-        pairs = max(self.EFFECT_GRID - rows.size * self.WINDOW_FLOOR, 0) // 2
-        cut = np.rint(pairs * np.cumsum(rows) / np.sum(rows))
-        return self.WINDOW_FLOOR + 2 * np.diff(cut, prepend=0.0).astype(int)
+        lo, hi = _effect_windows(y)
+        win = np.searchsorted(lo, np.min(y, axis=1), side="right") - 1
+        grow = np.bincount(win, minlength=lo.size) * y.shape[1] > self.WINDOW_FLOOR
+        size = np.where(grow, self.WINDOW_FLOOR, 0)
+        # the nodes in order: each window's nodes are a block, and so are
+        # those of each grid interval
+        order = np.argsort(y, axis=None)
+        ys, ws = y.reshape(-1)[order], weight.reshape(-1)[order]
+        first = np.searchsorted(ys, lo)
+        bound = np.zeros(ys.size)
+        x, grid = np.empty(0), np.empty((3, 0))
+        x_new = _lobatto(lo, hi, size)
+        while x_new.size:
+            x = np.concatenate([x, x_new])
+            order_x = np.argsort(x, kind="stable")
+            x, grid = x[order_x], np.concatenate([grid, self._log_averaged(x_new)], axis=1)[:, order_x]
+            # the nodes of each interval, as _hermite finds it
+            runs = np.diff(np.r_[0, np.searchsorted(ys, x[1:-1]), ys.size])
+            with np.errstate(invalid="ignore"):
+                bound = ws * np.repeat(_grid_errors(x, grid, size)[:-1], runs)
+            # (failing now) - (failing at 64 EFFECT_TOL): the nodes a doubling
+            # is expected to clear
+            cleared = np.add.reduceat(
+                (bound > self.EFFECT_TOL) & (bound <= 64.0 * self.EFFECT_TOL), first, dtype=np.intp
+            )
+            grow &= size - 1 < cleared
+            size = np.where(grow, 2 * size - 1, size)
+            x_new = _lobatto(lo, hi, np.where(grow, size, 0), odd=True)
+        gridless = np.repeat(size[win] == 0, y.shape[1])[order]
+        direct = np.empty(y.shape, dtype=bool)
+        direct.reshape(-1)[order] = ~(bound <= self.EFFECT_TOL) | gridless
+        return x, grid, size, direct
+
+    def _log_averaged(self, x: np.ndarray) -> np.ndarray:
+        """log e, e'/e and e''/e - (e'/e)^2 at effect points x (n,), stacked (3, n)."""
+        e, de, d2e = self._averaged(x[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = de / e
+            return np.stack([np.log(e), slope, d2e / e - slope * slope])
 
     # -- per-intervention KL --------------------------------------------------
 
@@ -457,24 +486,56 @@ def _effect_windows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[starts], hi[ends]
 
 
-def _hermite(
-    x: np.ndarray, v: np.ndarray, s: np.ndarray, c: np.ndarray, at: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quintic Hermite interpolant through values v, slopes s and curvatures c at sorted x.
+def _lobatto(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Chebyshev-Lobatto grids of size[w] (odd) points on the windows [lo[w], hi[w]], in order.
 
-    Returns the interpolant at the points `at` and the index of the interval
-    holding each point.
+    With odd, only the points at odd indices: those a doubling adds.
+    """
+    step = 2 if odd else 1
+    count = size // step
+    w = np.repeat(np.arange(size.size), count)
+    index = step * (np.arange(w.size) - np.repeat(np.cumsum(count) - count, count)) + step - 1
+    c = 0.5 * (1.0 - np.cos(math.pi * index / (size[w] - 1)))
+    return lo[w] + (hi[w] - lo[w]) * c
+
+
+def _grid_errors(x: np.ndarray, grid: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Error bound of each interval of the concatenated grids x with size[w] points each.
+
+    grid holds log e, its slope and its curvature at x (3, N). Quintic steps
+    over every other point of each window (both of its ends included) are
+    checked at the points in between; each check point covers the two
+    intervals beside it. The step from a window's last point to the next
+    window, only met at t = 0, keeps a zero bound.
+    """
+    odd = np.flatnonzero((np.arange(x.size) - np.repeat(np.cumsum(size) - size, size)) % 2)
+    err = np.zeros(x.size)
+    with np.errstate(invalid="ignore"):
+        err[odd] = err[odd - 1] = np.abs(_hermite_step(x, grid, odd - 1, odd + 1, x[odd]) - grid[0, odd])
+    return err
+
+
+def _hermite(x: np.ndarray, grid: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Quintic Hermite interpolant through log e, slope and curvature grid (3, N) at sorted x.
+
+    Each of the points `at` takes the step over the interval holding it.
     """
     j = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
-    h = x[j + 1] - x[j]
-    t = (at - x[j]) / h
+    return _hermite_step(x, grid, j, j + 1, at)
+
+
+def _hermite_step(
+    x: np.ndarray, grid: np.ndarray, a: np.ndarray, b: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """The quintic Hermite steps from the points a to the points b of x, at the points `at`."""
+    v, s, c = grid
+    h = x[b] - x[a]
+    t = (at - x[a]) / h
     r = 1.0 - t
     # the basis in factored form: r^3 (...) carries the left end, t^3 (...) the right
-    left = v[j] * (1.0 + t * (3.0 + 6.0 * t)) + h * t * (s[j] * (1.0 + 3.0 * t) + 0.5 * h * t * c[j])
-    right = v[j + 1] * (1.0 + r * (3.0 + 6.0 * r)) - h * r * (
-        s[j + 1] * (1.0 + 3.0 * r) - 0.5 * h * r * c[j + 1]
-    )
-    return r**3 * left + t**3 * right, j
+    left = v[a] * (1.0 + t * (3.0 + 6.0 * t)) + h * t * (s[a] * (1.0 + 3.0 * t) + 0.5 * h * t * c[a])
+    right = v[b] * (1.0 + r * (3.0 + 6.0 * r)) - h * r * (s[b] * (1.0 + 3.0 * r) - 0.5 * h * r * c[b])
+    return r**3 * left + t**3 * right
 
 
 def _kl_integrand(p: np.ndarray, log_e: np.ndarray) -> np.ndarray:
@@ -555,16 +616,19 @@ def ei_exact_quadrature(
     intervention average over a box is composite Gauss-Legendre, 12 nodes
     per panel, with panels graded into the boundary layer at each edge and
     around each effect-noise kink (or the trapezoid rule on nodes_per_axis
-    nodes); over discrete points it is a plain mean. The intervention-averaged effect density is evaluated,
-    with its first two derivatives, once per pass on a Chebyshev grid per
-    effect window, and log e is interpolated at the effect nodes by quintic
-    Hermite steps; nodes the grids do not resolve to the kernel's tolerance
-    are evaluated directly. Its integration breakpoints come from inverting
-    f through a table built once per chain. On the bundled chains the graded
-    panels match a uniform 401-node outer rule to 5e-12 nats, and against direct
-    evaluation at every node the grids move the bundled figures by at most
-    1e-13 nats. A second pass with every node count doubled flags
-    non-convergence beyond 1e-3 nats.
+    nodes); over discrete points it is a plain mean. The intervention-averaged
+    effect density is evaluated, with its first two derivatives, on nested
+    Chebyshev grids, one per effect window, each starting at 33 points and
+    doubling only while its error check asks for more than the doubling
+    costs (``_ScalarChain.effect_grids``); log e is interpolated at the
+    effect nodes by quintic Hermite steps, and nodes the grids do not
+    resolve to the kernel's tolerance are evaluated directly. Its
+    integration breakpoints come from inverting f through a table built
+    once per chain. On the bundled chains the graded panels match a uniform
+    401-node outer rule to 5e-12 nats, and against direct evaluation at
+    every node the grids move the bundled figures by at most 1.5e-13 nats.
+    A second pass with every node count doubled flags non-convergence
+    beyond 1e-3 nats.
     """
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)

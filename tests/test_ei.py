@@ -42,6 +42,7 @@ from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
     FLAG_NOT_CONVERGED,
     _effect_windows,
+    _grid_errors,
     _ScalarChain,
     _field_grid,
     _sd,
@@ -406,64 +407,129 @@ def test_averaged_density_curvature_matches_central_difference(model, spec):
     assert np.max(np.abs(d2e - central) * sigma**2 / e) <= 5e-5
 
 
-@pytest.mark.parametrize("a, share", [(-3.25, 0.01), (0.25, 0.01), (2.0, 0.01), (-5.0, 0.05)])
-def test_effect_grid_serves_nearly_every_node(a, share, monkeypatch):
-    """Quintic steps clear EFFECT_TOL almost everywhere on fig1b's family
-    (measured 0, 0, 0 and 3.3% of nodes evaluated directly; cubic steps
-    sent 11-20% there)."""
-    model = dimmer_family(a, 0.03, 0.03)
+def window_of_each_row(y):
+    lo, _ = _effect_windows(y)
+    return np.searchsorted(lo, np.min(y, axis=1), side="right") - 1
+
+
+def failing_nodes(chain, y, weight, x, grid, size):
+    """Nodes of each effect window whose bound on the grids exceeds
+    EFFECT_TOL, and 64 EFFECT_TOL, each node in the interval _hermite finds."""
+    j = np.clip(np.searchsorted(x, y.reshape(-1), side="right") - 1, 0, x.size - 2)
+    bound = weight.reshape(-1) * _grid_errors(x, grid, size)[j]
+    assert np.all(np.isfinite(bound))
+    win = np.repeat(window_of_each_row(y), y.shape[1])
+    tol = chain.EFFECT_TOL
+    count = [np.bincount(win, bound > t, minlength=size.size) for t in (tol, 64.0 * tol)]
+    return count[0], count[1], (bound > tol).reshape(y.shape)
+
+
+def previous_grids(x, grid, size):
+    """The grids before the last doubling of each window past WINDOW_FLOOR
+    points: the old points sit at the even indices."""
+    local = np.arange(x.size) - np.repeat(np.cumsum(size) - size, size)
+    grown = size > _ScalarChain.WINDOW_FLOOR
+    keep = ~np.repeat(grown, size) | (local % 2 == 0)
+    return x[keep], grid[:, keep], np.where(grown, (size + 1) // 2, size), grown
+
+
+GROWTH_CASES = {
+    **{f"family-a{a:g}": (dimmer_family(a, 0.03, 0.03), 1) for a in (-5.0, -3.25, 0.25, 2.0)},
+    "family-a1-doubled": (dimmer_family(1.0, 0.03, 0.03), 2),
+    "linear-1e-3": (dimmer_model(linear_profile(), 1e-3, 1e-3), 1),
+    "linear-1e-3-doubled": (dimmer_model(linear_profile(), 1e-3, 1e-3), 2),
+}
+
+
+@pytest.mark.parametrize("model, refine", GROWTH_CASES.values(), ids=list(GROWTH_CASES))
+def test_effect_grids_double_while_doubling_pays(model, refine):
+    """A window doubles from n to 2n - 1 points while n - 1 plus its nodes
+    failing at 64 EFFECT_TOL is less than its nodes failing now, and its
+    nodes failing at the last round are the ones evaluated directly."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    y, weight, _ = kernel_nodes(chain, QuadratureSpec())
-    rows = []
-    averaged = chain.averaged_density
-    monkeypatch.setattr(chain, "averaged_density", lambda ys: rows.append(len(ys)) or averaged(ys))
+    y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
+    x, grid, size, direct = chain.effect_grids(y, weight)
+    assert np.all(size > 0) and x.size == np.sum(size)
+    steps = (size - 1) // (chain.WINDOW_FLOOR - 1)  # 2 ** doublings
+    assert np.all(size == steps * (chain.WINDOW_FLOOR - 1) + 1) and np.all(steps & (steps - 1) == 0)
+    failing, still, fails = failing_nodes(chain, y, weight, x, grid, size)
+    assert np.array_equal(direct, fails)
+    # no window stopped where a doubling would have paid
+    assert np.all(size - 1 + still >= failing)
+    # and each doubling paid when it was made
+    while np.any(size > chain.WINDOW_FLOOR):
+        x, grid, size, grown = previous_grids(x, grid, size)
+        failing, still, _ = failing_nodes(chain, y, weight, x, grid, size)
+        assert np.all((size - 1 + still < failing)[grown])
+
+
+@pytest.mark.parametrize(
+    "model, refine",
+    [GROWTH_CASES["family-a-5"], GROWTH_CASES["linear-1e-3-doubled"]],
+    ids=["family-a-5", "linear-1e-3-doubled"],
+)
+def test_every_effect_grid_point_is_evaluated_once(model, refine, monkeypatch):
+    """One segment-rule evaluation per round for the new points of every
+    growing window, then one for the nodes left to direct evaluation: the
+    rows evaluated are the final grid points plus the direct nodes."""
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
+    calls, terms = [], chain._segment_terms
+    monkeypatch.setattr(chain, "_segment_terms", lambda ys: calls.append(ys[:, 0]) or terms(ys))
+    x, _, size, direct = chain.effect_grids(y, weight)
+    evaluated = np.concatenate(calls)
+    assert np.array_equal(np.sort(evaluated), x) and np.unique(evaluated).size == x.size
+    rounds = 1 + int(np.log2((np.max(size) - 1) // (chain.WINDOW_FLOOR - 1)))
+    assert len(calls) == rounds > 1 and np.any(direct)
+    calls.clear()
     chain.log_averaged_density(y, weight)
-    assert sum(rows) <= share * y.size
+    assert len(calls) == rounds + 1
+    assert sum(map(len, calls)) == x.size + np.count_nonzero(direct)
+
+
+def test_window_with_no_more_nodes_than_its_starting_grid_goes_direct():
+    """Each interior outer row of the linear dimmer at 1e-3 has an effect
+    window of its own; with up to 33 effect nodes those windows get no grid,
+    while the edge windows (61 rows each) grow theirs."""
+    model = dimmer_model(linear_profile(), 1e-3, 1e-3)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    for nodes in (31, 33, 35):
+        y, weight, _ = kernel_nodes(chain, QuadratureSpec(nodes_per_axis=nodes))
+        rows = np.bincount(window_of_each_row(y))
+        assert rows.tolist() == [61] + [1] * 10 + [61]
+        x, _, size, direct = chain.effect_grids(y, weight)
+        assert np.array_equal(size == 0, rows * nodes <= chain.WINDOW_FLOOR)
+        assert np.all(direct[size[window_of_each_row(y)] == 0]) and x.size == np.sum(size)
+        assert np.all(size[[0, -1]] > chain.WINDOW_FLOOR)
 
 
 def test_fragmented_rows_take_the_grid_path_within_effect_grid(monkeypatch):
     """Graded outer rows of the linear dimmer at 1e-3 leave gaps between
-    their effect envelopes, in both passes; the windows then share
-    EFFECT_GRID points in one grid evaluation instead of falling back to
-    direct evaluation at every node (the bounds are those of the shared-grid
-    test, which runs this chain too)."""
+    their effect envelopes, in both passes; every window then gets a grid of
+    its own, all grown in the same rounds, instead of falling back to direct
+    evaluation at every node (the bounds are those of the shared-grid test,
+    which runs this chain too). The row bounds: a fixed 4001-point grid
+    shared between the windows by rows evaluated 12,437 rows over both
+    passes, which the doubling brings to 9,370, and 4,156 in the first
+    pass, which it exceeds at 4,212: there the edge windows stop at 1,025
+    points and leave 916 nodes each to direct evaluation, where the fixed
+    grid gave them 1,699 points each."""
     model = dimmer_model(linear_profile(), 1e-3, 1e-3)
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    evaluated = []
     for refine in (1, 2):
         y, weight, w = kernel_nodes(chain, QuadratureSpec(), refine)
         assert _effect_windows(y)[0].size > 1
         direct = np.log(chain.averaged_density(y.reshape(-1, 1))).reshape(y.shape)
-        grids, averaged = [], chain._averaged
-        monkeypatch.setattr(chain, "_averaged", lambda ys: grids.append(len(ys)) or averaged(ys))
+        rows, terms = [], chain._segment_terms
+        monkeypatch.setattr(chain, "_segment_terms", lambda ys: rows.append(len(ys)) or terms(ys))
         got = chain.log_averaged_density(y, weight)
         monkeypatch.undo()
-        # the first evaluation is the grids', the rest are direct
-        assert grids[0] <= chain.EFFECT_GRID and sum(grids[1:]) < y.size / 10
+        evaluated.append(sum(rows))
+        assert np.all(chain.effect_grids(y, weight)[2] > 0)
         assert np.max(np.abs(got - direct)[weight >= 1e-3]) <= 1e-9
         assert np.max(np.abs((weight * (got - direct)) @ w)) <= 1e-10
-
-
-def test_one_window_keeps_the_whole_effect_grid(monkeypatch):
-    model = dimmer_family(0.0, 0.03, 0.03)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    y, weight, _ = kernel_nodes(chain, QuadratureSpec())
-    assert _effect_windows(y)[0].size == 1
-    grids, averaged = [], chain._averaged
-    monkeypatch.setattr(chain, "_averaged", lambda ys: grids.append(len(ys)) or averaged(ys))
-    chain.log_averaged_density(y, weight)
-    assert grids == [chain.EFFECT_GRID]
-
-
-def test_window_sizes_share_the_effect_grid_by_rows():
-    model = dimmer_family(0.0, 0.03, 0.03)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    grid, floor = chain.EFFECT_GRID, chain.WINDOW_FLOOR
-    assert chain.window_sizes(np.array([7])).tolist() == [grid]
-    for rows in ([60, 1, 1, 1, 60], [1, 2], [3] * 12, [1] * 121, [5, 400, 2, 9]):
-        sizes = chain.window_sizes(np.array(rows))
-        assert np.all(sizes % 2 == 1) and grid - 1 <= np.sum(sizes) <= grid
-        share = (grid - len(rows) * floor) * np.array(rows) / np.sum(rows)
-        assert np.all(np.abs(sizes - floor - share) <= 2.0)
+    assert evaluated[0] <= 4212 and sum(evaluated) <= 12437
 
 
 OUTER_CASES = {
