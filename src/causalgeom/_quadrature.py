@@ -11,6 +11,10 @@ import functools
 
 import numpy as np
 
+# imported here, not lazily by the first rule a pool thread asks for
+import numpy.polynomial.hermite
+import numpy.polynomial.legendre
+
 __all__ = [
     "gauss_legendre",
     "graded_gauss_legendre",
@@ -63,7 +67,8 @@ def graded_gauss_legendre(
     """
     steps = np.r_[-np.asarray(GRADING)[::-1], 0.0, GRADING]
     inner = np.asarray(centres, dtype=float)[:, None] + np.asarray(widths, dtype=float)[:, None] * steps
-    bp = np.unique(np.clip(np.r_[a, inner.ravel(), b], a, b))
+    bp = np.sort(np.clip(np.r_[a, inner.ravel(), b], a, b))
+    bp = bp[np.r_[True, np.diff(bp) > 0.0]]  # np.unique's values, without its lazy numpy.ma import
     t, w = _leggauss(int(n))
     mid = 0.5 * (bp[:-1] + bp[1:])
     half = 0.5 * np.diff(bp)

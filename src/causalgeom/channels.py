@@ -20,9 +20,9 @@ import math
 import typing as tp
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from ._quadrature import gauss_legendre, graded_gauss_legendre, nodes_weights
+from ._special import box_mass, logsumexp, ndtr
 from .errors import (
     DegenerateDistributionError,
     DomainViolationError,
@@ -38,6 +38,11 @@ ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 _NORMALIZER_FLOOR = 1e-300
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Rows of parameter points a box mixture evaluates at once. Blocks keep the
+# temporaries in cache and small enough for the allocator to reuse; over the
+# whole arrays of a fig1b quadrature pass the mixture ran about 20% slower.
+_MIX_BLOCK = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +138,18 @@ class UniformBox:
         cov = channel.noise.covariance(lo)
 
         if np.allclose(cov, np.diag(np.diag(cov)), atol=0.0):
-            sig = np.sqrt(np.diag(cov))
+            axes = tuple(zip(lo.tolist(), hi.tolist(), np.sqrt(np.diag(cov)).tolist()))
 
             def log_mix(theta: np.ndarray) -> np.ndarray:
-                probs = ndtr((hi - theta) / sig) - ndtr((lo - theta) / sig)
-                return np.sum(np.log(np.maximum(probs, 1e-300)), axis=-1) - log_vol
+                flat = np.reshape(theta, (-1, self.dim))
+                out = np.zeros(flat.shape[0])
+                for start in range(0, flat.shape[0], _MIX_BLOCK):
+                    rows = flat[start : start + _MIX_BLOCK]
+                    for k, (a, b, s) in enumerate(axes):
+                        probs = box_mass(rows[:, k], a, b, s)
+                        out[start : start + _MIX_BLOCK] += np.log(np.maximum(probs, 1e-300, out=probs), out=probs)
+                out -= log_vol
+                return out.reshape(np.shape(theta)[:-1])
 
             return log_mix
 
