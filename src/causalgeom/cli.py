@@ -432,15 +432,26 @@ def _check_eigen(model_cfg: dict, theta: list[float] | None, sweep: dict | None)
         raise InvalidConfigError(
             f"model {name!r} has no eigen computation; it supports: {', '.join(entry.computations)}"
         )
-    if sweep is not None and sweep["variable"] == "theta":
-        theta = [sweep["from"]]
-    theta = theta or entry.eigen_theta
-    if theta is None:
+    swept = sweep is not None and sweep["variable"] == "theta"
+    _eigen_point(model_cfg, theta, {"theta": sweep["from"]} if swept else {})
+
+
+def _eigen_point(model_cfg: dict, theta: list[float] | None, overrides: dict) -> list[float]:
+    """The eigen point: the swept theta, else the config's, else the model default.
+
+    Raises InvalidConfigError when there is none or its length is not the
+    model's parameter count.
+    """
+    name = model_cfg["name"]
+    entry = MODELS[name]
+    point = [overrides["theta"]] if "theta" in overrides else theta or entry.eigen_theta
+    if point is None:
         raise InvalidConfigError("eigen computation needs a theta point")
-    if len(theta) != entry.dim:
+    if len(point) != entry.dim:
         raise InvalidConfigError(
-            f"theta has {len(theta)} components but model {name!r} has {entry.dim} parameter(s)"
+            f"theta has {len(point)} components but model {name!r} has {entry.dim} parameter(s)"
         )
+    return point
 
 
 def _thread_count(flag: int | None, cfg: dict) -> int:
@@ -520,9 +531,9 @@ def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
 
 def _eigen_row(cfg: dict, overrides: dict) -> dict[str, float]:
     model_cfg = cfg["models"][0]
-    entry = MODELS[model_cfg["name"]]
-    theta = [overrides["theta"]] if "theta" in overrides else cfg["theta"] or entry.eigen_theta
-    return entry.eigen(_instantiate(model_cfg, overrides), np.asarray(theta, dtype=float))
+    theta = _eigen_point(model_cfg, cfg["theta"], overrides)
+    eigen = MODELS[model_cfg["name"]].eigen
+    return eigen(_instantiate(model_cfg, overrides), np.asarray(theta, dtype=float))
 
 
 def _evaluate(cfg: dict, threads: int) -> tuple[list[str], list[list], list[str]]:

@@ -836,12 +836,22 @@ def ei_exact_mc(
 
 
 @functools.lru_cache(maxsize=16)
+def _field_axes(domain: Domain, nodes_per_axis: int) -> tuple[tuple[np.ndarray, ...], float]:
+    """Midpoint nodes of the box along each axis and the cell volume, read-only."""
+    axes, cell = midpoint_axes(domain.lower, domain.upper, nodes_per_axis)
+    for axis in axes:
+        axis.flags.writeable = False
+    return tuple(axes), cell
+
+
+@functools.lru_cache(maxsize=16)
 def _field_grid(domain: Domain, nodes_per_axis: int) -> tuple[np.ndarray, float]:
     """Midpoint nodes (N, d) of the box and the cell volume, built once per grid.
 
-    The nodes are read-only: every call with this grid shares the one array.
+    The nodes are the tensor grid of :func:`_field_axes`, flattened in C
+    order, and read-only: every call with this grid shares the one array.
     """
-    axes, cell = midpoint_axes(domain.lower, domain.upper, nodes_per_axis)
+    axes, cell = _field_axes(domain, nodes_per_axis)
     if domain.dim == 1:
         pts = axes[0][:, None]
     else:
@@ -868,17 +878,27 @@ def ei_geometric(
     The value may legitimately be negative, and is -inf when g is singular at
     a node; it is reported as-is with a flag. An h that is not positive
     definite at a node raises, naming it.
+
+    Both metrics are read on the tensor grid through
+    :meth:`MetricField.grid`, as entries that broadcast to the grid shape:
+    a field with a ``grid_func`` (a constant metric, the two-species g)
+    computes them per axis, any other field through its batch at every
+    node. The log dets are taken from those entries; for d <= 2 no g + h or
+    factor stack is built.
     """
     if g.dim != h.dim or g.dim != domain.dim:
         raise InvalidConfigError("metric fields and domain must share a dimension")
     d = domain.dim
-    pts, cell = _field_grid(domain, nodes_per_axis)
-    h_stack = h.batch(pts)
-    g_stack = g.batch(pts)
-    logdet_h = _logdet(h_stack)
-    _require_factored(logdet_h, pts, "intervention metric")
-    sqrt_h = np.exp(0.5 * logdet_h)
-    l_vals = _mismatch_batch(g_stack, h_stack, pts)
+    axes, cell = _field_axes(domain, nodes_per_axis)
+    pts = _field_grid(domain, nodes_per_axis)[0]
+    shape = tuple(len(axis) for axis in axes)
+    nodes = pts.reshape(shape + (d,))
+    h_grid = h.grid(axes, pts)
+    g_grid = g.grid(axes, pts)
+    logdet_h = _logdet(h_grid)
+    _require_factored(logdet_h, nodes, "intervention metric")
+    l_vals = _mismatch_batch(g_grid, h_grid, nodes)
+    sqrt_h = np.exp(0.5 * np.broadcast_to(logdet_h, shape))
     volume = float(cell * np.sum(sqrt_h))
     mean_l = float(np.sum(sqrt_h * l_vals) * cell / volume)
     volume_term = math.log(volume) - 0.5 * d * _LOG_2PIE

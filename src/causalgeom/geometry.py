@@ -28,12 +28,39 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _potf2(mats: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray]:
-    """LAPACK's unblocked potf2 on each matrix of a stack (..., d, d), d <= 2.
+Entries = tp.Tuple[np.ndarray, ...]
 
+
+def _entries(mats: np.ndarray) -> Entries:
+    """The lower triangle of each matrix of a stack (..., d, d), row by row.
+
+    (m00,) for d = 1 and (m00, m10, m11) for d = 2, as views. This is the
+    form the estimator works on: entries may be any arrays that broadcast
+    to one grid shape, so an entry that varies along one axis of a tensor
+    grid stays a vector and a constant entry a scalar.
+    """
+    d = mats.shape[-1]
+    return tuple(mats[..., i, j] for i in range(d) for j in range(i + 1))
+
+
+def _gather(entries: Entries, where: tp.Any = Ellipsis) -> np.ndarray:
+    """The symmetric matrices (..., d, d) that ``entries`` give at the nodes ``where`` selects."""
+    shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
+    cols = [np.broadcast_to(e, shape)[where] for e in entries]
+    d = (math.isqrt(8 * len(entries) + 1) - 1) // 2
+    mats = np.empty(cols[0].shape + (d, d))
+    for (i, j), col in zip([(i, j) for i in range(d) for j in range(i + 1)], cols):
+        mats[..., i, j] = mats[..., j, i] = col
+    return mats
+
+
+def _potf2(entries: Entries) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray]:
+    """LAPACK's unblocked potf2 on the matrices given by their entries, d <= 2.
+
+    ``entries`` is (a,) or (a, b, c) = (m00, m10, m11), see :func:`_entries`.
     Returns the factor's diagonal [l00] or [l00, l11], its l10 (None for
     d = 1) and where a matrix fails, with the operations of potf2 (as
-    OpenBLAS builds it) in its order on stack-shaped vectors:
+    OpenBLAS builds it) in its order, broadcast over the entries:
     l00 = sqrt(a), l10 = b * (1 / l00), l11 = sqrt(c - l10 * l10), failing
     where a pivot is <= 0. A NaN pivot is no failure. The entries of a
     failing matrix are left as the arithmetic makes them. FP flags are
@@ -41,15 +68,15 @@ def _potf2(mats: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None, np.nd
     for the whole stack.
     """
     with np.errstate(all="ignore"):
-        a = mats[..., 0, 0]
+        a = entries[0]
         diag = [np.sqrt(a)]
-        failed = a <= 0.0
+        failed = np.less_equal(a, 0.0)
         l10 = None
-        if mats.shape[-1] == 2:
-            l10 = mats[..., 1, 0] * (1.0 / diag[0])
-            pivot = mats[..., 1, 1] - l10 * l10
+        if len(entries) == 3:
+            l10 = entries[1] * (1.0 / diag[0])
+            pivot = entries[2] - l10 * l10
             diag.append(np.sqrt(pivot))
-            failed |= pivot <= 0.0
+            failed = failed | (pivot <= 0.0)
     return diag, l10, failed
 
 
@@ -68,7 +95,7 @@ def _potrf(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-1] > 2:
         with np.errstate(all="ignore"):
             return _umath_linalg.cholesky_lo(mats, signature="d->d")
-    diag, l10, failed = _potf2(mats)
+    diag, l10, failed = _potf2(_entries(mats))
     chol = np.zeros(mats.shape)
     for j, l_jj in enumerate(diag):
         chol[..., j, j] = l_jj
@@ -105,48 +132,55 @@ def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
     return chol
 
 
-def _small_logdet(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log det of each matrix of a stack (n, d, d), d <= 2, and where it fails (NaN)."""
-    diag, _, failed = _potf2(mats)
+def _small_logdet(entries: Entries) -> tuple[np.ndarray, np.ndarray]:
+    """log det of the matrices given by their entries, d <= 2, and where it fails (NaN).
+
+    The log det is an array, 0-d where every entry is a scalar.
+    """
+    diag, _, failed = _potf2(entries)
     with np.errstate(all="ignore"):
-        logdet = 2.0 * sum(np.log(l_jj) for l_jj in diag)
+        logdet = np.asarray(2.0 * sum(np.log(l_jj) for l_jj in diag))
     np.copyto(logdet, np.nan, where=failed)
     return logdet, failed
 
 
-def _logdet(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
-    """log det of each matrix of a stack (n, d, d); NaN where it does not factor.
+def _logdet(entries: Entries, jitter: bool = False) -> np.ndarray:
+    """log det of the matrices given by their entries (:func:`_entries`); NaN where one does not factor.
 
     2 * the sum of the logs of the Cholesky diagonal of :func:`_cholesky`,
-    with the same jitter rule. For d <= 2 the diagonal comes from the potf2
-    pivots (:func:`_potf2`) as stack-shaped vectors, without building the
-    factor stack. A stack that repeats one matrix along a stride-0 axis 0 (a
-    constant metric's batch) is factored once, and that log det is broadcast.
+    with the same jitter rule, in the broadcast shape of the entries. For
+    d <= 2 the diagonal comes from the potf2 pivots (:func:`_potf2`) without
+    building a matrix or factor stack; the jitter retries the failing
+    matrices alone, gathered into a small stack. Above d = 2 the matrices
+    are gathered and factored by LAPACK.
     """
-    if len(mats) > 1 and mats.strides[0] == 0:
-        return np.broadcast_to(_logdet(mats[:1], jitter), mats.shape[:1])
-    d = mats.shape[-1]
-    if d > 2:
-        chol = _cholesky(mats, jitter)
+    if len(entries) > 3:
+        chol = _cholesky(_gather(entries), jitter)
         # Summed in order, as np.sum does over fewer than 8 terms.
-        return 2.0 * sum(np.log(chol[..., j, j]) for j in range(d))
-    logdet, failed = _small_logdet(mats)
+        return 2.0 * sum(np.log(chol[..., j, j]) for j in range(chol.shape[-1]))
+    logdet, failed = _small_logdet(entries)
     if jitter and failed.any():
-        logdet[failed] = _small_logdet(_jittered(mats[failed]))[0]
+        logdet[failed] = _small_logdet(_entries(_jittered(_gather(entries, failed))))[0]
     return logdet
 
 
 def _require_factored(logdet: np.ndarray, points: np.ndarray | None, what: str) -> None:
-    """Raise DegenerateModelError naming the first point whose log det is NaN."""
+    """Raise DegenerateModelError naming the first point whose log det is NaN.
+
+    ``points`` (..., d) holds the nodes in the shape ``logdet`` broadcasts to.
+    """
     failed = np.isnan(logdet)
     if failed.any():
-        where = "" if points is None else f" at {points[int(np.argmax(failed))]}"
+        where = ""
+        if points is not None:
+            first = int(np.argmax(np.broadcast_to(failed, points.shape[:-1])))
+            where = f" at {points.reshape(-1, points.shape[-1])[first]}"
         raise DegenerateModelError(f"{what} is not positive definite{where}")
 
 
 def chol_logdet(m: np.ndarray) -> float:
     """log det of an SPD matrix via Cholesky, with the one jitter of :func:`_cholesky`."""
-    logdet = _logdet(np.asarray(m, dtype=float)[None], jitter=True)
+    logdet = _logdet(_entries(np.asarray(m, dtype=float)[None]), jitter=True)
     _require_factored(logdet, None, "matrix")
     return float(logdet[0])
 
@@ -158,11 +192,18 @@ class MetricField:
     ``func`` and ``batch_func`` must return symmetric matrices; the field
     passes them on as they are. A constructor whose arithmetic can break
     symmetry in the last bit symmetrizes once, itself.
+
+    ``grid_func`` is an optional hook for the geometric estimator: given the
+    node vectors of a tensor grid, one per axis, it returns the field's
+    entries there (see :meth:`grid`), each an array that broadcasts to the
+    grid shape. A field whose entries separate along the axes, or are
+    constant, can then compute them on vectors instead of at every node.
     """
 
     func: tp.Callable[[np.ndarray], np.ndarray]
     dim: int
     batch_func: tp.Callable[[np.ndarray], np.ndarray] | None = None
+    grid_func: tp.Callable[[tp.Sequence[np.ndarray]], Entries] | None = None
 
     def __call__(self, theta: ArrayLike) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -174,6 +215,19 @@ class MetricField:
         if self.batch_func is not None:
             return np.asarray(self.batch_func(points), dtype=float)
         return np.stack([self(p) for p in points])
+
+    def grid(self, axes: tp.Sequence[np.ndarray], points: np.ndarray) -> Entries:
+        """The entries (m00,) or (m00, m10, m11) on the tensor grid of ``axes``.
+
+        ``points`` (N, dim) is that grid flattened in C order. Each entry
+        broadcasts to the grid shape (len(axis) for each axis). They come from
+        ``grid_func`` when the field has one, else from :meth:`batch` at
+        ``points``, as views of its stack.
+        """
+        if self.grid_func is not None:
+            return self.grid_func(axes)
+        shape = tuple(len(axis) for axis in axes) + (self.dim, self.dim)
+        return _entries(self.batch(points).reshape(shape))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,15 +300,17 @@ def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:
     """A metric field equal to the same matrix everywhere.
 
     Its batch is a read-only view repeating the matrix along a stride-0
-    axis 0, which :func:`_logdet` factors once.
+    axis 0, and its grid entries are scalars, which the estimator factors
+    once.
     """
     matrix = _sym(np.atleast_2d(np.asarray(matrix, dtype=float)))
     matrix.setflags(write=False)  # every call hands out this one array
+    entries = _entries(matrix)
 
     def batch(points: np.ndarray) -> np.ndarray:
         return np.broadcast_to(matrix, (points.shape[0],) + matrix.shape)
 
-    return MetricField(lambda theta: matrix, dim, batch)
+    return MetricField(lambda theta: matrix, dim, batch, lambda axes: entries)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +325,22 @@ def mismatch_at(g_mat: np.ndarray, h_mat: np.ndarray) -> float:
     """
     g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
     h_mat = np.atleast_2d(np.asarray(h_mat, dtype=float))
-    return float(_mismatch_batch(g_mat[None], h_mat[None])[0])
+    return float(_mismatch_batch(_entries(g_mat[None]), _entries(h_mat[None]))[0])
 
 
-def _mismatch_batch(
-    g_stack: np.ndarray, h_stack: np.ndarray, points: np.ndarray | None = None
-) -> np.ndarray:
-    """Mismatch over stacks (n, d, d); ``points`` only names a failing point.
+def _mismatch_batch(g: Entries, h: Entries, points: np.ndarray | None = None) -> np.ndarray:
+    """Mismatch from the entries of g and h (:func:`_entries`), in their broadcast shape.
 
+    ``points`` only names a failing point (see :func:`_require_factored`).
     Gives +inf where g does not factor (without jitter): the parameter
     directions h still cares about are then invisible to the effects, and the
     log ratio genuinely diverges. A g + h that stays indefinite after the
-    jitter instead makes the comparison itself undefined and raises.
+    jitter instead makes the comparison itself undefined and raises. g + h
+    is summed entry by entry, so no matrix stack is built for d <= 2.
     """
-    ld_sum = _logdet(g_stack + h_stack, jitter=True)
+    ld_sum = _logdet(tuple(g_e + h_e for g_e, h_e in zip(g, h)), jitter=True)
     _require_factored(ld_sum, points, "g + h")
-    ld_g = _logdet(g_stack)
+    ld_g = _logdet(g)
     return np.where(np.isnan(ld_g), math.inf, 0.5 * (ld_sum - ld_g))
 
 
@@ -294,7 +350,7 @@ def mismatch(g: MetricField, h: MetricField) -> ScalarField:
         raise DegenerateModelError("metric fields live on spaces of different dimension")
 
     def batch(points: np.ndarray) -> np.ndarray:
-        return _mismatch_batch(g.batch(points), h.batch(points), points)
+        return _mismatch_batch(_entries(g.batch(points)), _entries(h.batch(points)), points)
 
     return ScalarField(lambda theta: batch(theta[None])[0], g.dim, batch)
 

@@ -27,7 +27,7 @@ from .channels import (
     NoiseSpec,
     UniformBox,
 )
-from .errors import InvalidConfigError, RegimeError
+from .errors import InvalidConfigError, NumericalFailureError, RegimeError
 from .geometry import MetricField, constant_metric, effect_metric
 from .manifold import Submanifold
 
@@ -308,25 +308,34 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         jacobian=jac,
     )
 
-    def g_batch(points: np.ndarray) -> np.ndarray:
+    def gram(th0: np.ndarray, th1: np.ndarray, cross: tp.Callable) -> tuple[np.ndarray, ...]:
         # J^T J entry by entry, each an in-order sum over the time points: the
         # einsum's value, at a fraction of its cost on these short axes. One
-        # time point at a time on N-vectors, so no (n, N) temporary is built;
-        # the products are those of `jac`.
-        th0, th1 = points[:, 0], points[:, 1]
+        # time point at a time, so no (n, N) temporary is built; the products
+        # are those of `jac`. g01 takes its products through `cross`.
         g00 = g01 = g11 = 0
         for neg_t in -times:
             j0 = neg_t * np.exp(neg_t * th0)
             j1 = neg_t * np.exp(neg_t * th1)
             g00 = g00 + j0 * j0
-            g01 = g01 + j0 * j1
+            g01 = g01 + cross(j0, j1)
             g11 = g11 + j1 * j1
+        scale = cfg.epsilon**2
+        return g00 / scale, g01 / scale, g11 / scale
+
+    def g_batch(points: np.ndarray) -> np.ndarray:
+        g00, g01, g11 = gram(points[:, 0], points[:, 1], np.multiply)
         out = np.empty((len(points), 2, 2))
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = g00, g01, g01, g11
-        out /= cfg.epsilon**2
         return out
 
-    g = MetricField(lambda t: g_batch(t[None, :])[0], 2, g_batch)
+    def g_grid(axes: tp.Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        # g00 varies along theta_1 alone and g11 along theta_2 alone; only g01
+        # fills the grid, as a sum of outer products in time order.
+        g00, g01, g11 = gram(axes[0], axes[1], np.multiply.outer)
+        return g00[:, None], g01, g11
+
+    g = MetricField(lambda t: g_batch(t[None, :])[0], 2, g_batch, g_grid)
     a_inv = np.linalg.inv(a)
     h = constant_metric(a_inv.T @ a_inv / cfg.delta**2, 2)
     return ChainModel(
@@ -409,6 +418,39 @@ class DecayConfounderMetrics:
     config: DecayConfounderConfig
 
 
+def _confounder_root(mu: tp.Callable[[float], float], dmu: tp.Callable[[float], float], theta: float) -> float:
+    """The level x with mu(x) = theta, on Python floats.
+
+    Sixteen Newton steps from x = theta; where they do not land on a root
+    (mu is not monotone for every config, so Newton can overshoot), bisection
+    on a bracket grown around theta by doubling. mu(x) grows like x in both
+    tails, so a bracket exists; one not found within 2^63 of theta raises
+    NumericalFailureError naming theta.
+    """
+    x0 = theta
+    try:
+        for _ in range(16):
+            x0 -= (mu(x0) - theta) / dmu(x0)
+    except ZeroDivisionError:
+        x0 = math.nan
+    if abs(mu(x0) - theta) <= 1e-12 * (1.0 + abs(theta)):
+        return x0
+    width = 1.0
+    for _ in range(64):
+        lo, hi = theta - width, theta + width
+        if mu(lo) < theta < mu(hi):
+            break
+        width *= 2.0
+    else:
+        raise NumericalFailureError(f"no level x with mean theta={theta} could be bracketed")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mu(mid) < theta:
+            lo = mid
+        else:
+            hi = mid
+    return lo if theta - mu(lo) <= mu(hi) - theta else hi
+
+
 def _confounder_moments(cfg: DecayConfounderConfig, theta: float) -> tuple[float, float]:
     """(numeric Fisher, mean of 1/sigma_net^2) of the observational inverse.
 
@@ -417,29 +459,36 @@ def _confounder_moments(cfg: DecayConfounderConfig, theta: float) -> tuple[float
     over all x. Scores in theta are analytic (the variance does not depend on
     theta), so a single windowed Gauss-Legendre pass gives the Fisher
     information as the score covariance -- no finite differences involved.
+    The window is centred on the root of mu(x) = theta
+    (:func:`_confounder_root`); a window that holds no mass raises
+    NumericalFailureError naming theta.
     """
-    def s2(x: np.ndarray) -> np.ndarray:
+    # The helpers take Python floats and arrays alike; squares are written
+    # x * x, which rounds as numpy's array x**2 does.
+    def s2(x):
         # sigma_net^2 = alpha^2 / (1/sigma_t^2 + x^2/sigma_x^2)
-        return cfg.alpha**2 / (1.0 / cfg.sigma_t**2 + x**2 / cfg.sigma_x**2)
+        return cfg.alpha**2 / (1.0 / cfg.sigma_t**2 + x * x / cfg.sigma_x**2)
 
-    def mu(x: np.ndarray) -> np.ndarray:
+    def mu(x):
         return x * (1.0 + cfg.x_hat * s2(x) / (cfg.alpha * cfg.sigma_x**2))
 
-    def dmu(x: np.ndarray) -> np.ndarray:
-        c = cfg.x_hat * s2(x) / (cfg.alpha * cfg.sigma_x**2)
-        ds2 = -2.0 * x / cfg.sigma_x**2 * s2(x) ** 2 / cfg.alpha**2
+    def dmu(x):
+        s = s2(x)
+        c = cfg.x_hat * s / (cfg.alpha * cfg.sigma_x**2)
+        ds2 = -2.0 * x / cfg.sigma_x**2 * (s * s) / cfg.alpha**2
         return 1.0 + c + x * cfg.x_hat * ds2 / (cfg.alpha * cfg.sigma_x**2)
 
-    x0 = float(theta)
-    for _ in range(16):
-        x0 -= (float(mu(np.array([x0]))[0]) - theta) / float(dmu(np.array([x0]))[0])
-    width = 14.0 * math.sqrt(float(s2(np.array([x0]))[0])) / abs(float(dmu(np.array([x0]))[0]))
+    theta = float(theta)
+    x0 = _confounder_root(mu, dmu, theta)
+    width = 14.0 * math.sqrt(s2(x0)) / abs(dmu(x0))
     nodes, w = gauss_legendre(x0 - width, x0 + width, 400)
     var = s2(nodes)
     dens = np.exp(-0.5 * (theta - mu(nodes)) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
     score = -(theta - mu(nodes)) / var
     wq = w * dens
     m0 = float(np.sum(wq))
+    if not m0 > 0.0:
+        raise NumericalFailureError(f"the observational density has no mass near theta={theta}")
     mean_score = float(np.sum(wq * score)) / m0
     fisher = float(np.sum(wq * (score - mean_score) ** 2)) / m0
     mean_inv_var = float(np.sum(wq / var)) / m0

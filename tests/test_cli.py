@@ -287,6 +287,22 @@ def test_numeric_failure_exits_3_and_names_the_point(tmp_path, capsys):
     assert "grid point 0.2" in capsys.readouterr().err
 
 
+def test_steep_decay_confounder_exits_3_without_a_traceback(tmp_path, capsys):
+    """Newton overshoots the root of the observational mean at this point; the
+    bracketed root gives h_stat, and the run stops at the series, which is
+    out of its regime at sigma_t / sigma_x = 2: exit 3 with a message."""
+    doc = {
+        "schema_version": 1,
+        "model": {"name": "decay-confounder", "sigma_t": 0.4, "sigma_x": 0.2, "alpha": 3.0, "x_hat": 1.0},
+        "computation": "eigen",
+        "theta": [0.4],
+    }
+    code, out = run_into(tmp_path, doc)
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert "series expansion valid for sigma_t/sigma_x <= 0.1" in err and "Traceback" not in err
+
+
 def test_monte_carlo_fallback_is_logged(tmp_path, caplog, monkeypatch):
     """Quadrature refuses the two-dimensional model; the switch to Monte Carlo
     is logged with the model label and the refusal (a stub stands in for MC)."""

@@ -13,7 +13,7 @@ import pathlib
 import tempfile
 
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from causalgeom.cli import MODELS, main
 
@@ -89,6 +89,14 @@ def reaches_monte_carlo(doc: dict) -> bool:
 
 
 @given(documents())
+@example(
+    {
+        "schema_version": 1,
+        "model": {"name": "decay-confounder", "sigma_t": 0.4, "sigma_x": 0.2, "alpha": 3.0, "x_hat": 1.0},
+        "computation": "eigen",
+        "theta": [0.4],
+    }
+)
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_any_config_keeps_the_cli_contract(doc):
     assume(not reaches_monte_carlo(doc))

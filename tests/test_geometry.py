@@ -1,6 +1,8 @@
 """Metric fields, mismatch, eigen-spectra, and reparameterization."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from causalgeom import (
     two_species_model,
 )
 from causalgeom import geometry
-from causalgeom.ei import _field_grid
-from causalgeom.geometry import _cholesky, _mismatch_batch, chol_logdet
+from causalgeom.ei import _field_axes, _field_grid
+from causalgeom.geometry import _cholesky, _entries, _mismatch_batch, chol_logdet
 
 UNIT = Domain(((0.0, 1.0),))
 
@@ -148,7 +150,7 @@ def test_mixed_stack_matches_pointwise_mismatch():
 
     expected = np.array([mismatch_at(g_mat, h_mat) for g_mat, h_mat in zip(g_stack, h_stack)])
     assert np.all(np.isinf(expected) == (picks > 0))
-    np.testing.assert_array_equal(_mismatch_batch(g_stack, h_stack), expected)
+    np.testing.assert_array_equal(_mismatch_batch(_entries(g_stack), _entries(h_stack)), expected)
     np.testing.assert_array_equal(mismatch(field(g_stack), field(h_stack)).batch(points), expected)
 
     chol = _cholesky(g_stack)
@@ -228,7 +230,7 @@ def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
     stack = _edge_stack(d)
     factors = np.stack([_cholesky_one(m, jitter) for m in stack])
     expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
-    logdet = geometry._logdet(stack, jitter)
+    logdet = geometry._logdet(_entries(stack), jitter)
     np.testing.assert_array_equal(logdet, expected)
     assert np.isnan(logdet).any() and not np.isnan(logdet).all()
     # and with zero, -0.0, subnormal, inf, NaN and negative entries in each place
@@ -243,7 +245,7 @@ def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
         mats = np.stack(cases)
         factors = np.stack([_cholesky_one(m, jitter) for m in mats])
         expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
-        np.testing.assert_array_equal(geometry._logdet(mats, jitter), expected)
+        np.testing.assert_array_equal(geometry._logdet(_entries(mats), jitter), expected)
 
 
 def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
@@ -262,9 +264,9 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
     failing_rows = []
     potf2 = geometry._potf2
 
-    def counting_potf2(mats):
+    def counting_potf2(entries):
         before = len(lapack_calls)
-        diag, l10, failed = potf2(mats)
+        diag, l10, failed = potf2(entries)
         per_stack.append(len(lapack_calls) - before)
         failing_rows.append(int(failed.sum()))
         return diag, l10, failed
@@ -439,9 +441,9 @@ def test_two_species_ei_geometric_factors_the_constant_h_once(monkeypatch, cfg):
     rows = []
     potf2 = geometry._potf2
 
-    def counting(mats):
-        rows.append(math.prod(mats.shape[:-2]))
-        return potf2(mats)
+    def counting(entries):
+        rows.append(np.broadcast(*entries).size)
+        return potf2(entries)
 
     model = two_species_model(cfg)
     expected = ei_geometric(model.g, model.h, model.theta_domain)
@@ -449,3 +451,123 @@ def test_two_species_ei_geometric_factors_the_constant_h_once(monkeypatch, cfg):
     report = ei_geometric(model.g, model.h, model.theta_domain)
     assert rows == [1, 101 * 102, 101 * 102]
     assert report == expected
+
+
+SKEWED = np.array([[1.0, 0.8], [0.7, 1.0]])
+
+
+def _grid(domain: Domain, nodes_per_axis: int = 101):
+    """The estimator's axes, flattened nodes and nodes in grid shape."""
+    axes = _field_axes(domain, nodes_per_axis)[0]
+    pts = _field_grid(domain, nodes_per_axis)[0]
+    return axes, pts, pts.reshape(tuple(len(a) for a in axes) + (domain.dim,))
+
+
+def _lapack_logdet(stack: np.ndarray, jitter: bool) -> np.ndarray:
+    """log det of each 2 x 2 matrix of a stack from LAPACK's factors, with the one jitter retry."""
+    chol = _lapack_factor(stack)
+    failed = np.isnan(chol).all(axis=(1, 2))
+    if jitter and failed.any():
+        chol[failed] = _lapack_factor(geometry._jittered(stack[failed]))
+    return 2.0 * (np.log(chol[:, 0, 0]) + np.log(chol[:, 1, 1]))
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), SKEWED])
+def test_two_species_grid_entries_and_mismatch_match_the_stacks(matrix):
+    """On the 101 x 102 grid, from short intervals to delta_t = 50 (where g
+    does not factor at some nodes): the grid entries of g and h equal the
+    entries of their batch stacks bit for bit, g00 and g11 stay vectors along
+    their own axis and h's are scalars; the mismatch from the entries equals
+    the arithmetic on the full g + h and g stacks, factored by LAPACK."""
+    singular = 0
+    for delta_t in (0.02, 0.1, 1.0, 5.0, 13.57, 20.0, 50.0):
+        model = two_species_model(
+            TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix)
+        )
+        axes, pts, nodes = _grid(model.theta_domain)
+        shape = nodes.shape[:-1]
+        g_grid, h_grid = model.g.grid(axes, pts), model.h.grid(axes, pts)
+        g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
+        assert [np.shape(e) for e in g_grid] == [(101, 1), shape, (102,)]
+        assert [np.shape(e) for e in h_grid] == [(), (), ()]
+        for grid, stack in ((g_grid, g_stack), (h_grid, h_stack)):
+            for entry, expected in zip(grid, _entries(stack.reshape(shape + (2, 2)))):
+                np.testing.assert_array_equal(np.broadcast_to(entry, shape), expected)
+
+        ld_g = _lapack_logdet(g_stack, False)
+        expected = np.where(np.isnan(ld_g), math.inf, 0.5 * (_lapack_logdet(g_stack + h_stack, True) - ld_g))
+        l_vals = _mismatch_batch(g_grid, h_grid, nodes)
+        assert l_vals.shape == shape
+        np.testing.assert_array_equal(l_vals.reshape(-1), expected)
+        singular += int(np.isinf(expected).sum())
+    assert singular > 0
+
+
+def _split_field(c_of_theta2, h11: float):
+    """A 2-D g whose entries separate along the axes, g = diag(1, c(theta_2)),
+    as a grid hook and as a batch, with the constant h = diag(1, h11)."""
+
+    def batch(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0], out[:, 1, 1] = 1.0, c_of_theta2(pts[:, 1])
+        return out
+
+    g = MetricField(lambda t: batch(t[None])[0], 2, batch, lambda axes: (1.0, 0.0, c_of_theta2(axes[1])))
+    return g, constant_metric(np.diag([1.0, h11]), 2)
+
+
+def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
+    """g + h = diag(2, -1e-20) for theta_2 > 0.75: those nodes fail the first
+    factorization and the one jitter recovers them, gathered into one small
+    stack; g fails there too, so the mismatch is +inf. The grid path agrees
+    with the stack path of the mismatch field. A g + h the jitter cannot
+    recover raises, naming the first failing node of the grid."""
+    square = Domain(((0.0, 1.0), (0.0, 1.0)))
+    g, h = _split_field(lambda t2: np.where(t2 > 0.75, -2e-20, 1.0), 1e-20)
+    axes, pts, nodes = _grid(square)
+    failing = int(np.sum(axes[1] > 0.75))
+    rows = []
+    potf2 = geometry._potf2
+
+    def counting(entries):
+        rows.append(np.broadcast(*entries).size)
+        return potf2(entries)
+
+    monkeypatch.setattr(geometry, "_potf2", counting)
+    l_vals = _mismatch_batch(g.grid(axes, pts), h.grid(axes, pts), nodes)
+    assert rows == [102, failing, 102]  # g + h, its jitter retry, g
+    expected = mismatch(g, h).batch(pts).reshape(nodes.shape[:-1])
+    np.testing.assert_array_equal(np.broadcast_to(l_vals, expected.shape), expected)
+    assert np.isinf(expected).sum() == 101 * failing and np.isfinite(expected).any()
+    assert ei_geometric(g, h, square).nats == -math.inf
+
+    g, h = _split_field(lambda t2: np.where(t2 > 0.75, -2.0, 1.0), 1.0)
+    first = nodes[0, int(np.argmax(axes[1] > 0.75))]
+    with pytest.raises(DegenerateModelError, match=re.escape(f"g + h is not positive definite at {first}")):
+        ei_geometric(g, h, square)
+
+
+def test_two_species_estimate_builds_no_matrix_stack(monkeypatch):
+    """At every factorization inside a 2-D two-species estimate, no live block
+    traced since the call began is as large as an (N, 2, 2) stack, while the
+    per-node vectors (N,) are live: the metrics never exist as stacks."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, matrix=SKEWED))
+    expected = ei_geometric(model.g, model.h, model.theta_domain)
+    n_nodes = 101 * 102
+    largest = []
+    potf2 = geometry._potf2
+
+    def snapshotting(entries):
+        largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        return potf2(entries)
+
+    monkeypatch.setattr(geometry, "_potf2", snapshotting)
+    tracemalloc.start()
+    try:
+        report = ei_geometric(model.g, model.h, model.theta_domain)
+    finally:
+        tracemalloc.stop()
+    assert report == expected
+    assert len(largest) == 3
+    assert max(largest) < n_nodes * 2 * 2 * 8
+    assert max(largest) >= n_nodes * 8

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from causalgeom import (
     ConstantIsotropic,
@@ -14,6 +15,7 @@ from causalgeom import (
     FullConstant,
     InvalidConfigError,
     MetricField,
+    NumericalFailureError,
     RegimeError,
     TwoSpeciesConfig,
     UniformBox,
@@ -35,6 +37,7 @@ from causalgeom import (
     weber_noise,
     weber_optimal_profile,
 )
+from causalgeom import models
 from causalgeom.cli import MODELS
 from causalgeom.ei import _field_grid
 
@@ -235,6 +238,62 @@ def test_decay_confounder_series_regime_guard():
     mets = decay_confounder_metrics(cfg)
     with pytest.raises(RegimeError):
         mets.h_stat_series(0.5)
+
+
+# sigma_t / sigma_x = 2: the observational mean bends so sharply that Newton
+# from x = theta overshoots the one root of mu(x) = theta
+STEEP = DecayConfounderConfig(sigma_t=0.4, sigma_x=0.2, alpha=3.0, x_hat=1.0)
+
+
+def _observational_mean(cfg: DecayConfounderConfig):
+    """sigma_net^2(x), mu(x) and mu'(x) of the confounded decay, from their formulas."""
+
+    def s2(x):
+        return cfg.alpha**2 / (1.0 / cfg.sigma_t**2 + x * x / cfg.sigma_x**2)
+
+    def mu(x):
+        return x * (1.0 + cfg.x_hat * s2(x) / (cfg.alpha * cfg.sigma_x**2))
+
+    def dmu(x):
+        ds2 = -2.0 * x / cfg.sigma_x**2 * s2(x) ** 2 / cfg.alpha**2
+        return 1.0 + cfg.x_hat * (s2(x) + x * ds2) / (cfg.alpha * cfg.sigma_x**2)
+
+    return s2, mu, dmu
+
+
+@pytest.mark.parametrize("theta", [0.365, 0.37, 0.4])
+def test_decay_confounder_root_is_bracketed_where_newton_overshoots(theta):
+    """Newton from x = theta misses the root, so the bisection fallback finds
+    it: it is the one sign change of mu(x) - theta on a dense scan, and the
+    statistical metric over the window around it matches a dense trapezoid
+    integral of the observational density over all levels."""
+    s2, mu, dmu = _observational_mean(STEEP)
+    x = theta
+    for _ in range(16):
+        x -= (mu(x) - theta) / dmu(x)
+    assert abs(mu(x) - theta) > 1.0
+
+    xs = np.linspace(-30.0, 30.0, 600_001)
+    f = mu(xs) - theta
+    (crossing,) = np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1]))
+    root = models._confounder_root(mu, dmu, theta)
+    assert xs[crossing] <= root <= xs[crossing + 1]
+    assert abs(mu(root) - theta) <= 1e-15
+
+    var = s2(xs)
+    dens = np.exp(-0.5 * (theta - mu(xs)) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+    score = -(theta - mu(xs)) / var
+    m0 = trapezoid(dens, xs)
+    mean_score = trapezoid(dens * score, xs) / m0
+    fisher = trapezoid(dens * (score - mean_score) ** 2, xs) / m0
+    assert decay_confounder_metrics(STEEP).h_stat(theta)[0, 0] == pytest.approx(fisher, rel=1e-8)
+
+
+def test_decay_confounder_root_without_a_bracket_names_theta():
+    """A mean that never reaches theta and stalls Newton (zero slope) raises a
+    numerical failure naming theta, instead of dividing by zero."""
+    with pytest.raises(NumericalFailureError, match="theta=0.5"):
+        models._confounder_root(lambda x: -abs(x) - 1.0, lambda x: 0.0, 0.5)
 
 
 def test_decay_causal_channel_pushforward():
