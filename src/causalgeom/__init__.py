@@ -6,20 +6,15 @@ from .channels import (
     DiscretePoints,
     Domain,
     FullConstant,
-    Gaussian,
     GaussianChannel,
     InvertedChannel,
     UniformBox,
     invert_uniform_prior,
-    log_density,
-    push_forward,
 )
 from .ei import (
-    DensityEstimate,
     EIReport,
     MonteCarloSpec,
     QuadratureSpec,
-    effect_distribution,
     ei_exact_mc,
     ei_exact_quadrature,
     ei_geometric,
@@ -40,13 +35,11 @@ from .errors import (
 from .geometry import (
     EigenReport,
     MetricField,
-    ScalarField,
     SmoothMap,
     causal_eigenvalues,
     constant_metric,
     effect_metric,
     intervention_metric,
-    mismatch,
     mismatch_at,
     reparameterize,
 )
@@ -57,7 +50,6 @@ from .manifold import (
     SweepSpec,
     coarse_grained_ei,
     crossover_scan,
-    pullback,
     pullback_field,
 )
 from .models import (
@@ -68,7 +60,6 @@ from .models import (
     TwoSpeciesConfig,
     antidiagonal_submanifold,
     binary_switch_model,
-    decay_causal_channel,
     decay_confounder_metrics,
     diagonal_submanifold,
     dimmer_family,

@@ -18,8 +18,6 @@ import numpy.polynomial.legendre
 __all__ = [
     "gauss_legendre",
     "graded_gauss_legendre",
-    "trapezoid",
-    "nodes_weights",
     "gauss_hermite",
     "midpoint_axes",
 ]
@@ -73,24 +71,6 @@ def graded_gauss_legendre(
     mid = 0.5 * (bp[:-1] + bp[1:])
     half = 0.5 * np.diff(bp)
     return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
-
-
-def trapezoid(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite trapezoid nodes/weights on [a, b] with n nodes."""
-    n = int(n)
-    x = np.linspace(a, b, n)
-    h = (b - a) / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return x, w
-
-
-def nodes_weights(rule: str, a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if rule == "gauss-legendre":
-        return gauss_legendre(a, b, n)
-    if rule == "trapezoid":
-        return trapezoid(a, b, n)
-    raise ValueError(f"unknown quadrature rule: {rule!r}")
 
 
 def midpoint_axes(

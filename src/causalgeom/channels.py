@@ -21,7 +21,7 @@ import typing as tp
 
 import numpy as np
 
-from ._quadrature import gauss_legendre, graded_gauss_legendre, nodes_weights
+from ._quadrature import gauss_legendre, graded_gauss_legendre
 from ._special import box_mass, logsumexp, ndtr
 from .errors import (
     DegenerateDistributionError,
@@ -182,22 +182,18 @@ class UniformBox:
         return self.domain.lower, self.domain.upper
 
     def components(
-        self, channel: GaussianChannel, rule: str, nodes: int, layers: Layers
+        self, channel: GaussianChannel, nodes: int, layers: Layers
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Means (m, d) and weights (m,), summing to one, of ``rule`` on a scalar box.
+        """Means (m, d) and weights (m,), summing to one, of the outer rule on a scalar box.
 
-        The trapezoid rule spreads ``nodes`` nodes evenly. Gauss-Legendre puts
-        ``nodes`` nodes on each panel of a composite rule graded into
-        ``layers`` (log_mixture admits only an identity intervention mean, so
-        parameter values are intervention values here).
+        Composite Gauss-Legendre with ``nodes`` nodes on each panel, graded
+        into ``layers`` (log_mixture admits only an identity intervention
+        mean, so parameter values are intervention values here).
         """
         if self.dim != 1:
             raise UseMonteCarloError("an outer rule over a box needs scalar interventions")
         lo, hi = self.domain.axes[0]
-        if rule == "gauss-legendre":
-            x, w = graded_gauss_legendre(lo, hi, *layers, nodes)
-        else:
-            x, w = nodes_weights(rule, lo, hi, nodes)
+        x, w = graded_gauss_legendre(lo, hi, *layers, nodes)
         return channel.mean(x[:, None]), w / self.domain.volume
 
 
@@ -242,9 +238,9 @@ class DiscretePoints:
         return np.min(mus, axis=0), np.max(mus, axis=0)
 
     def components(
-        self, channel: GaussianChannel, rule: str, nodes: int, layers: Layers
+        self, channel: GaussianChannel, nodes: int, layers: Layers
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Every point with equal weight; the rule, node count and layers do not apply."""
+        """Every point with equal weight; the node count and layers do not apply."""
         k = self.points.shape[0]
         return channel.mean(self.points), np.full(k, 1.0 / k)
 
@@ -450,50 +446,6 @@ class GaussianChannel:
     def sample(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
         """Draw one output per input row; x has shape (..., d_in)."""
         return self.noise.draw(rng, self.mean(x))
-
-
-@dataclasses.dataclass(frozen=True)
-class Gaussian:
-    """A concrete multivariate normal produced by a channel."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def log_density(self, point: ArrayLike) -> float | np.ndarray:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        out = gaussian_log_density(FullConstant(self.cov), p, self.mean)
-        return float(out) if np.ndim(point) <= 1 else out
-
-    def density(self, point: ArrayLike) -> float | np.ndarray:
-        return np.exp(self.log_density(point))
-
-
-def push_forward(channel: GaussianChannel, x: ArrayLike) -> Gaussian:
-    """Distribution over outputs under do(x). x must lie in the input domain."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (channel.dim_in,):
-        raise DomainViolationError(
-            f"expected a point of dimension {channel.dim_in}, got shape {x.shape}"
-        )
-    if not channel.input_domain.contains(x):
-        raise DomainViolationError(f"intervention {x} lies outside the input domain")
-    mean = channel.mean(x)
-    return Gaussian(mean, np.atleast_2d(channel.noise.covariance(mean)))
-
-
-def log_density(dist: Gaussian, point: ArrayLike) -> float | np.ndarray:
-    """Log density of a channel output distribution at a point."""
-    return dist.log_density(point)
 
 
 # ---------------------------------------------------------------------------

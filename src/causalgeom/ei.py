@@ -28,7 +28,6 @@ from ._quadrature import (
     gauss_hermite,
     gauss_legendre,
     midpoint_axes,
-    nodes_weights,
 )
 from .channels import (
     Domain,
@@ -60,17 +59,14 @@ FLAG_UNRELIABLE = "unreliable-estimate"
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid sizes and rule of the exact quadrature estimator."""
+    """Grid sizes of the exact quadrature estimator."""
 
     nodes_per_axis: int = 201
-    rule: str = "gauss-legendre"
     effect_tail_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
         if self.nodes_per_axis < 21:
             raise InvalidConfigError("nodes_per_axis must be at least 21")
-        if self.rule not in ("gauss-legendre", "trapezoid"):
-            raise InvalidConfigError(f"unknown rule {self.rule!r}")
         if self.effect_tail_sigmas < 4.0:
             raise InvalidConfigError("effect_tail_sigmas must be at least 4")
 
@@ -225,17 +221,13 @@ class _ScalarChain:
                 w *= GRADING[-1]
         return tuple(np.array(layers).reshape(-1, 2).T)
 
-    def components(
-        self, spec: QuadratureSpec, refine: int = 1
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def components(self, refine: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Parameter mean, sd and weight of each component of the outer average.
 
-        On a box, Gauss-Legendre takes PANEL_NODES nodes per panel graded
-        into outer_layers, and the trapezoid rule nodes_per_axis nodes;
-        refine multiplies either. A discrete set takes every point.
+        On a box, Gauss-Legendre takes refine * PANEL_NODES nodes per panel
+        graded into outer_layers. A discrete set takes every point.
         """
-        nodes = self.PANEL_NODES if spec.rule == "gauss-legendre" else spec.nodes_per_axis
-        mus, weights = self.x_set.components(self.ch_xt, spec.rule, refine * nodes, self.outer_layers)
+        mus, weights = self.x_set.components(self.ch_xt, refine * self.PANEL_NODES, self.outer_layers)
         return mus[:, 0], _sd(self.ch_xt.noise, mus), weights
 
     # -- conditional effect density ------------------------------------------
@@ -467,7 +459,7 @@ class _ScalarChain:
         sig_q = np.broadcast_to(np.asarray(sig_q, dtype=float), mu_q.shape)
         f0, cov = self.predicted_moments_batch(mu_q, sig_q)
         m = mu_q.shape[0]
-        u, w = nodes_weights(spec.rule, -spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
+        u, w = gauss_legendre(-spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
         sd = np.sqrt(cov[:, 0, 0])
         y = f0 + sd[:, None] * u[None, :]  # (m, k)
         k = u.shape[0]
@@ -554,46 +546,9 @@ def _kl_integrand(p: np.ndarray, log_e: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class DensityEstimate:
-    """The intervention-averaged effect density on an evaluation window."""
-
-    density: tp.Callable[[np.ndarray], np.ndarray]
-    window: Domain
-
-    def __call__(self, y) -> np.ndarray:
-        y2 = np.atleast_2d(np.asarray(y, dtype=float))
-        out = self.density(y2)
-        return float(out[0]) if np.ndim(y) == 0 or np.shape(y) == (1,) else out
-
-    def integral(self, nodes: int = 1001) -> float:
-        if self.window.dim != 1:
-            raise InvalidConfigError("normalization check implemented for scalar effects")
-        lo, hi = self.window.axes[0]
-        x, w = gauss_legendre(lo, hi, nodes)
-        return float(np.sum(w * self.density(x[:, None])))
-
-
-def effect_distribution(
-    x_set: InterventionSet,
-    ch_xt: GaussianChannel,
-    ch_ty: GaussianChannel,
-    spec: QuadratureSpec | None = None,
-) -> DensityEstimate:
-    """Effect density averaged over the intervention set."""
-    spec = spec or QuadratureSpec()
-    chain = _ScalarChain(ch_xt, ch_ty, x_set)
-    # a box's edges and 31 points between
-    mu, sig, _ = chain.components(QuadratureSpec(nodes_per_axis=33, rule="trapezoid"))
-    f0, cov = chain.predicted_moments_batch(mu, sig)
-    reach = spec.effect_tail_sigmas * np.sqrt(cov[:, 0, 0])
-    window = ((float(np.min(f0[:, 0] - reach)), float(np.max(f0[:, 0] + reach))),)
-    return DensityEstimate(density=chain.averaged_density, window=Domain(window))
-
-
 def _quadrature_pass(chain: _ScalarChain, spec: QuadratureSpec, refine: int) -> tuple[float, int]:
     """EI in nats with every node count times refine, and the outer node count."""
-    mu, sig, w = chain.components(spec, refine)
+    mu, sig, w = chain.components(refine)
     return float(w @ chain.kl_all(mu, sig, spec, refine * spec.nodes_per_axis)), mu.size
 
 
@@ -615,20 +570,19 @@ def ei_exact_quadrature(
     runs over a mean +- tail*sigma envelope with nodes_per_axis nodes. The
     intervention average over a box is composite Gauss-Legendre, 12 nodes
     per panel, with panels graded into the boundary layer at each edge and
-    around each effect-noise kink (or the trapezoid rule on nodes_per_axis
-    nodes); over discrete points it is a plain mean. The intervention-averaged
-    effect density is evaluated, with its first two derivatives, on nested
-    Chebyshev grids, one per effect window, each starting at 33 points and
-    doubling only while its error check asks for more than the doubling
-    costs (``_ScalarChain.effect_grids``); log e is interpolated at the
-    effect nodes by quintic Hermite steps, and nodes the grids do not
-    resolve to the kernel's tolerance are evaluated directly. Its
-    integration breakpoints come from inverting f through a table built
+    around each effect-noise kink; over discrete points it is a plain mean.
+    The intervention-averaged effect density is evaluated, with its first
+    two derivatives, on nested Chebyshev grids, one per effect window, each
+    starting at 33 points and doubling only while its error check asks for
+    more than the doubling costs (``_ScalarChain.effect_grids``); log e is
+    interpolated at the effect nodes by quintic Hermite steps, and nodes the
+    grids do not resolve to the kernel's tolerance are evaluated directly.
+    Its integration breakpoints come from inverting f through a table built
     once per chain. On the bundled chains the graded panels match a uniform
     401-node outer rule to 5e-12 nats, and against direct evaluation at
-    every node the grids move the bundled figures by at most 1.5e-13 nats.
-    A second pass with every node count doubled flags non-convergence
-    beyond 1e-3 nats.
+    every node the grids move the bundled figures by at most 1.5e-13 nats. A
+    second pass with every node count doubled flags non-convergence beyond
+    1e-3 nats.
     """
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)
@@ -638,10 +592,9 @@ def ei_exact_quadrature(
         doubled, _ = _quadrature_pass(chain, spec, 2)
         if abs(doubled - nats) > 1e-3:
             flags = (FLAG_NOT_CONVERGED,)
-    panels = f" ({chain.PANEL_NODES} per graded panel on a box)" if spec.rule == "gauss-legendre" else ""
     grid = (
-        f"{spec.rule}:{outer} outer nodes{panels}, {spec.nodes_per_axis} effect nodes, "
-        f"tail {spec.effect_tail_sigmas} sigma"
+        f"gauss-legendre:{outer} outer nodes ({chain.PANEL_NODES} per graded panel on a box), "
+        f"{spec.nodes_per_axis} effect nodes, tail {spec.effect_tail_sigmas} sigma"
     )
     return EIReport.build(nats, "exact-quadrature", grid, flags=flags)
 

@@ -178,13 +178,6 @@ def _require_factored(logdet: np.ndarray, points: np.ndarray | None, what: str) 
         raise DegenerateModelError(f"{what} is not positive definite{where}")
 
 
-def chol_logdet(m: np.ndarray) -> float:
-    """log det of an SPD matrix via Cholesky, with the one jitter of :func:`_cholesky`."""
-    logdet = _logdet(_entries(np.asarray(m, dtype=float)[None]), jitter=True)
-    _require_factored(logdet, None, "matrix")
-    return float(logdet[0])
-
-
 @dataclasses.dataclass(frozen=True)
 class MetricField:
     """A symmetric-matrix-valued function of the parameter point.
@@ -228,25 +221,6 @@ class MetricField:
             return self.grid_func(axes)
         shape = tuple(len(axis) for axis in axes) + (self.dim, self.dim)
         return _entries(self.batch(points).reshape(shape))
-
-
-@dataclasses.dataclass(frozen=True)
-class ScalarField:
-    """A scalar-valued function of the parameter point."""
-
-    func: tp.Callable[[np.ndarray], float]
-    dim: int
-    batch_func: tp.Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, theta: ArrayLike) -> float:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return float(self.func(theta))
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.batch_func is not None:
-            return np.asarray(self.batch_func(points), dtype=float)
-        return np.array([self(p) for p in points])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,17 +316,6 @@ def _mismatch_batch(g: Entries, h: Entries, points: np.ndarray | None = None) ->
     _require_factored(ld_sum, points, "g + h")
     ld_g = _logdet(g)
     return np.where(np.isnan(ld_g), math.inf, 0.5 * (ld_sum - ld_g))
-
-
-def mismatch(g: MetricField, h: MetricField) -> ScalarField:
-    """The mismatch as a scalar field over parameter space."""
-    if g.dim != h.dim:
-        raise DegenerateModelError("metric fields live on spaces of different dimension")
-
-    def batch(points: np.ndarray) -> np.ndarray:
-        return _mismatch_batch(_entries(g.batch(points)), _entries(h.batch(points)), points)
-
-    return ScalarField(lambda theta: batch(theta[None])[0], g.dim, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from .ei import EIReport, _field_grid, ei_geometric
 from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigError
 from .geometry import MetricField, _sym
 
-ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
-
 logger = logging.getLogger(__name__)
 
 
@@ -42,11 +40,6 @@ class Submanifold:
     @property
     def dim(self) -> int:
         return self.sigma_domain.dim
-
-
-def pullback(m: MetricField, sub: Submanifold, sigma: ArrayLike) -> np.ndarray:
-    """Pull the metric back onto the submanifold at one coordinate point."""
-    return pullback_field(m, sub)(sigma)
 
 
 def _embedding_jacobian(sub: Submanifold, dims: tp.Iterable[int], points: np.ndarray) -> np.ndarray:
@@ -171,11 +164,6 @@ class CrossoverScan:
     curves: dict[str, list[EIReport | None]]
     argmax: list[str | None]
     crossings: tuple[Crossing, ...]
-
-    def curve_nats(self, label: str) -> np.ndarray:
-        return np.array(
-            [r.nats if r is not None else np.nan for r in self.curves[label]]
-        )
 
 
 CurveFn = tp.Callable[[float], EIReport]

@@ -521,9 +521,3 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
         return mean_inv_var - corr
 
     return DecayConfounderMetrics(h_caus=h_caus, h_stat=h_stat, h_stat_series=series, config=cfg)
-
-
-def decay_causal_channel(cfg: DecayConfounderConfig, x_domain: Domain | None = None) -> GaussianChannel:
-    """The targeted-experiment channel, for cross-checks against h_caus."""
-    x_domain = x_domain or Domain(((-2.0, 3.0),))
-    return _identity_channel(ConstantIsotropic(cfg.alpha * cfg.sigma_t), x_domain)

@@ -32,7 +32,7 @@ from causalgeom import (
     ei_geometric,
     linear_profile,
     mismatch_at,
-    pullback,
+    pullback_field,
     reparameterize,
     two_species_model,
     weber_noise,
@@ -324,9 +324,8 @@ def test_criterion_13_property_contracts():
     m1 = constant_metric(g_mat, 2)
     m2 = constant_metric(h_mat, 2)
     combo = constant_metric(2.5 * g_mat + h_mat, 2)
-    gap = np.max(
-        np.abs(pullback(combo, sub, 0.4) - 2.5 * pullback(m1, sub, 0.4) - pullback(m2, sub, 0.4))
-    )
+    pulled = [pullback_field(m, sub)(0.4) for m in (combo, m1, m2)]
+    gap = np.max(np.abs(pulled[0] - 2.5 * pulled[1] - pulled[2]))
     results.append(gap < 1e-12)
 
     model = dimmer_model(linear_profile(), 0.1, 0.1)

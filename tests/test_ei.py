@@ -24,7 +24,6 @@ from causalgeom import (
     constant_metric,
     dimmer_family,
     dimmer_model,
-    effect_distribution,
     ei_exact_mc,
     ei_exact_quadrature,
     ei_geometric,
@@ -36,7 +35,7 @@ from causalgeom import (
     TwoSpeciesConfig,
     UniformBox,
 )
-from causalgeom._quadrature import GRADING, gauss_legendre, graded_gauss_legendre, nodes_weights
+from causalgeom._quadrature import GRADING, gauss_legendre, graded_gauss_legendre
 from causalgeom.channels import gaussian_log_density
 from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
@@ -60,8 +59,6 @@ def test_spec_validation():
         MonteCarloSpec(seed=-1)
     with pytest.raises(InvalidConfigError):
         QuadratureSpec(nodes_per_axis=5)
-    with pytest.raises(InvalidConfigError):
-        QuadratureSpec(rule="simpson")
     with pytest.raises(InvalidConfigError):
         MonteCarloSpec(inner_samples=1)
     with pytest.raises(InvalidConfigError):
@@ -164,15 +161,19 @@ def test_oracle_equivalence_exact_vs_geometric_small_noise():
 
 
 def test_effect_distribution_normalizes():
-    model = dimmer_model(linear_profile(), 0.08, 0.05)
-    est = effect_distribution(model.x_set, model.ch_xt, model.ch_ty)
-    assert est.integral() == pytest.approx(1.0, abs=1e-6)
+    eps, delta = 0.08, 0.05
+    model = dimmer_model(linear_profile(), eps, delta)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    # the unit box's effects, 8 combined sds beyond each edge
+    reach = 8.0 * math.hypot(eps, delta)
+    y, w = gauss_legendre(-reach, 1.0 + reach, 1001)
+    assert w @ chain.averaged_density(y[:, None]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_effect_distribution_discrete_mixture_closed_form():
     eps = delta = 0.05
     model = binary_switch_model(eps, delta)
-    est = effect_distribution(model.x_set, model.ch_xt, model.ch_ty)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     s2 = eps**2 + delta**2
     for y in (-0.1, 0.2, 0.5, 1.05):
         ref = 0.5 * sum(
@@ -180,7 +181,7 @@ def test_effect_distribution_discrete_mixture_closed_form():
         )
         # the parameter-side truncation to [0, 1] perturbs the mixture only
         # through the tails, invisible at this noise level
-        assert est(y) == pytest.approx(ref, rel=1e-4)
+        assert chain.averaged_density(np.array([[y]]))[0] == pytest.approx(ref, rel=1e-4)
 
 
 def test_quadrature_refuses_high_dimensional_chains():
@@ -270,8 +271,6 @@ def test_quadrature_refuses_curve_valued_effects_and_mc_takes_them():
     x_set = UniformBox(unit)
     with pytest.raises(UseMonteCarloError):
         ei_exact_quadrature(x_set, ch_xt, ch_ty)
-    with pytest.raises(UseMonteCarloError):
-        effect_distribution(x_set, ch_xt, ch_ty)
     spec = MonteCarloSpec(outer_samples=400, inner_samples=16, seed=0, batches=8)
     report = ei_exact_mc(x_set, ch_xt, ch_ty, spec)
     assert math.isfinite(report.nats) and report.nats > 0.0
@@ -289,7 +288,7 @@ def test_discrete_averaged_density_is_the_mean_of_the_conditionals():
     model = binary_switch_model(0.05, 0.05)
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     y = np.array([[-0.1], [0.2], [0.5], [1.05]])
-    mus, sigs, _ = chain.components(QuadratureSpec())
+    mus, sigs, _ = chain.components()
     per_point = [chain.conditional_density(y, mu, sig) for mu, sig in zip(mus, sigs)]
     assert chain.averaged_density(y) == pytest.approx(np.mean(per_point, axis=0), rel=1e-12)
 
@@ -303,21 +302,28 @@ def test_box_quadrature_refuses_state_dependent_intervention_noise():
     with pytest.raises(UseMonteCarloError):
         ei_exact_quadrature(model.x_set, ch_xt, model.ch_ty)
     with pytest.raises(UseMonteCarloError):
-        effect_distribution(model.x_set, ch_xt, model.ch_ty)
-    with pytest.raises(UseMonteCarloError):
         ei_exact_mc(model.x_set, ch_xt, model.ch_ty)
     points = DiscretePoints(np.array([[0.0], [1.0]]))
     report = ei_exact_quadrature(points, ch_xt, model.ch_ty, check_convergence=False)
     assert 0.0 < report.nats <= math.log(2.0)
 
 
-def kernel_nodes(chain, spec, refine=1):
-    """Effect nodes (m, k) of one kl_all pass and their KL weights sd * p."""
+def trapezoid(a, b, n):
+    """Evenly spaced nodes on [a, b] with trapezoid weights."""
+    x = np.linspace(a, b, n)
+    w = np.full(n, (b - a) / (n - 1))
+    w[[0, -1]] *= 0.5
+    return x, w
+
+
+def kernel_nodes(chain, spec, refine=1, rule=gauss_legendre):
+    """Effect nodes (m, k) of one kl_all pass, their KL weights sd * p and
+    the effect rule's weights (k,); kl_all's rule is Gauss-Legendre."""
     nodes = refine * spec.nodes_per_axis
-    mu, sig, _ = chain.components(spec, refine)
+    mu, sig, _ = chain.components(refine)
     f0, cov = chain.predicted_moments_batch(mu, sig)
     sd = np.sqrt(cov[:, 0, 0])
-    u, w = nodes_weights(spec.rule, -spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
+    u, w = rule(-spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
     y = f0 + sd[:, None] * u
     p = chain.conditional_density(y.reshape(-1, 1), np.repeat(mu, nodes), np.repeat(sig, nodes))
     return y, sd[:, None] * p.reshape(y.shape), w
@@ -336,35 +342,33 @@ def test_effect_windows_merge_overlapping_envelopes():
 
 
 GRID_CASES = {
-    "family-a-5": (dimmer_family(-5.0, 0.03, 0.03), QuadratureSpec()),
-    "family-a0": (dimmer_family(0.0, 0.03, 0.03), QuadratureSpec()),
-    "family-a5": (dimmer_family(5.0, 0.03, 0.03), QuadratureSpec()),
-    "linear-1e-3": (dimmer_model(linear_profile(), 1e-3, 1e-3), QuadratureSpec()),
-    # two disjoint windows, with enough nodes that the grids cost less
-    "switch-1e-3": (
-        binary_switch_model(1e-3, 1e-3),
-        QuadratureSpec(nodes_per_axis=5001, rule="trapezoid"),
-    ),
+    "family-a-5": (dimmer_family(-5.0, 0.03, 0.03), QuadratureSpec(), gauss_legendre),
+    "family-a0": (dimmer_family(0.0, 0.03, 0.03), QuadratureSpec(), gauss_legendre),
+    "family-a5": (dimmer_family(5.0, 0.03, 0.03), QuadratureSpec(), gauss_legendre),
+    "linear-1e-3": (dimmer_model(linear_profile(), 1e-3, 1e-3), QuadratureSpec(), gauss_legendre),
+    # two disjoint windows, with enough evenly spaced nodes that the grids cost less
+    "switch-1e-3": (binary_switch_model(1e-3, 1e-3), QuadratureSpec(nodes_per_axis=5001), trapezoid),
     "state-dependent": (
         dimmer_model(linear_profile(), DiagonalStateDependent(lambda y: 0.02 + 0.05 * y), 0.03),
         QuadratureSpec(),
+        gauss_legendre,
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "model, spec",
+    "model, spec, rule",
     [
         *GRID_CASES.values(),
         # near its floor Weber noise is 3e-5 wide, about the grid spacing
         # there, so the error bound sends many nodes to direct evaluation
-        (dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003), QuadratureSpec()),
+        (dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003), QuadratureSpec(), gauss_legendre),
     ],
     ids=[*GRID_CASES, "weber"],
 )
-def test_shared_grid_log_density_matches_direct_evaluation(model, spec, monkeypatch):
+def test_shared_grid_log_density_matches_direct_evaluation(model, spec, rule, monkeypatch):
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    y, weight, w = kernel_nodes(chain, spec)
+    y, weight, w = kernel_nodes(chain, spec, rule=rule)
     direct = np.log(chain.averaged_density(y.reshape(-1, 1))).reshape(y.shape)
     rows = []
     averaged = chain.averaged_density
@@ -377,13 +381,13 @@ def test_shared_grid_log_density_matches_direct_evaluation(model, spec, monkeypa
     assert np.max(np.abs((weight * (got - direct)) @ w)) <= 1e-10
 
 
-@pytest.mark.parametrize("model, spec", GRID_CASES.values(), ids=list(GRID_CASES))
-def test_averaged_density_slope_matches_central_difference(model, spec):
+@pytest.mark.parametrize("model, spec, rule", GRID_CASES.values(), ids=list(GRID_CASES))
+def test_averaged_density_slope_matches_central_difference(model, spec, rule):
     """A difference of quadrature values also carries the motion of the
     y-dependent breakpoints; on family a=-5 that differs from de/dy by 5e-6
     of e/sigma, while de/dy and e both match a dense integral to 6e-8."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    y, weight, _ = kernel_nodes(chain, spec)
+    y, weight, _ = kernel_nodes(chain, spec, rule=rule)
     y = y[weight >= 1e-3][:, None]
     sigma = _sd(chain.ch_ty.noise, y)
     h = 1e-4 * sigma[:, None]
@@ -392,13 +396,13 @@ def test_averaged_density_slope_matches_central_difference(model, spec):
     assert np.max(np.abs(de - central) * sigma / e) <= 1e-5
 
 
-@pytest.mark.parametrize("model, spec", GRID_CASES.values(), ids=list(GRID_CASES))
-def test_averaged_density_curvature_matches_central_difference(model, spec):
+@pytest.mark.parametrize("model, spec, rule", GRID_CASES.values(), ids=list(GRID_CASES))
+def test_averaged_density_curvature_matches_central_difference(model, spec, rule):
     """d2e/dy2 against a central difference of de/dy; as for the slope, the
     difference also carries the motion of the breakpoints (worst measured
     1.6e-5 of e/sigma^2, on family a = +-5)."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    y, weight, _ = kernel_nodes(chain, spec)
+    y, weight, _ = kernel_nodes(chain, spec, rule=rule)
     y = y[weight >= 1e-3][:, None]
     sigma = _sd(chain.ch_ty.noise, y)
     h = 1e-4 * sigma[:, None]
@@ -554,7 +558,7 @@ def test_graded_outer_panels_match_a_uniform_401_node_rule(model):
     worst 1.7e-12 nats, on a = +-5, where uniform G201 is itself 2e-12 off;
     8 nodes per panel miss by 2.9e-9 there."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
-    mu, sig, w = chain.components(QuadratureSpec())
+    mu, sig, w = chain.components()
     assert mu.size <= 132
     graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
     assert abs(graded - uniform_outer_ei(chain, 401)) <= 5e-12
@@ -586,7 +590,7 @@ def test_weber_kink_is_an_outer_layer():
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     kink = chain.invert_effect(np.asarray(model.ch_ty.noise.kinks))
     assert kink[0] in chain.outer_layers[0]
-    mu, sig, w = chain.components(QuadratureSpec())
+    mu, sig, w = chain.components()
     graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
     assert abs(graded - uniform_outer_ei(chain, 1601)) <= 1e-8
 
@@ -605,7 +609,7 @@ def test_flat_edge_is_graded_from_the_intervention_noise():
     flat = widths[centres == 0.0]
     ladder = flat[:, None] * np.asarray(GRADING)
     assert flat[0] == pytest.approx(1e-3) and np.all(np.diff(flat) > 0) and ladder.max() >= 1.0
-    mu, sig, w = chain.components(QuadratureSpec())
+    mu, sig, w = chain.components()
     graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
     assert abs(graded - uniform_outer_ei(chain, 401)) <= 5e-9
 

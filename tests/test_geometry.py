@@ -23,14 +23,13 @@ from causalgeom import (
     ei_geometric,
     intervention_metric,
     invert_uniform_prior,
-    mismatch,
     mismatch_at,
     reparameterize,
     two_species_model,
 )
 from causalgeom import geometry
 from causalgeom.ei import _field_axes, _field_grid
-from causalgeom.geometry import _cholesky, _entries, _mismatch_batch, chol_logdet
+from causalgeom.geometry import _cholesky, _entries, _logdet, _mismatch_batch, _require_factored
 
 UNIT = Domain(((0.0, 1.0),))
 
@@ -38,6 +37,18 @@ UNIT = Domain(((0.0, 1.0),))
 def spd(rng, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d))
     return a @ a.T + 0.1 * np.eye(d)
+
+
+def chol_logdet(m: np.ndarray) -> float:
+    """log det of one matrix with the one jitter, raising where it does not factor."""
+    logdet = _logdet(_entries(np.asarray(m, dtype=float)[None]), jitter=True)
+    _require_factored(logdet, None, "matrix")
+    return float(logdet[0])
+
+
+def mismatch(g: MetricField, h: MetricField, points: np.ndarray) -> np.ndarray:
+    """The mismatch of two fields at points (n, d), each read through its batch."""
+    return _mismatch_batch(_entries(g.batch(points)), _entries(h.batch(points)), points)
 
 
 def test_chol_logdet_known_values():
@@ -151,7 +162,7 @@ def test_mixed_stack_matches_pointwise_mismatch():
     expected = np.array([mismatch_at(g_mat, h_mat) for g_mat, h_mat in zip(g_stack, h_stack)])
     assert np.all(np.isinf(expected) == (picks > 0))
     np.testing.assert_array_equal(_mismatch_batch(_entries(g_stack), _entries(h_stack)), expected)
-    np.testing.assert_array_equal(mismatch(field(g_stack), field(h_stack)).batch(points), expected)
+    np.testing.assert_array_equal(mismatch(field(g_stack), field(h_stack), points), expected)
 
     chol = _cholesky(g_stack)
     assert np.all(np.isnan(chol).all(axis=(1, 2)) == (picks > 0))
@@ -159,7 +170,7 @@ def test_mixed_stack_matches_pointwise_mismatch():
 
     h_stack[5] = np.diag([-2.0, 0.0])  # g + h indefinite at node 5 whatever g is there
     with pytest.raises(DegenerateModelError, match=r"g \+ h .* at \[5\. 0\.\]"):
-        mismatch(field(g_stack), field(h_stack)).batch(points)
+        mismatch(field(g_stack), field(h_stack), points)
 
 
 def _cholesky_one(m: np.ndarray, jitter: bool) -> np.ndarray:
@@ -368,9 +379,8 @@ def test_mismatch_field_matches_pointwise():
     rng = np.random.default_rng(5)
     g = constant_metric(spd(rng, 2), 2)
     h = constant_metric(spd(rng, 2), 2)
-    field = mismatch(g, h)
     theta = np.array([0.2, 0.8])
-    assert field(theta) == pytest.approx(mismatch_at(g(theta), h(theta)), rel=1e-14)
+    assert mismatch(g, h, theta[None])[0] == pytest.approx(mismatch_at(g(theta), h(theta)), rel=1e-14)
 
 
 def test_causal_eigenvalues_descending_and_match_generalized_solver():
@@ -536,7 +546,7 @@ def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
     monkeypatch.setattr(geometry, "_potf2", counting)
     l_vals = _mismatch_batch(g.grid(axes, pts), h.grid(axes, pts), nodes)
     assert rows == [102, failing, 102]  # g + h, its jitter retry, g
-    expected = mismatch(g, h).batch(pts).reshape(nodes.shape[:-1])
+    expected = mismatch(g, h, pts).reshape(nodes.shape[:-1])
     np.testing.assert_array_equal(np.broadcast_to(l_vals, expected.shape), expected)
     assert np.isinf(expected).sum() == 101 * failing and np.isfinite(expected).any()
     assert ei_geometric(g, h, square).nats == -math.inf

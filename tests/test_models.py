@@ -20,7 +20,6 @@ from causalgeom import (
     TwoSpeciesConfig,
     UniformBox,
     binary_switch_model,
-    decay_causal_channel,
     decay_confounder_metrics,
     dimmer_family,
     dimmer_model,
@@ -294,13 +293,6 @@ def test_decay_confounder_root_without_a_bracket_names_theta():
     numerical failure naming theta, instead of dividing by zero."""
     with pytest.raises(NumericalFailureError, match="theta=0.5"):
         models._confounder_root(lambda x: -abs(x) - 1.0, lambda x: 0.0, 0.5)
-
-
-def test_decay_causal_channel_pushforward():
-    cfg = DecayConfounderConfig(sigma_t=0.05, sigma_x=1.0, alpha=1.0, x_hat=1.0)
-    ch = decay_causal_channel(cfg)
-    mean = ch.mean(np.array([1.3]))
-    assert mean[0] == pytest.approx(cfg.alpha * 1.3, rel=1e-14)
 
 
 def test_decay_confounder_config_validation():

@@ -23,7 +23,7 @@ from causalgeom import (
     invert_uniform_prior,
     linear_profile,
     mismatch_at,
-    pullback,
+    pullback_field,
     reparameterize,
     antidiagonal_submanifold,
 )
@@ -71,8 +71,8 @@ def test_pullback_linearity(v1, v2, alpha, sigma):
     m2 = constant_metric(spd_from(v2, 2), 2)
     combo = constant_metric(alpha * m1(np.zeros(2)) + m2(np.zeros(2)), 2)
     sub = antidiagonal_submanifold()
-    lhs = pullback(combo, sub, sigma)
-    rhs = alpha * pullback(m1, sub, sigma) + pullback(m2, sub, sigma)
+    lhs = pullback_field(combo, sub)(sigma)
+    rhs = alpha * pullback_field(m1, sub)(sigma) + pullback_field(m2, sub)(sigma)
     scale = max(1.0, float(np.max(np.abs(lhs))))
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 

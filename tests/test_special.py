@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -123,7 +124,8 @@ def test_logsumexp_special_rows():
 
 
 # Blocks every scipy import, then runs a geometric config and a quadrature
-# config whose crossover partner takes the discrete log-sum-exp path.
+# config whose crossover partner takes the discrete log-sum-exp path, and
+# then each library example of the README.
 _NO_SCIPY = """
 import importlib.abc, json, sys
 
@@ -138,6 +140,8 @@ import causalgeom
 import causalgeom.cli
 
 codes = [causalgeom.cli.main(["run", config, "--output", out]) for config, out in json.loads(sys.argv[1])]
+for example in json.loads(sys.argv[2]):
+    exec(example, {"__name__": "__readme__"})
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -151,9 +155,12 @@ def test_the_cli_runs_without_scipy(tmp_path):
         config = tmp_path / f"{name}.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         runs.append((str(config), str(tmp_path / name)))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert examples
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, json.dumps(runs)],
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(runs), json.dumps(examples)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
