@@ -443,10 +443,6 @@ class GaussianChannel:
             cols.append((self.mean(x + e) - self.mean(x - e)) / (2.0 * steps[k]))
         return np.stack(cols, axis=-1)
 
-    def sample(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
-        """Draw one output per input row; x has shape (..., d_in)."""
-        return self.noise.draw(rng, self.mean(x))
-
 
 # ---------------------------------------------------------------------------
 # conditional density of the output given the input, vectorized over inputs

@@ -46,6 +46,8 @@ from .geometry import MetricField, _logdet, _mismatch_batch, _require_factored, 
 _LN2 = math.log(2.0)
 _LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 _P_FLOOR = 1e-280
+# Half-width of each intervention's effect rule, in predicted standard deviations.
+_EFFECT_TAIL_SIGMAS = 8.0
 
 FLAG_NEGATIVE_GEOMETRIC = "negative-geometric-ei"
 FLAG_NOT_CONVERGED = "quadrature-not-converged"
@@ -62,13 +64,10 @@ class QuadratureSpec:
     """Grid sizes of the exact quadrature estimator."""
 
     nodes_per_axis: int = 201
-    effect_tail_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
         if self.nodes_per_axis < 21:
             raise InvalidConfigError("nodes_per_axis must be at least 21")
-        if self.effect_tail_sigmas < 4.0:
-            raise InvalidConfigError("effect_tail_sigmas must be at least 4")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -446,9 +445,7 @@ class _ScalarChain:
         cov = sig_q[:, None, None] ** 2 * j0[:, :, None] * j0[:, None, :]
         return f0, cov + self.ch_ty.noise.covariance(f0)
 
-    def kl_all(
-        self, mu_q: np.ndarray, sig_q: np.ndarray, spec: QuadratureSpec, nodes: int
-    ) -> np.ndarray:
+    def kl_all(self, mu_q: np.ndarray, sig_q: np.ndarray, nodes: int) -> np.ndarray:
         """Per-intervention KL between conditional and averaged effect laws.
 
         All intervention rows share one flattened effect grid so the kernel
@@ -459,7 +456,7 @@ class _ScalarChain:
         sig_q = np.broadcast_to(np.asarray(sig_q, dtype=float), mu_q.shape)
         f0, cov = self.predicted_moments_batch(mu_q, sig_q)
         m = mu_q.shape[0]
-        u, w = gauss_legendre(-spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
+        u, w = gauss_legendre(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, nodes)
         sd = np.sqrt(cov[:, 0, 0])
         y = f0 + sd[:, None] * u[None, :]  # (m, k)
         k = u.shape[0]
@@ -549,7 +546,7 @@ def _kl_integrand(p: np.ndarray, log_e: np.ndarray) -> np.ndarray:
 def _quadrature_pass(chain: _ScalarChain, spec: QuadratureSpec, refine: int) -> tuple[float, int]:
     """EI in nats with every node count times refine, and the outer node count."""
     mu, sig, w = chain.components(refine)
-    return float(w @ chain.kl_all(mu, sig, spec, refine * spec.nodes_per_axis)), mu.size
+    return float(w @ chain.kl_all(mu, sig, refine * spec.nodes_per_axis)), mu.size
 
 
 def ei_exact_quadrature(
@@ -594,7 +591,7 @@ def ei_exact_quadrature(
             flags = (FLAG_NOT_CONVERGED,)
     grid = (
         f"gauss-legendre:{outer} outer nodes ({chain.PANEL_NODES} per graded panel on a box), "
-        f"{spec.nodes_per_axis} effect nodes, tail {spec.effect_tail_sigmas} sigma"
+        f"{spec.nodes_per_axis} effect nodes, tail {_EFFECT_TAIL_SIGMAS} sigma"
     )
     return EIReport.build(nats, "exact-quadrature", grid, flags=flags)
 
@@ -859,14 +856,10 @@ def ei_geometric(
     flags: tuple[str, ...] = ()
     if nats < 0.0:
         flags = (FLAG_NEGATIVE_GEOMETRIC,)
-    if d == 1:
-        counts = str(nodes_per_axis + nodes_per_axis % 2)
-    else:
-        counts = "x".join(str(nodes_per_axis + k) for k in range(d))
     return EIReport.build(
         nats,
         "geometric",
-        f"midpoint:{counts}",
+        f"midpoint:{'x'.join(str(n) for n in shape)}",
         volume_term=volume_term,
         mean_mismatch=mean_l,
         flags=flags,

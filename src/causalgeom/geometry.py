@@ -43,124 +43,95 @@ def _entries(mats: np.ndarray) -> Entries:
     return tuple(mats[..., i, j] for i in range(d) for j in range(i + 1))
 
 
-def _gather(entries: Entries, where: tp.Any = Ellipsis) -> np.ndarray:
-    """The symmetric matrices (..., d, d) that ``entries`` give at the nodes ``where`` selects."""
+def _dim(entries: Entries) -> int:
+    """d, from the d * (d + 1) / 2 entries of a lower triangle."""
+    return (math.isqrt(8 * len(entries) + 1) - 1) // 2
+
+
+def _gather(entries: Entries) -> np.ndarray:
+    """The symmetric matrices (..., d, d) that ``entries`` give, in their broadcast shape."""
     shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
-    cols = [np.broadcast_to(e, shape)[where] for e in entries]
-    d = (math.isqrt(8 * len(entries) + 1) - 1) // 2
+    cols = [np.broadcast_to(e, shape) for e in entries]
+    d = _dim(entries)
     mats = np.empty(cols[0].shape + (d, d))
     for (i, j), col in zip([(i, j) for i in range(d) for j in range(i + 1)], cols):
         mats[..., i, j] = mats[..., j, i] = col
     return mats
 
 
-def _potf2(entries: Entries) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray]:
+def _potf2(entries: Entries) -> tuple[list[np.ndarray], np.ndarray]:
     """LAPACK's unblocked potf2 on the matrices given by their entries, d <= 2.
 
     ``entries`` is (a,) or (a, b, c) = (m00, m10, m11), see :func:`_entries`.
-    Returns the factor's diagonal [l00] or [l00, l11], its l10 (None for
-    d = 1) and where a matrix fails, with the operations of potf2 (as
-    OpenBLAS builds it) in its order, broadcast over the entries:
-    l00 = sqrt(a), l10 = b * (1 / l00), l11 = sqrt(c - l10 * l10), failing
-    where a pivot is <= 0. A NaN pivot is no failure. The entries of a
-    failing matrix are left as the arithmetic makes them. FP flags are
-    ignored; the public wrapper turns the invalid flag into one exception
-    for the whole stack.
+    Returns the factor's diagonal [l00] or [l00, l11] and where a matrix
+    fails, with the operations of potf2 (as OpenBLAS builds it) in its
+    order, broadcast over the entries: l00 = sqrt(a), l10 = b * (1 / l00),
+    l11 = sqrt(c - l10 * l10), failing where a pivot is <= 0. A NaN pivot is
+    no failure. The diagonal is the gufunc's behind ``np.linalg.cholesky`` bit
+    for bit, without its per-matrix copy and LAPACK call; the one exception is
+    a +inf l00 over an infinite or NaN b, where OpenBLAS scales by 1 / l00 = 0
+    by writing zeros and IEEE arithmetic gives NaN. FP flags are ignored.
     """
     with np.errstate(all="ignore"):
         a = entries[0]
         diag = [np.sqrt(a)]
         failed = np.less_equal(a, 0.0)
-        l10 = None
         if len(entries) == 3:
             l10 = entries[1] * (1.0 / diag[0])
             pivot = entries[2] - l10 * l10
             diag.append(np.sqrt(pivot))
             failed = failed | (pivot <= 0.0)
-    return diag, l10, failed
+    return diag, failed
 
 
-def _potrf(mats: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of each matrix of a stack (..., d, d).
+def _lapack_cholesky(mats: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack (..., d, d), FP flags ignored.
 
-    A matrix that does not factor becomes all NaN, upper triangle included;
-    a factor has a zero upper triangle. For d <= 2 the factor is assembled
-    from :func:`_potf2`; a NaN pivot is no failure, so a factor that inherits
-    a NaN keeps its zero upper triangle. That is the gufunc behind ``np.linalg.cholesky`` bit for bit,
-    without its per-matrix copy and LAPACK call; the one exception is a +inf
-    pivot over an infinite or NaN b, where OpenBLAS scales by 1 / l00 = 0 by
-    writing zeros and IEEE arithmetic gives NaN. For d >= 3 the gufunc
-    factors the stack in one call, its FP flags ignored.
+    One call of the gufunc behind ``np.linalg.cholesky``, which unlike the
+    public function reports a failure per matrix: a matrix that does not
+    factor becomes all NaN, while a factor's upper triangle is 0 even where
+    it inherits a NaN.
     """
-    if mats.shape[-1] > 2:
-        with np.errstate(all="ignore"):
-            return _umath_linalg.cholesky_lo(mats, signature="d->d")
-    diag, l10, failed = _potf2(_entries(mats))
-    chol = np.zeros(mats.shape)
-    for j, l_jj in enumerate(diag):
-        chol[..., j, j] = l_jj
-    if l10 is not None:
-        chol[..., 1, 0] = l10
-    chol[failed] = np.nan
-    return chol
-
-
-def _jittered(mats: np.ndarray) -> np.ndarray:
-    """The stack (n, d, d) with 1e-12 * trace/d added to each diagonal: the one retry."""
-    d = mats.shape[-1]
-    shift = (1e-12 * np.trace(mats, axis1=-2, axis2=-1)) / d
-    return mats + shift[:, None, None] * np.eye(d)
-
-
-def _cholesky(mats: np.ndarray, jitter: bool = False) -> np.ndarray:
-    """Lower Cholesky factors of a stack (n, d, d); NaN where a matrix does not factor.
-
-    With ``jitter``, the failing matrices are retried once, in one more
-    :func:`_potrf` call, through :func:`_jittered`, which absorbs round-off
-    but not a genuinely indefinite matrix. Every factor is the one
-    ``np.linalg.cholesky`` gives that matrix alone: LAPACK's arithmetic for
-    d <= 2, the gufunc itself above, which unlike the public function reports
-    a failure per matrix.
-    """
-    chol = _potrf(mats)
-    if jitter:
-        # A failure is all NaN, while a factor's upper corner is 0 even when
-        # it inherits a NaN from its input; such a factor is not retried.
-        failed = np.isnan(chol[..., 0, -1])
-        if failed.any():
-            chol[failed] = _potrf(_jittered(mats[failed]))
-    return chol
-
-
-def _small_logdet(entries: Entries) -> tuple[np.ndarray, np.ndarray]:
-    """log det of the matrices given by their entries, d <= 2, and where it fails (NaN).
-
-    The log det is an array, 0-d where every entry is a scalar.
-    """
-    diag, _, failed = _potf2(entries)
     with np.errstate(all="ignore"):
-        logdet = np.asarray(2.0 * sum(np.log(l_jj) for l_jj in diag))
-    np.copyto(logdet, np.nan, where=failed)
-    return logdet, failed
+        return _umath_linalg.cholesky_lo(mats, signature="d->d")
+
+
+def _jittered(entries: Entries) -> Entries:
+    """The entries with (1e-12 * trace) / d added to each diagonal one: the one retry.
+
+    It absorbs round-off but not a genuinely indefinite matrix. The trace is
+    summed over the diagonal entries in order.
+    """
+    d = _dim(entries)
+    on_diag = [i * (i + 3) // 2 for i in range(d)]
+    trace = sum((entries[k] for k in on_diag[1:]), entries[0])
+    shift = (1e-12 * trace) / d
+    return tuple(e + shift if k in on_diag else e for k, e in enumerate(entries))
 
 
 def _logdet(entries: Entries, jitter: bool = False) -> np.ndarray:
     """log det of the matrices given by their entries (:func:`_entries`); NaN where one does not factor.
 
-    2 * the sum of the logs of the Cholesky diagonal of :func:`_cholesky`,
-    with the same jitter rule, in the broadcast shape of the entries. For
-    d <= 2 the diagonal comes from the potf2 pivots (:func:`_potf2`) without
-    building a matrix or factor stack; the jitter retries the failing
-    matrices alone, gathered into a small stack. Above d = 2 the matrices
-    are gathered and factored by LAPACK.
+    2 * the in-order sum of the logs of the Cholesky diagonal, in the broadcast
+    shape of the entries (0-d where every entry is a scalar). For d <= 2 the
+    diagonal comes from the potf2 pivots (:func:`_potf2`) without building a
+    matrix or factor stack; above, the matrices are gathered and factored by
+    :func:`_lapack_cholesky`. With ``jitter`` the failing matrices alone are
+    retried once, on their entries through :func:`_jittered`.
     """
     if len(entries) > 3:
-        chol = _cholesky(_gather(entries), jitter)
-        # Summed in order, as np.sum does over fewer than 8 terms.
-        return 2.0 * sum(np.log(chol[..., j, j]) for j in range(chol.shape[-1]))
-    logdet, failed = _small_logdet(entries)
+        chol = _lapack_cholesky(_gather(entries))
+        diag = [chol[..., j, j] for j in range(chol.shape[-1])]
+        failed = np.isnan(chol[..., 0, -1])
+    else:
+        diag, failed = _potf2(entries)
+    with np.errstate(all="ignore"):
+        logdet = np.asarray(2.0 * sum(np.log(l_jj) for l_jj in diag))
+    np.copyto(logdet, np.nan, where=failed)
     if jitter and failed.any():
-        logdet[failed] = _small_logdet(_entries(_jittered(_gather(entries, failed))))[0]
+        shape = np.shape(failed)
+        retry = tuple(np.broadcast_to(e, shape)[failed] for e in entries)
+        logdet[failed] = _logdet(_jittered(retry))
     return logdet
 
 
@@ -327,12 +298,16 @@ def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> Eige
     """Eigen-decomposition of h^-1 g at theta, via Cholesky whitening of h.
 
     The whitened matrix L^-1 g L^-T (h = L L^T) is symmetric, so the solve is
-    stable and the eigenvalues are exactly those of h^-1 g.
+    stable and the eigenvalues are exactly those of h^-1 g. h is factored by
+    the gufunc with :func:`_logdet`'s one jitter retry; an h whose factor is
+    then still not finite raises IllPosedInterventionsError.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g_mat = g(theta)
-    chol = _cholesky(h(theta)[None], jitter=True)[0]
-    if np.isnan(chol).any():
+    g_mat, h_mat = g(theta), h(theta)
+    chol = _lapack_cholesky(h_mat)
+    if not np.isfinite(chol).all():
+        chol = _lapack_cholesky(_gather(_jittered(_entries(h_mat))))
+    if not np.isfinite(chol).all():
         raise IllPosedInterventionsError(f"intervention metric is singular at theta={theta}")
     half = np.linalg.solve(chol, g_mat)
     whitened = np.linalg.solve(chol, half.T)

@@ -40,6 +40,7 @@ from causalgeom.channels import gaussian_log_density
 from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
     FLAG_NOT_CONVERGED,
+    _EFFECT_TAIL_SIGMAS,
     _effect_windows,
     _grid_errors,
     _ScalarChain,
@@ -233,6 +234,15 @@ def test_geometric_midpoint_grid_avoids_singular_center():
     assert math.isfinite(report.nats)
 
 
+def test_geometric_grid_names_the_axis_lengths():
+    """The reported counts are the grid's own: 101 nodes rounded up to even
+    in 1-D, staggered to 101 x 102 in 2-D."""
+    dimmer = dimmer_model(linear_profile(), 0.03, 0.03)
+    assert ei_geometric(dimmer.g, dimmer.h, dimmer.theta_domain).grid_or_samples == "midpoint:102"
+    two = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
+    assert ei_geometric(two.g, two.h, two.theta_domain).grid_or_samples == "midpoint:101x102"
+
+
 def test_field_grid_is_built_once_per_grid_and_read_only():
     """Equal boxes share one read-only node array; another count is another grid."""
     pts, cell = _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
@@ -323,7 +333,7 @@ def kernel_nodes(chain, spec, refine=1, rule=gauss_legendre):
     mu, sig, _ = chain.components(refine)
     f0, cov = chain.predicted_moments_batch(mu, sig)
     sd = np.sqrt(cov[:, 0, 0])
-    u, w = rule(-spec.effect_tail_sigmas, spec.effect_tail_sigmas, nodes)
+    u, w = rule(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, nodes)
     y = f0 + sd[:, None] * u
     p = chain.conditional_density(y.reshape(-1, 1), np.repeat(mu, nodes), np.repeat(sig, nodes))
     return y, sd[:, None] * p.reshape(y.shape), w
@@ -548,7 +558,7 @@ def uniform_outer_ei(chain, nodes, spec=QuadratureSpec()):
     (lo, hi), = chain.x_set.domain.axes
     x, wx = gauss_legendre(lo, hi, nodes)
     mus = chain.ch_xt.mean(x[:, None])
-    kl = chain.kl_all(mus[:, 0], _sd(chain.ch_xt.noise, mus), spec, spec.nodes_per_axis)
+    kl = chain.kl_all(mus[:, 0], _sd(chain.ch_xt.noise, mus), spec.nodes_per_axis)
     return (wx / chain.x_set.domain.volume) @ kl
 
 
@@ -560,7 +570,7 @@ def test_graded_outer_panels_match_a_uniform_401_node_rule(model):
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     mu, sig, w = chain.components()
     assert mu.size <= 132
-    graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
+    graded = w @ chain.kl_all(mu, sig, 201)
     assert abs(graded - uniform_outer_ei(chain, 401)) <= 5e-12
 
 
@@ -591,7 +601,7 @@ def test_weber_kink_is_an_outer_layer():
     kink = chain.invert_effect(np.asarray(model.ch_ty.noise.kinks))
     assert kink[0] in chain.outer_layers[0]
     mu, sig, w = chain.components()
-    graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
+    graded = w @ chain.kl_all(mu, sig, 201)
     assert abs(graded - uniform_outer_ei(chain, 1601)) <= 1e-8
 
 
@@ -610,7 +620,7 @@ def test_flat_edge_is_graded_from_the_intervention_noise():
     ladder = flat[:, None] * np.asarray(GRADING)
     assert flat[0] == pytest.approx(1e-3) and np.all(np.diff(flat) > 0) and ladder.max() >= 1.0
     mu, sig, w = chain.components()
-    graded = w @ chain.kl_all(mu, sig, QuadratureSpec(), 201)
+    graded = w @ chain.kl_all(mu, sig, 201)
     assert abs(graded - uniform_outer_ei(chain, 401)) <= 5e-9
 
 
@@ -619,9 +629,9 @@ def test_doubled_pass_doubles_the_panel_and_effect_nodes(monkeypatch):
     passes = []
     kl_all = _ScalarChain.kl_all
 
-    def recording(self, mu_q, sig_q, spec, nodes):
+    def recording(self, mu_q, sig_q, nodes):
         passes.append((mu_q.size, nodes))
-        return kl_all(self, mu_q, sig_q, spec, nodes)
+        return kl_all(self, mu_q, sig_q, nodes)
 
     monkeypatch.setattr(_ScalarChain, "kl_all", recording)
     report = quad_ei(model)
@@ -629,6 +639,7 @@ def test_doubled_pass_doubles_the_panel_and_effect_nodes(monkeypatch):
     assert outer % _ScalarChain.PANEL_NODES == 0 and (outer2, effect2) == (2 * outer, 2 * effect)
     assert effect == 201 and f"{outer} outer nodes" in report.grid_or_samples
     assert "12 per graded panel" in report.grid_or_samples
+    assert report.grid_or_samples.endswith(", 201 effect nodes, tail 8.0 sigma")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from causalgeom import (
     DegenerateModelError,
     Domain,
     GaussianChannel,
+    IllPosedInterventionsError,
     MetricField,
     SmoothMap,
     TwoSpeciesConfig,
@@ -29,7 +30,7 @@ from causalgeom import (
 )
 from causalgeom import geometry
 from causalgeom.ei import _field_axes, _field_grid
-from causalgeom.geometry import _cholesky, _entries, _logdet, _mismatch_batch, _require_factored
+from causalgeom.geometry import _entries, _logdet, _mismatch_batch, _require_factored
 
 UNIT = Domain(((0.0, 1.0),))
 
@@ -164,9 +165,10 @@ def test_mixed_stack_matches_pointwise_mismatch():
     np.testing.assert_array_equal(_mismatch_batch(_entries(g_stack), _entries(h_stack)), expected)
     np.testing.assert_array_equal(mismatch(field(g_stack), field(h_stack), points), expected)
 
-    chol = _cholesky(g_stack)
-    assert np.all(np.isnan(chol).all(axis=(1, 2)) == (picks > 0))
-    np.testing.assert_array_equal(chol[picks == 0], np.linalg.cholesky(g_stack[picks == 0]))
+    ld_g = _logdet(_entries(g_stack))
+    assert np.all(np.isnan(ld_g) == (picks > 0))
+    chol = np.linalg.cholesky(g_stack[picks == 0])
+    np.testing.assert_array_equal(ld_g[picks == 0], 2.0 * (np.log(chol[:, 0, 0]) + np.log(chol[:, 1, 1])))
 
     h_stack[5] = np.diag([-2.0, 0.0])  # g + h indefinite at node 5 whatever g is there
     with pytest.raises(DegenerateModelError, match=r"g \+ h .* at \[5\. 0\.\]"):
@@ -182,7 +184,8 @@ def _cholesky_one(m: np.ndarray, jitter: bool) -> np.ndarray:
     if jitter:
         d = m.shape[-1]
         try:
-            return np.linalg.cholesky(m + (1e-12 * float(np.trace(m)) / d) * np.eye(d))
+            with np.errstate(invalid="ignore"):  # an infinite trace times the eye's zeros
+                return np.linalg.cholesky(m + (1e-12 * float(np.trace(m)) / d) * np.eye(d))
         except np.linalg.LinAlgError:
             pass
     return np.full_like(m, np.nan)
@@ -215,26 +218,9 @@ def _edge_stack(d: int) -> np.ndarray:
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("jitter", [False, True])
-def test_cholesky_stack_matches_each_matrix_alone(d, jitter):
-    """Shuffled SPD, singular, jitter-recoverable, indefinite and NaN-holding
-    matrices: every row is the factor np.linalg.cholesky gives that matrix
-    alone (bit for bit), and a row that does not factor is all NaN."""
-    stack = _edge_stack(d)
-    expected = np.stack([_cholesky_one(m, jitter) for m in stack])
-    chol = _cholesky(stack, jitter)
-    np.testing.assert_array_equal(chol, expected)
-
-    failed = np.isnan(expected).all(axis=(1, 2))
-    assert failed.any() and not failed.all()
-    # The jitter recovers some rows above d = 1; a 1x1 jitter has the sign of the entry.
-    recovered = ~np.isnan(_cholesky(stack, True)).all(axis=(1, 2))
-    assert (recovered & np.isnan(_cholesky(stack)).all(axis=(1, 2))).any() == (d > 1)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("jitter", [False, True])
 def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
-    """On the same edge stacks, the log det (for d <= 2 taken from the potf2
+    """On shuffled SPD, singular, jitter-recoverable, indefinite and
+    NaN-holding matrices, the log det (for d <= 2 taken from the potf2
     pivots, with no factor stack) is 2 * the in-order sum of the logs of the
     diagonal np.linalg.cholesky gives each matrix alone, bit for bit; NaN
     where that matrix does not factor."""
@@ -244,19 +230,29 @@ def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
     logdet = geometry._logdet(_entries(stack), jitter)
     np.testing.assert_array_equal(logdet, expected)
     assert np.isnan(logdet).any() and not np.isnan(logdet).all()
-    # and with zero, -0.0, subnormal, inf, NaN and negative entries in each place
-    specials = [0.0, -0.0, 5e-324, 1e-310, math.inf, math.nan, -1.0, 2.5]
+    # The jitter recovers some rows above d = 1; a 1x1 jitter has the sign of the entry.
+    recovered = ~np.isnan(_logdet(_entries(stack), True))
+    assert (recovered & np.isnan(_logdet(_entries(stack)))).any() == (d > 1)
+    # and with zero, -0.0, subnormal, tiny, huge, infinite, NaN and negative
+    # entries in each place; [[4, 2], [2, 1]] has c - l10 * l10 == 0 exactly:
+    # 2 * (1 / 2) = 1.
+    specials = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e300, math.inf, -math.inf, math.nan, -1.0, 2.5]
     if d <= 2:
-        cases = []
-        for v in specials:
-            for where in np.ndindex(d, d):
-                m = np.diag([4.0, 3.0][:d])
-                m[where] = v
-                cases.append(m)
+        bases = [np.diag([4.0, 3.0][:d])] + [np.array([[4.0, 2.0], [2.0, 1.0]])] * (d - 1)
+        cases = list(bases)
+        for base in bases:
+            for v in specials:
+                for where in np.ndindex(d, d):
+                    m = base.copy()
+                    m[where] = v
+                    cases.append(m)
         mats = np.stack(cases)
         factors = np.stack([_cholesky_one(m, jitter) for m in mats])
         expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
-        np.testing.assert_array_equal(geometry._logdet(_entries(mats), jitter), expected)
+        logdet = geometry._logdet(_entries(mats), jitter)
+        np.testing.assert_array_equal(logdet, expected)
+        if d == 2:  # the exact-zero pivot fails, and the jitter recovers it
+            assert np.isnan(logdet[1]) != jitter
 
 
 def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
@@ -277,10 +273,10 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
 
     def counting_potf2(entries):
         before = len(lapack_calls)
-        diag, l10, failed = potf2(entries)
+        diag, failed = potf2(entries)
         per_stack.append(len(lapack_calls) - before)
         failing_rows.append(int(failed.sum()))
-        return diag, l10, failed
+        return diag, failed
 
     monkeypatch.setattr(geometry._umath_linalg, "cholesky_lo", counting_lo)
     monkeypatch.setattr(geometry, "_potf2", counting_potf2)
@@ -297,51 +293,6 @@ def _lapack_factor(stack: np.ndarray) -> np.ndarray:
         return geometry._umath_linalg.cholesky_lo(stack, signature="d->d")
 
 
-@pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
-def test_small_factor_matches_lapack_on_two_species_stacks(matrix):
-    """The element-wise d <= 2 factor equals LAPACK's bit for bit on the g,
-    g + h and h stacks that ei_geometric factors for two-species, from short
-    intervals to delta_t = 50, where g does not factor at some nodes."""
-    failing = 0
-    for delta_t in (0.02, 0.1, 1.0, 5.0, 13.57, 20.0, 50.0):
-        model = two_species_model(
-            TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix)
-        )
-        pts = _field_grid(model.theta_domain, 101)[0]
-        g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
-        for stack in (g_stack, g_stack + h_stack, h_stack):
-            expected = _lapack_factor(stack)
-            np.testing.assert_array_equal(geometry._potrf(stack), expected)
-            failing += int(np.isnan(expected).all(axis=(1, 2)).sum())
-    assert failing > 0
-
-
-def test_small_factor_matches_lapack_on_edge_entries():
-    """Zero and -0.0 pivots, subnormals, infinities, a second pivot of exactly
-    0 and a NaN in each entry, at d = 1 and d = 2: the factor, its zero upper
-    triangle and its all-NaN failures are LAPACK's."""
-    specials = [0.0, -0.0, 5e-324, 1e-310, math.inf, -math.inf, math.nan, -1.0]
-    scalars = np.array(specials + [2.5, 1e-300, 1e300])[:, None, None]
-    np.testing.assert_array_equal(geometry._potrf(scalars), _lapack_factor(scalars))
-
-    # [[4, 2], [2, 1]] has c - l10 * l10 == 0 exactly: 2 * (1 / 2) = 1.
-    bases = [np.array([[4.0, 2.0], [2.0, 3.0]]), np.array([[4.0, 2.0], [2.0, 1.0]])]
-    bases += [np.array([[1.0, 3.0], [3.0, 9.0]]), np.array([[2.0, 0.0], [0.0, 5.0]])]
-    cases = list(bases)
-    for base in bases:
-        for where in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            for v in specials:
-                m = base.copy()
-                m[where] = v
-                cases.append(m)
-    mats = np.stack(cases)
-    expected = _lapack_factor(mats)
-    np.testing.assert_array_equal(geometry._potrf(mats), expected)
-    failed = np.isnan(expected).all(axis=(1, 2))
-    assert failed[1] and failed.any() and not failed.all()
-    assert np.all(expected[~failed, 0, 1] == 0.0)
-
-
 def _count_lapack_calls(monkeypatch) -> list:
     calls = []
     cholesky_lo = geometry._umath_linalg.cholesky_lo
@@ -355,24 +306,24 @@ def _count_lapack_calls(monkeypatch) -> list:
 
 
 def test_small_stacks_make_no_lapack_call(monkeypatch):
-    """A d = 2 stack with failing and jitter-recovered rows is factored
-    without the gufunc."""
+    """The log det of a d = 2 stack with failing and jitter-recovered rows
+    is taken without the gufunc."""
     stack = np.stack([np.eye(2), np.diag([1.0, -1e-20]), np.diag([1.0, -1.0])] * 4)
     calls = _count_lapack_calls(monkeypatch)
-    chol = _cholesky(stack, jitter=True)
+    logdet = _logdet(_entries(stack), jitter=True)
     assert not calls
-    assert np.isnan(chol[2::3]).all() and not np.isnan(chol[1::3]).any()
+    assert np.isnan(logdet[2::3]).all() and not np.isnan(logdet[1::3]).any()
 
 
 def test_large_stacks_make_at_most_two_lapack_calls(monkeypatch):
-    """A d = 3 stack with failing rows costs one gufunc call plus one for the
-    jitter retry."""
+    """The log det of a d = 3 stack with failing rows costs one gufunc call
+    plus one for the jitter retry."""
     rng = np.random.default_rng(31)
     stack = np.stack([spd(rng, 3), np.diag([1.0, 1.0, -1e-20]), np.diag([1.0, 1.0, -1.0])] * 4)
     calls = _count_lapack_calls(monkeypatch)
-    chol = _cholesky(stack, jitter=True)
+    logdet = _logdet(_entries(stack), jitter=True)
     assert 1 <= len(calls) <= 2
-    assert np.isnan(chol[2::3]).all() and not np.isnan(chol[1::3]).any()
+    assert np.isnan(logdet[2::3]).all() and not np.isnan(logdet[1::3]).any()
 
 
 def test_mismatch_field_matches_pointwise():
@@ -390,6 +341,37 @@ def test_causal_eigenvalues_descending_and_match_generalized_solver():
     assert np.all(np.diff(report.eigenvalues) <= 0)
     ref = np.sort(linalg.eigh(g_mat, h_mat, eigvals_only=True))[::-1]
     np.testing.assert_allclose(report.eigenvalues, ref, rtol=1e-12)
+
+
+def _whitened_eigenvalues(g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of h^-1 g, descending, through np.linalg.cholesky whitening of h."""
+    chol = np.linalg.cholesky(h_mat)
+    whitened = np.linalg.solve(chol, np.linalg.solve(chol, g_mat).T)
+    return np.linalg.eigh(0.5 * (whitened + whitened.T))[0][::-1]
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
+def test_two_species_causal_eigenvalues_match_a_whitening_reference(matrix):
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, matrix=matrix))
+    for theta in ([0.3, 0.7], [0.05, 0.9], [0.5, 0.5]):
+        theta = np.array(theta)
+        report = causal_eigenvalues(model.g, model.h, theta)
+        np.testing.assert_array_equal(report.eigenvalues, _whitened_eigenvalues(model.g(theta), model.h(theta)))
+
+
+def test_causal_eigenvalues_retry_h_once_with_the_jitter():
+    """An h = diag(1, -1e-20) that only the one jitter factors gives the
+    eigenvalues of the jittered h; an indefinite h raises."""
+    g = constant_metric(np.array([[2.0, 0.5], [0.5, 1.0]]), 2)
+    h_mat = np.diag([1.0, -1e-20])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(h_mat)
+    jittered = h_mat + (1e-12 * (1.0 - 1e-20) / 2) * np.eye(2)
+    report = causal_eigenvalues(g, constant_metric(h_mat, 2), np.zeros(2))
+    assert np.all(np.isfinite(report.eigenvalues))
+    np.testing.assert_array_equal(report.eigenvalues, _whitened_eigenvalues(g(np.zeros(2)), jittered))
+    with pytest.raises(IllPosedInterventionsError, match="intervention metric is singular"):
+        causal_eigenvalues(g, constant_metric(np.diag([1.0, -1.0]), 2), np.zeros(2))
 
 
 def test_reparameterize_identity_map_is_noop():
@@ -474,11 +456,14 @@ def _grid(domain: Domain, nodes_per_axis: int = 101):
 
 
 def _lapack_logdet(stack: np.ndarray, jitter: bool) -> np.ndarray:
-    """log det of each 2 x 2 matrix of a stack from LAPACK's factors, with the one jitter retry."""
+    """log det of each 2 x 2 matrix of a stack from LAPACK's factors, with
+    one retry of the failing ones at 1e-12 * trace / 2 added to the diagonal."""
     chol = _lapack_factor(stack)
     failed = np.isnan(chol).all(axis=(1, 2))
     if jitter and failed.any():
-        chol[failed] = _lapack_factor(geometry._jittered(stack[failed]))
+        retry = stack[failed]
+        shift = (1e-12 * (retry[:, 0, 0] + retry[:, 1, 1])) / 2
+        chol[failed] = _lapack_factor(retry + shift[:, None, None] * np.eye(2))
     return 2.0 * (np.log(chol[:, 0, 0]) + np.log(chol[:, 1, 1]))
 
 
