@@ -39,10 +39,12 @@ _NORMALIZER_FLOOR = 1e-300
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Rows of parameter points a box mixture evaluates at once. Blocks keep the
-# temporaries in cache and small enough for the allocator to reuse; over the
-# whole arrays of a fig1b quadrature pass the mixture ran about 20% slower.
-_MIX_BLOCK = 32768
+# Elements of one temporary in a blocked evaluation (512 KB of float64): the
+# box mixture takes this many parameter rows at once, and the exact kernel
+# sizes its row blocks by it. Blocks keep the temporaries in cache and small
+# enough for the allocator to reuse; over the whole arrays of a fig1b
+# quadrature pass the mixture ran about 20% slower.
+_BLOCK = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +145,11 @@ class UniformBox:
             def log_mix(theta: np.ndarray) -> np.ndarray:
                 flat = np.reshape(theta, (-1, self.dim))
                 out = np.zeros(flat.shape[0])
-                for start in range(0, flat.shape[0], _MIX_BLOCK):
-                    rows = flat[start : start + _MIX_BLOCK]
+                for start in range(0, flat.shape[0], _BLOCK):
+                    rows = flat[start : start + _BLOCK]
                     for k, (a, b, s) in enumerate(axes):
                         probs = box_mass(rows[:, k], a, b, s)
-                        out[start : start + _MIX_BLOCK] += np.log(np.maximum(probs, 1e-300, out=probs), out=probs)
+                        out[start : start + _BLOCK] += np.log(np.maximum(probs, 1e-300, out=probs), out=probs)
                 out -= log_vol
                 return out.reshape(np.shape(theta)[:-1])
 
@@ -386,7 +388,11 @@ NoiseSpec = tp.Union[ConstantIsotropic, DiagonalStateDependent, FullConstant]
 def gaussian_log_density(noise: NoiseSpec, point: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """log N(point; mean, noise covariance at mean), reduced over the last axis."""
     white = noise.whiten(point - mean, mean)
-    out = np.einsum("...i,...i->...", white, white)
+    if white.shape[-1] == 1:
+        # the einsum's value; whiten returns a new array, so it is squared in place
+        out = np.multiply(white, white, out=white)[..., 0]
+    else:
+        out = np.einsum("...i,...i->...", white, white)
     out += white.shape[-1] * _LOG_2PI
     out *= -0.5
     out -= noise.half_logdet(mean)

@@ -30,6 +30,7 @@ from ._quadrature import (
     midpoint_axes,
 )
 from .channels import (
+    _BLOCK,
     Domain,
     FullConstant,
     GaussianChannel,
@@ -177,6 +178,8 @@ class _ScalarChain:
         # noise at its floor); the segment and outer rules break there
         kink_bp = self.invert_effect(np.asarray(ch_ty.noise.kinks, dtype=float))
         self.fixed_bp = np.r_[self.mix_lo, self.mix_hi, kink_bp]
+        # nodes of the segment rule per effect point
+        self.segment_nodes = (len(self.LADDER) + self.fixed_bp.size - 1) * self.SEGMENT_NODES
         self.outer_layers = self._outer_layers(np.r_[lo, hi, kink_bp[(kink_bp > lo) & (kink_bp < hi)]])
 
     # -- effect map shorthand ------------------------------------------------
@@ -241,6 +244,10 @@ class _ScalarChain:
         likelihood, iterated to a fixed point. Node placement only; the
         integrand itself is evaluated exactly, so mild non-Gaussianity is
         absorbed by the rule.
+
+        The (rows x nodes) arrays are formed in blocks of _BLOCK //
+        KERNEL_NODES = 2048 rows, their arithmetic in place; each row's value
+        does not depend on the blocks.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         n = y.shape[0]
@@ -257,18 +264,28 @@ class _ScalarChain:
             rhs = mu_q * prec_q + np.sum(w * (y - f_val + j * theta[:, None]), axis=-1)
             theta = rhs / prec
         scale = self.SCALE_INFLATION / np.sqrt(prec)
+        spread = math.sqrt(2.0) * scale
         t, gh_w = gauss_hermite(self.KERNEL_NODES)
-        nodes = theta[:, None] + math.sqrt(2.0) * scale[:, None] * t[None, :]
-        log_psi = self._log_joint(nodes, y, mu_q)
-        log_term = log_psi + t[None, :] ** 2
-        shift = np.max(log_term, axis=1, keepdims=True)
-        total = np.sum(gh_w[None, :] * np.exp(log_term - shift), axis=1)
-        return math.sqrt(2.0) * scale * total * np.exp(shift[:, 0])
+        t_sq = t**2
+        total, shift = np.empty(n), np.empty(n)
+        for rows in _row_blocks(n, _BLOCK // self.KERNEL_NODES):
+            nodes = np.multiply(spread[rows, None], t)
+            nodes += theta[rows, None]
+            log_term = self._log_joint(nodes, y[rows], mu_q[rows])
+            log_term += t_sq
+            top = np.max(log_term, axis=1, keepdims=True)
+            log_term -= top
+            np.exp(log_term, out=log_term)
+            log_term *= gh_w
+            total[rows] = np.sum(log_term, axis=1)
+            shift[rows] = top[:, 0]
+        return spread * total * np.exp(shift)
 
     def _log_joint(self, nodes: np.ndarray, y: np.ndarray, mu_q: np.ndarray) -> np.ndarray:
         """log[q(theta|x) p(y|theta)] at nodes (n, k) for paired rows y (n, 1)."""
         log_q = gaussian_log_density(self.ch_xt.noise, nodes[..., None], mu_q[:, None, None])
-        return log_q + gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(nodes))
+        log_q += gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(nodes))
+        return log_q
 
     # -- averaged effect density ----------------------------------------------
 
@@ -315,25 +332,29 @@ class _ScalarChain:
 
     def averaged_density(self, y: np.ndarray) -> np.ndarray:
         """Effect density averaged over interventions, at y rows (n, 1)."""
-        return np.sum(self._segment_terms(np.atleast_2d(np.asarray(y, dtype=float)))[0], axis=1)
+        return self._averaged(y, False)[0]
 
-    def _averaged(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Averaged effect density e, de/dy and d2e/dy2 at y rows (n, 1).
+    def _averaged(self, y: np.ndarray, derivatives: bool = True) -> np.ndarray:
+        """Averaged effect density e, de/dy and d2e/dy2 at y rows (n, 1), stacked (3, n).
 
-        The segment terms of e times the effect score s = -Sigma^-1 (y - f)
-        give de/dy, and times s^2 - Sigma^-1 give d2e/dy2, since Sigma
-        depends on f(theta) and not on y.
+        Without derivatives only e, (1, n). The segment terms of e times the
+        effect score s = -Sigma^-1 (y - f) give de/dy, and times s^2 -
+        Sigma^-1 give d2e/dy2, since Sigma depends on f(theta) and not on y.
+        The rows run in blocks of about _BLOCK terms each (455 rows of 144
+        segment nodes); each row's sums do not depend on the blocks.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        terms, f_val = self._segment_terms(y)
+        out = np.empty((3 if derivatives else 1, y.shape[0]))
         noise = self.ch_ty.noise
-        score = -noise.whiten(noise.whiten(y[:, None, :] - f_val, f_val), f_val)[..., 0]
-        prec = noise.whiten(noise.whiten(np.ones_like(f_val), f_val), f_val)[..., 0]
-        return (
-            np.sum(terms, axis=1),
-            np.sum(terms * score, axis=1),
-            np.sum(terms * (score * score - prec), axis=1),
-        )
+        for rows in _row_blocks(y.shape[0], _BLOCK // self.segment_nodes):
+            terms, f_val = self._segment_terms(y[rows])
+            out[0, rows] = np.sum(terms, axis=1)
+            if derivatives:
+                score = -noise.whiten(noise.whiten(y[rows, None, :] - f_val, f_val), f_val)[..., 0]
+                prec = noise.whiten(noise.whiten(np.ones_like(f_val), f_val), f_val)[..., 0]
+                out[1, rows] = np.sum(terms * score, axis=1)
+                out[2, rows] = np.sum(terms * (score * score - prec), axis=1)
+        return out
 
     def _segment_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature terms of e at y rows (n, 1), each row summing to e, and f at the nodes.
@@ -350,8 +371,11 @@ class _ScalarChain:
         weights = (widths[:, :, None] * w[None, None, :]).reshape(n, -1)
         flat = nodes.reshape(n, -1)  # (n, s*k)
         f_val = self.f(flat)
-        log_p = gaussian_log_density(self.ch_ty.noise, y[:, None, :], f_val)
-        return weights * np.exp(self.log_mix(flat[..., None]) + log_p), f_val
+        terms = self.log_mix(flat[..., None])
+        terms += gaussian_log_density(self.ch_ty.noise, y[:, None, :], f_val)
+        np.exp(terms, out=terms)
+        terms *= weights
+        return terms, f_val
 
     def log_averaged_density(self, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """log e at effect nodes y (m, k), one row of nodes per intervention.
@@ -463,6 +487,11 @@ class _ScalarChain:
         p = self.conditional_density(y.reshape(-1, 1), np.repeat(mu_q, k), np.repeat(sig_q, k))
         log_e = self.log_averaged_density(y, sd[:, None] * p.reshape(m, k)).reshape(-1)
         return sd * (_kl_integrand(p, log_e).reshape(m, k) @ w)
+
+
+def _row_blocks(n: int, rows: int) -> tp.Iterator[slice]:
+    """Slices of at most rows rows covering n rows in order."""
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
 def _effect_windows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,6 +609,11 @@ def ei_exact_quadrature(
     every node the grids move the bundled figures by at most 1.5e-13 nats. A
     second pass with every node count doubled flags non-convergence beyond
     1e-3 nats.
+
+    The kernel's (rows x nodes) arrays, those of the conditional and of the
+    averaged density, are formed in row blocks of at most _BLOCK = 65,536
+    elements (512 KB each), so beyond its blocks a pass keeps a few float
+    vectors per effect node alive; the blocks do not move any value.
     """
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from causalgeom import (
     UniformBox,
 )
 from causalgeom._quadrature import GRADING, gauss_legendre, graded_gauss_legendre
+from causalgeom import ei
 from causalgeom.channels import gaussian_log_density
 from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
@@ -483,13 +485,14 @@ def test_effect_grids_double_while_doubling_pays(model, refine):
     ids=["family-a-5", "linear-1e-3-doubled"],
 )
 def test_every_effect_grid_point_is_evaluated_once(model, refine, monkeypatch):
-    """One segment-rule evaluation per round for the new points of every
-    growing window, then one for the nodes left to direct evaluation: the
-    rows evaluated are the final grid points plus the direct nodes."""
+    """One averaged-density evaluation (its row blocks inside) per round for
+    the new points of every growing window, then one for the nodes left to
+    direct evaluation: the rows evaluated are the final grid points plus the
+    direct nodes."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
-    calls, terms = [], chain._segment_terms
-    monkeypatch.setattr(chain, "_segment_terms", lambda ys: calls.append(ys[:, 0]) or terms(ys))
+    calls, averaged = [], chain._averaged
+    monkeypatch.setattr(chain, "_averaged", lambda ys, *args: calls.append(ys[:, 0]) or averaged(ys, *args))
     x, _, size, direct = chain.effect_grids(y, weight)
     evaluated = np.concatenate(calls)
     assert np.array_equal(np.sort(evaluated), x) and np.unique(evaluated).size == x.size
@@ -544,6 +547,76 @@ def test_fragmented_rows_take_the_grid_path_within_effect_grid(monkeypatch):
         assert np.max(np.abs(got - direct)[weight >= 1e-3]) <= 1e-9
         assert np.max(np.abs((weight * (got - direct)) @ w)) <= 1e-10
     assert evaluated[0] <= 4212 and sum(evaluated) <= 12437
+
+
+BLOCK_CHAINS = {
+    "family-a0.25": dimmer_family(0.25, 0.03, 0.03),
+    # criterion 05's chain: state-dependent effect noise with a kink at its floor
+    "weber": dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003),
+    # the discrete log-sum-exp mixture
+    "switch": binary_switch_model(0.05, 0.05),
+}
+
+
+def effect_rows(chain, n):
+    """n effect rows y (n, 1) with their intervention means and sds (n,), as
+    kl_all lays them out: a Gauss-Legendre effect axis per outer row."""
+    mu, sig, _ = chain.components()
+    nodes = -(-n // mu.size)
+    f0, cov = chain.predicted_moments_batch(mu, sig)
+    u, _ = gauss_legendre(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, nodes)
+    y = f0 + np.sqrt(cov[:, 0, 0])[:, None] * u
+    return y.reshape(-1, 1)[:n], np.repeat(mu, nodes)[:n], np.repeat(sig, nodes)[:n]
+
+
+@pytest.mark.parametrize("model", BLOCK_CHAINS.values(), ids=list(BLOCK_CHAINS))
+def test_row_blocks_never_change_the_numbers(model, monkeypatch):
+    """conditional_density and _averaged over three full row blocks and a
+    ragged last one equal one block over the same rows, bit for bit."""
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    cond_rows = ei._BLOCK // chain.KERNEL_NODES
+    avg_rows = ei._BLOCK // chain.segment_nodes
+    y, mu, sig = effect_rows(chain, 3 * cond_rows + 357)
+    y_avg = y[np.linspace(0, y.shape[0] - 1, 3 * avg_rows + 101).astype(int)]
+    for rows, n in ((cond_rows, y.shape[0]), (avg_rows, y_avg.shape[0])):
+        assert n > 3 * rows and n % rows
+    blocked = chain.conditional_density(y, mu, sig), chain._averaged(y_avg), chain.averaged_density(y_avg)
+    monkeypatch.setattr(ei, "_BLOCK", 1 << 40)
+    whole = chain.conditional_density(y, mu, sig), chain._averaged(y_avg), chain.averaged_density(y_avg)
+    assert np.all(blocked[0] > 0.0) and np.all(blocked[1][0] > 0.0)
+    for got, want in zip(blocked, whole):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(blocked[2], blocked[1][0])
+
+
+def traced_peak(func) -> int:
+    """Peak traced bytes of a second call of func (the first warms caches)."""
+    func()
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_kernel_working_set_is_bounded():
+    """kl_all at a fig1b point (a = 0.25: 120 outer rows of 201 effect nodes)
+    peaks under 12 MB traced, where 9.3 MB was measured (33 MB with the
+    kernel's (rows x nodes) arrays whole); and conditional_density's peak,
+    less 16 float vectors of its rows (about 11 measured), does not grow
+    when its rows grow 4 times: those arrays live one row block at a time."""
+    model = dimmer_family(0.25, 0.03, 0.03)
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    mu, sig, _ = chain.components()
+    assert mu.size == 120
+    assert traced_peak(lambda: chain.kl_all(mu, sig, 201)) <= 12e6
+    rows = effect_rows(chain, 120 * 201)
+    n = rows[0].shape[0]
+    rows_4 = np.tile(rows[0], (4, 1)), np.tile(rows[1], 4), np.tile(rows[2], 4)
+    small = traced_peak(lambda: chain.conditional_density(*rows))
+    large = traced_peak(lambda: chain.conditional_density(*rows_4))
+    assert large - 16 * 8 * 4 * n <= small - 16 * 8 * n
 
 
 OUTER_CASES = {

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from causalgeom import (
     reparameterize,
     two_species_model,
 )
-from causalgeom import geometry
+from causalgeom import ei, geometry
 from causalgeom.ei import _field_axes, _field_grid
 from causalgeom.geometry import _entries, _logdet, _mismatch_batch, _require_factored
 
@@ -255,36 +256,55 @@ def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
             assert np.isnan(logdet[1]) != jitter
 
 
+def _cubic_metric(points: np.ndarray) -> np.ndarray:
+    """diag(1, 1, -1 - 2^-52) where theta_0 < 0.3 on points (n, 3), else the identity.
+
+    Plus the identity it fails to factor by one ulp, and the jitter recovers it.
+    """
+    out = np.broadcast_to(np.eye(3), (points.shape[0], 3, 3)).copy()
+    out[:, 2, 2] = np.where(points[:, 0] < 0.3, -1.0 - 2.0**-52, 1.0)
+    return out
+
+
 def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
-    """On a fig4a point where g does not factor at some nodes (two-species at
-    delta_t = 50), each stack costs at most one LAPACK call plus one for the
-    jitter; the 2x2 stacks go through potf2 element-wise and cost none."""
-    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, n_points=3))
-    lapack_calls = []
-    cholesky_lo = geometry._umath_linalg.cholesky_lo
+    """Each log det the geometric estimator takes costs at most one LAPACK
+    call plus one for the jitter retry (the retry's own _logdet call
+    included), counted per outermost _logdet call. On a fig4a point where g
+    does not factor at some nodes (two-species at delta_t = 50) the 2x2
+    metrics go through potf2 and cost none; with 3x3 metrics, where g fails
+    and g + h factors only with the jitter, the g + h log det costs two."""
+    cubic = types.SimpleNamespace(
+        g=MetricField(lambda t: _cubic_metric(t[None])[0], 3, _cubic_metric),
+        h=constant_metric(np.eye(3), 3),
+        theta_domain=Domain(((0.0, 1.0),) * 3),
+    )
+    cases = [
+        (two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, n_points=3)), 101, [0, 0, 0]),
+        (cubic, 9, [1, 2, 1]),  # h, g + h with its retry, g
+    ]
+    lapack_calls = _count_lapack_calls(monkeypatch)
+    per_call = []
+    depth = []
+    logdet = geometry._logdet
 
-    def counting_lo(*args, **kwargs):
-        lapack_calls.append(1)
-        return cholesky_lo(*args, **kwargs)
-
-    per_stack = []
-    failing_rows = []
-    potf2 = geometry._potf2
-
-    def counting_potf2(entries):
+    def counting_logdet(entries, jitter=False):
         before = len(lapack_calls)
-        diag, failed = potf2(entries)
-        per_stack.append(len(lapack_calls) - before)
-        failing_rows.append(int(failed.sum()))
-        return diag, failed
+        depth.append(1)
+        try:
+            return logdet(entries, jitter)
+        finally:
+            depth.pop()
+            if not depth:
+                per_call.append(len(lapack_calls) - before)
 
-    monkeypatch.setattr(geometry._umath_linalg, "cholesky_lo", counting_lo)
-    monkeypatch.setattr(geometry, "_potf2", counting_potf2)
-    report = ei_geometric(model.g, model.h, model.theta_domain, nodes_per_axis=101)
-    assert report.nats == -math.inf
-    assert max(failing_rows) > 0
-    assert per_stack and max(per_stack) <= 2
-    assert len(lapack_calls) == sum(per_stack)
+    monkeypatch.setattr(geometry, "_logdet", counting_logdet)
+    monkeypatch.setattr(ei, "_logdet", counting_logdet)
+    for model, nodes, want in cases:
+        lapack_calls.clear()
+        per_call.clear()
+        report = ei_geometric(model.g, model.h, model.theta_domain, nodes_per_axis=nodes)
+        assert report.nats == -math.inf
+        assert per_call == want and len(lapack_calls) == sum(per_call)
 
 
 def _lapack_factor(stack: np.ndarray) -> np.ndarray:
