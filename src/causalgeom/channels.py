@@ -41,9 +41,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Elements of one temporary in a blocked evaluation (512 KB of float64): the
 # box mixture takes this many parameter rows at once, and the exact kernel
-# sizes its row blocks by it. Blocks keep the temporaries in cache and small
-# enough for the allocator to reuse; over the whole arrays of a fig1b
-# quadrature pass the mixture ran about 20% slower.
+# sizes its row blocks by it. Blocks bound the kernel's working set and keep
+# the temporaries in cache; over the whole arrays of a fig1b quadrature pass
+# the mixture ran about 20% slower. They do not stop glibc from mapping and
+# trimming the temporaries' memory afresh: a 6-point fig1b sweep still takes
+# about 35k minor page faults, about 5k with its mmap and trim thresholds
+# raised.
 _BLOCK = 65536
 
 

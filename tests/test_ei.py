@@ -619,6 +619,104 @@ def test_exact_kernel_working_set_is_bounded():
     assert large - 16 * 8 * 4 * n <= small - 16 * 8 * n
 
 
+GRID_CHAINS = {
+    **{f"family-a{a:g}": dimmer_family(a, 0.03, 0.03) for a in (-5.0, 0.25, 5.0)},
+    "linear-1e-3": dimmer_model(linear_profile(), 1e-3, 1e-3),
+    "power2-1e-3": dimmer_model(power_profile(2.0), 1e-3, 1e-3),
+    "weber": dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003),
+    "switch-0.1": binary_switch_model(0.1, 0.1),
+}
+
+
+def grid_inputs(model):
+    """The chain, its components and the f0, sd, mu, sig and rule (u, w) of one kl_all pass."""
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    mu, sig, _ = chain.components()
+    f0, cov = chain.predicted_moments_batch(mu, sig)
+    return chain, f0, np.sqrt(cov[:, 0, 0]), mu, sig, gauss_legendre(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, 201)
+
+
+@pytest.mark.parametrize("model", GRID_CHAINS.values(), ids=list(GRID_CHAINS))
+def test_conditional_grid_error_is_bounded_by_its_estimate(model):
+    """On every component kept on a grid, interpolated log p is within the
+    error estimate of direct evaluation at each of the 201 nodes, beyond the
+    rounding direct evaluation carries: how far log p moves when its node y
+    moves by one ulp (the nodes are y = f0 + sd u, rounded; that rounding
+    moves a direct value by up to 1.3e-12 on the linear chain at 1e-3).
+    Measured worst ratio 0.85 (Weber); 3.5 with no rounding allowance
+    (power profile at 1e-3, where the rounding is the whole difference)."""
+    chain, f0, sd, mu, sig, (u, w) = grid_inputs(model)
+    log_p, est, direct = chain.conditional_grids(f0, sd, mu, sig, w)
+    kept = ~direct
+    assert np.sum(kept) >= mu.size // 3 and np.all(np.isfinite(est[kept]))
+    y = f0[kept] + sd[kept, None] * u
+
+    def log_direct(at):
+        p = chain.conditional_density(at.reshape(-1, 1), np.repeat(mu[kept], u.size), np.repeat(sig[kept], u.size))
+        return np.log(p).reshape(at.shape)
+
+    ref = log_direct(y)
+    rounding = np.maximum(
+        np.abs(log_direct(np.nextafter(y, np.inf)) - ref), np.abs(log_direct(np.nextafter(y, -np.inf)) - ref)
+    )
+    assert np.all(np.abs(log_p[kept] - ref) - rounding <= est[kept][:, None])
+
+
+@pytest.mark.parametrize("model", GRID_CHAINS.values(), ids=list(GRID_CHAINS))
+def test_conditional_grids_off_give_the_direct_kernel_bit_for_bit(model, monkeypatch):
+    """With COND_TOL = 0 every component is evaluated directly, and kl_all
+    equals the kernel that evaluates p at every node, bit for bit."""
+    chain, f0, sd, mu, sig, (u, w) = grid_inputs(model)
+    monkeypatch.setattr(_ScalarChain, "COND_TOL", 0.0)
+    assert np.all(chain.conditional_grids(f0, sd, mu, sig, w)[2])
+    y = f0 + sd[:, None] * u
+    p = chain.conditional_density(y.reshape(-1, 1), np.repeat(mu, u.size), np.repeat(sig, u.size))
+    log_e = chain.log_averaged_density(y, sd[:, None] * p.reshape(y.shape)).reshape(-1)
+    live = p > ei._P_FLOOR
+    integrand = np.zeros_like(p)
+    integrand[live] = p[live] * (np.log(p[live]) - log_e[live])
+    np.testing.assert_array_equal(chain.kl_all(mu, sig, 201), sd * (integrand.reshape(y.shape) @ w))
+
+
+@pytest.mark.parametrize("size", [33, 65, 129])
+def test_chebyshev_interpolation_reproduces_polynomials(size):
+    """The barycentric matrix reproduces polynomials of degree < size at the
+    Gauss-Legendre nodes, each node's weights sum to 1, and the tail rows
+    give the top half of the Chebyshev coefficients."""
+    x, interp, tail = ei._chebyshev(size, 201)
+    u, _ = gauss_legendre(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, 201)
+    assert np.all(np.diff(x) > 0) and x[0] == -_EFFECT_TAIL_SIGMAS and x[-1] == _EFFECT_TAIL_SIGMAS
+    np.testing.assert_allclose(np.sum(interp, axis=0), 1.0, rtol=0, atol=1e-14)
+    rng = np.random.default_rng(0)
+    for degree in (0, 1, size // 2, size - 1):
+        coef = rng.normal(size=degree + 1)
+        cheb = np.polynomial.Chebyshev(coef, domain=[-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS])
+        np.testing.assert_allclose(cheb(x) @ interp, cheb(u), rtol=0, atol=1e-13 * np.sum(np.abs(coef)))
+        full = np.zeros(size)
+        full[: degree + 1] = coef
+        np.testing.assert_allclose(np.abs(cheb(x) @ tail), np.abs(full[size - tail.shape[1] :]), rtol=0, atol=1e-13)
+    assert ei._chebyshev(size, 201) is ei._chebyshev(size, 201) and not interp.flags.writeable
+    np.testing.assert_array_equal(ei._chebyshev(2 * size - 1, 201)[0][::2], x)
+
+
+def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
+    """One component per kl_all call: a component kept on its first grid
+    sends 33 rows to conditional_density, one kept after its doubling 33 +
+    32, and one left direct 65 + 201."""
+    counts = {}
+    for name in ("family-a-5", "weber"):
+        model = GRID_CHAINS[name]
+        chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+        mu, sig, _ = chain.components()
+        density = chain.conditional_density
+        for i in range(mu.size):
+            rows = []
+            monkeypatch.setattr(chain, "conditional_density", lambda y, *a: rows.append(len(y)) or density(y, *a))
+            chain.kl_all(mu[i : i + 1], sig[i : i + 1], 201)
+            counts[tuple(rows)] = counts.get(tuple(rows), 0) + 1
+    assert set(counts) == {(33,), (33, 32), (33, 32, 201)}
+
+
 OUTER_CASES = {
     **{f"family-a{a:g}": dimmer_family(a, 0.03, 0.03) for a in (-5.0, -2.0, 0.0, 2.0, 5.0)},
     "linear-1e-3": dimmer_model(linear_profile(), 1e-3, 1e-3),
