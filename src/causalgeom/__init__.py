@@ -7,9 +7,7 @@ from .channels import (
     Domain,
     FullConstant,
     GaussianChannel,
-    InvertedChannel,
     UniformBox,
-    invert_uniform_prior,
 )
 from .ei import (
     EIReport,
@@ -24,12 +22,10 @@ from .errors import (
     DegenerateDistributionError,
     DegenerateEmbeddingError,
     DegenerateModelError,
-    DomainViolationError,
     IllPosedInterventionsError,
     InvalidConfigError,
     NumericalFailureError,
     RegimeError,
-    UnreachableParameterError,
     UseMonteCarloError,
 )
 from .geometry import (
@@ -39,7 +35,6 @@ from .geometry import (
     causal_eigenvalues,
     constant_metric,
     effect_metric,
-    intervention_metric,
     mismatch_at,
     reparameterize,
 )

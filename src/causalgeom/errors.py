@@ -16,21 +16,8 @@ class InvalidConfigError(CausalGeomError):
     """A configuration value is malformed or out of its allowed range."""
 
 
-class DomainViolationError(CausalGeomError):
-    """A point lies outside the domain it is required to be in."""
-
-
 class DegenerateDistributionError(CausalGeomError):
     """A covariance matrix is not positive definite."""
-
-
-class UnreachableParameterError(CausalGeomError):
-    """No intervention in the box reaches this parameter value.
-
-    Raised when the normalization integral of the inverted channel underflows
-    (below 1e-300), i.e. the parameter point is essentially impossible under
-    every allowed intervention.
-    """
 
 
 class IllPosedInterventionsError(CausalGeomError):

@@ -18,7 +18,7 @@ import typing as tp
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .channels import GaussianChannel, InvertedChannel
+from .channels import GaussianChannel
 from .errors import DegenerateModelError, IllPosedInterventionsError
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
@@ -234,11 +234,6 @@ def effect_metric(channel: GaussianChannel) -> MetricField:
         return _sym(wj_t @ np.swapaxes(wj_t, -1, -2))
 
     return MetricField(fisher, channel.dim_in, fisher)
-
-
-def intervention_metric(inverted: InvertedChannel) -> MetricField:
-    """Fisher metric of the uniform-prior inverted channel."""
-    return MetricField(inverted.fisher, inverted.channel.dim_out)
 
 
 def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:

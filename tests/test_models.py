@@ -25,8 +25,6 @@ from causalgeom import (
     dimmer_model,
     effect_metric,
     family_profile,
-    intervention_metric,
-    invert_uniform_prior,
     linear_profile,
     power_profile,
     antidiagonal_submanifold,
@@ -39,6 +37,7 @@ from causalgeom import (
 from causalgeom import models
 from causalgeom.cli import MODELS
 from causalgeom.ei import _field_grid
+from reference import intervention_metric, invert_uniform_prior
 
 GRID = np.linspace(0.0, 1.0, 201)
 

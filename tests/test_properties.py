@@ -20,7 +20,6 @@ from causalgeom import (
     ei_exact_mc,
     ei_exact_quadrature,
     ei_geometric,
-    invert_uniform_prior,
     linear_profile,
     mismatch_at,
     pullback_field,
@@ -28,6 +27,7 @@ from causalgeom import (
     antidiagonal_submanifold,
 )
 from causalgeom.ei import FLAG_NOT_CONVERGED
+from reference import invert_uniform_prior
 
 UNIT = Domain(((0.0, 1.0),))
 
