@@ -112,11 +112,23 @@ class InvertedChannel:
 
     def _segments(self, theta: np.ndarray, x_star: np.ndarray) -> list[list[tuple[float, float, int]]]:
         """Per-axis integration segments: a dense window at the peak plus the
-        rest of the box at lower order."""
-        sig_max = self.channel.noise.scale_bound(self.channel.mean(x_star))
+        rest of the box at lower order.
+
+        The window reaches 12 of the widest noise sds either side of the
+        peak. Its node count resolves the narrowest direction of the noise
+        ridge, at least sig_min / s_max wide in the interventions: two nodes
+        per such width, and never fewer than 160. On a scalar box, and for
+        isotropic noise through the identity, that is at most 48, so the
+        window keeps 160 nodes; the skewed two-species noise of
+        [[1, .8], [.7, 1]] (sds 7 to 1) gets 335 at the box centre.
+        """
+        mean = self.channel.mean(x_star)
+        sig_max = self.channel.noise.scale_bound(mean)
+        sig_min = math.sqrt(float(np.min(np.linalg.eigvalsh(self.channel.noise.covariance(mean)))))
         jac = self.channel.jac(x_star)
         svals = np.linalg.svd(jac, compute_uv=False)
         s_min = float(svals.min()) if svals.size else 0.0
+        s_max = float(svals.max()) if svals.size else 0.0
         if s_min <= 1e-12:
             half = np.inf
         else:
@@ -129,7 +141,7 @@ class InvertedChannel:
             segs = []
             if a > lo:
                 segs.append((lo, a, 48))
-            segs.append((a, b, 160))
+            segs.append((a, b, max(160, math.ceil(2.0 * (b - a) * s_max / sig_min))))
             if b < hi:
                 segs.append((b, hi, 48))
             segments.append(segs)

@@ -114,6 +114,19 @@ def test_dimmer_model_metrics_match_numerical_routes():
         assert model.h(theta)[0, 0] == pytest.approx(h_num(theta)[0, 0], rel=1e-4)
 
 
+@pytest.mark.parametrize("theta", [(0.4, 0.6), (0.5, 0.5)])
+@pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])], ids=["identity", "skewed"])
+def test_two_species_h_matches_the_uniform_prior_inversion(matrix, theta):
+    """The closed-form two-species h equals the Fisher metric of the
+    uniform-prior inverted channel on the unit square. At delta = 0.01 the
+    noise ridge stays far from the edges at these points, so box truncation
+    does not enter; the reference is within 7e-15 of the closed form here."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01, matrix=matrix))
+    h_ref = intervention_metric(invert_uniform_prior(model.ch_xt, model.x_set))
+    h = model.h(np.array(theta))
+    assert np.max(np.abs(h_ref(theta) - h)) <= 1e-12 * np.max(np.abs(h))
+
+
 def test_binary_switch_keeps_two_interventions():
     model = binary_switch_model(0.01, 0.01)
     assert isinstance(model.x_set, DiscretePoints)
