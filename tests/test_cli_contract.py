@@ -5,16 +5,21 @@ without printing a traceback; a successful run writes a CSV whose header is
 as wide as every row, and a failed run leaves no output directory. Documents
 that would reach Monte Carlo (the exact estimator on two-species) are left
 out to keep the test short; sweeps have at most three steps.
+
+The package's public names are pinned here too, so a change to what
+``causalgeom`` exports is a deliberate edit of this module.
 """
 
 import contextlib
 import io
 import pathlib
 import tempfile
+import types
 
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 
+import causalgeom
 from causalgeom.cli import MODELS, main
 
 MALFORMED = ["abc", True, None, [1.0, 2.0], {"k": 1}, -1.0, 0.0, float("nan"), float("inf")]
@@ -115,3 +120,31 @@ def test_any_config_keeps_the_cli_contract(doc):
         lines = (out / "results.csv").read_text(encoding="utf-8").splitlines()
         width = len(lines[0].split(","))
         assert all(len(line.split(",")) == width for line in lines[1:] if not line.startswith("#")), doc
+
+
+PUBLIC_NAMES = [
+    "CausalGeomError", "ChainModel", "ConstantIsotropic", "Crossing", "CrossoverScan",
+    "DecayConfounderConfig", "DecayConfounderMetrics", "DegenerateDistributionError",
+    "DegenerateEmbeddingError", "DegenerateModelError", "DiagonalStateDependent", "DimmerProfile",
+    "DiscretePoints", "Domain", "EIReport", "EigenReport", "FullConstant", "GaussianChannel",
+    "IllPosedInterventionsError", "InvalidConfigError", "MetricField", "MonteCarloSpec",
+    "NumericalFailureError", "QuadratureSpec", "RegimeError", "SmoothMap", "Submanifold",
+    "SweepSpec", "TwoSpeciesConfig", "UniformBox", "UseMonteCarloError",
+    "antidiagonal_submanifold", "binary_switch_model", "causal_eigenvalues", "coarse_grained_ei",
+    "constant_metric", "crossover_scan", "decay_confounder_metrics", "diagonal_submanifold",
+    "dimmer_family", "dimmer_model", "effect_metric", "ei_exact_mc", "ei_exact_quadrature",
+    "ei_geometric", "family_profile", "linear_profile", "mismatch_at", "power_profile",
+    "pullback_field", "reparameterize", "two_species_model", "weber_noise", "weber_optimal_profile",
+]
+
+
+def test_public_surface_is_pinned():
+    """The names ``causalgeom`` binds that do not start with an underscore,
+    less its submodules (bound once anything imports them, so they depend
+    on test order): the 54 names its ``__init__`` imports."""
+    names = sorted(
+        name
+        for name, value in vars(causalgeom).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
