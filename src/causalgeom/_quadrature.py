@@ -60,12 +60,16 @@ def graded_gauss_legendre(
 
     The panels are graded into a layer around each centre c of width w:
     breakpoints sit at c, c - k w and c + k w for k in GRADING, clipped to
-    [a, b] and deduplicated. So a layer at an edge is graded from one side,
-    and one inside the interval from both.
+    [a, b] and deduplicated. So a layer at an edge is graded from one side.
+    A layer inside the interval is a kink of the integrand, smooth again a
+    few widths out, and is graded from both sides at k = 1 and 3 only.
     """
     steps = np.r_[-np.asarray(GRADING)[::-1], 0.0, GRADING]
-    inner = np.asarray(centres, dtype=float)[:, None] + np.asarray(widths, dtype=float)[:, None] * steps
-    bp = np.sort(np.clip(np.r_[a, inner.ravel(), b], a, b))
+    centres = np.asarray(centres, dtype=float)
+    inner = centres[:, None] + np.asarray(widths, dtype=float)[:, None] * steps
+    edge = (centres <= a) | (centres >= b)
+    inner = inner[edge[:, None] | (np.abs(steps) <= GRADING[1])]
+    bp = np.sort(np.clip(np.r_[a, inner, b], a, b))
     bp = bp[np.r_[True, np.diff(bp) > 0.0]]  # np.unique's values, without its lazy numpy.ma import
     t, w = _leggauss(int(n))
     mid = 0.5 * (bp[:-1] + bp[1:])

@@ -150,6 +150,7 @@ class _ScalarChain:
     PANEL_NODES = 12  # per graded panel of a box's outer rule
     WINDOW_FLOOR = 33  # the points an effect window starts with, odd
     EFFECT_TOL = 2.5e-13
+    POINT_COST = 1.3  # direct rows of e a grid row costs, as it also forms e' and e'' (1.2-1.4 measured)
     COND_GRID = 33  # the points a conditional grid starts with at 201 effect nodes, odd
     COND_TOL = 2.5e-13
     INVERSE_TABLE = 1025
@@ -213,9 +214,11 @@ class _ScalarChain:
         """Centres and widths of the layers an outer rule over a box grades into.
 
         The centres are the box edges and the effect-noise kinks inside the
-        box, each as wide as its edge noise. Where f' = 0 the edge noise has
-        no finite width; such a centre is graded from sigma_q across the box,
-        by layers each GRADING[-1] times wider than the one before.
+        box, each as wide as its edge noise; a kink, inside the box, is
+        graded at 1 and 3 widths only (graded_gauss_legendre). Where f' = 0
+        the edge noise has no finite width; such a centre is graded from
+        sigma_q across the box, by layers each GRADING[-1] times wider than
+        the one before.
         """
         widths = self.edge_noise(centres)
         layers = [(c, w) for c, w in zip(centres, widths) if np.isfinite(w)]
@@ -385,9 +388,13 @@ class _ScalarChain:
 
         weight (m, k) is how far each node's KL term moves per unit error in
         log e, up to its rule weight (sd * p in kl_all). log e comes from
-        the grids of effect_grids, by quintic Hermite steps with slope e'/e
-        and curvature e''/e - (e'/e)^2, except at the nodes it leaves for
-        direct evaluation.
+        the locally refined grids of effect_grids, by quintic Hermite steps
+        over the interval holding each node, with slope e'/e and curvature
+        e''/e - (e'/e)^2, except at the nodes it leaves for direct
+        evaluation. Against direct evaluation at every node, log e is at
+        most 4.5e-10 off where the weight is at least 1e-3 (the power-2
+        dimmer at 1e-3; 4.1e-10 on the Weber chain, 3.2e-10 on family a =
+        +-5), and each intervention's KL moves by at most 3e-12 nats (Weber).
         """
         out = np.empty(y.shape)
         x, grid, _, direct = self.effect_grids(y, weight)
@@ -400,59 +407,71 @@ class _ScalarChain:
     def effect_grids(
         self, y: np.ndarray, weight: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Nested Chebyshev-Lobatto grids of log e over the windows of nodes y (m, k).
+        """Locally refined Chebyshev-Lobatto grids of log e over the windows of nodes y (m, k).
 
         The rows' [min, max] envelopes are merged into disjoint windows: one
         grid spanning them all would cross gaps where e underflows. A window
         with more nodes than WINDOW_FLOOR starts with that many grid points;
-        the others are left to direct evaluation. Steps over every other
-        grid point, checked at the points in between, bound the error of
-        each interval (_grid_errors; about 64 times over where e is smooth,
-        as the step error falls as h^6), and a node fails when its weight
-        times that bound exceeds EFFECT_TOL. A doubling from n to 2n - 1
-        points evaluates only the n - 1 new ones, as the old grid sits at
-        the even indices, and cuts the bound by that same factor of 64. So a
-        window doubles while n - 1 plus its nodes failing at 64 EFFECT_TOL
-        is less than its nodes failing now: while the nodes a doubling is
-        expected to clear outnumber the points it costs. Each round
-        evaluates the new points of every growing window at once.
+        the others are left to direct evaluation. The grid is read as cells
+        of two intervals in the window's Chebyshev angle. A cell is checked
+        by the quintic step across it, compared with log e at its midpoint
+        (about 64 times its intervals' error where e is smooth, as the step
+        error falls as h^6), and a node fails when its weight times that
+        check exceeds EFFECT_TOL. A cell with failing nodes adds its two
+        quarter points and splits into two cells while those nodes
+        outnumber what the two points cost (POINT_COST direct rows each)
+        and while it is wider than 1/8 of the smallest effect-noise sd at
+        its points: e is the parameter mixture blurred by that noise, so a
+        narrower cell that still fails sees the segment rule's own jitter in
+        y, not curvature. Each round evaluates the new points of every
+        splitting cell at once, across windows.
 
         Returns the grid points x (N,) of all windows in order, log e, its
-        slope and its curvature there (3, N), the point count of each window
-        and the nodes (m, k) that still fail, for direct evaluation.
+        slope and its curvature there (3, N), the cells as the indices into
+        x of their start, midpoint and end (3, C), and the nodes (m, k) that
+        still fail, for direct evaluation.
         """
         lo, hi = _effect_windows(y)
         win = np.searchsorted(lo, np.min(y, axis=1), side="right") - 1
-        grow = np.bincount(win, minlength=lo.size) * y.shape[1] > self.WINDOW_FLOOR
-        size = np.where(grow, self.WINDOW_FLOOR, 0)
-        # the nodes in order: each window's nodes are a block, and so are
-        # those of each grid interval
+        gridded = np.bincount(win, minlength=lo.size) * y.shape[1] > self.WINDOW_FLOOR
         order = np.argsort(y, axis=None)
         ys, ws = y.reshape(-1)[order], weight.reshape(-1)[order]
-        first = np.searchsorted(ys, lo)
-        bound = np.zeros(ys.size)
-        x, grid = np.empty(0), np.empty((3, 0))
-        x_new = _lobatto(lo, hi, size)
-        while x_new.size:
-            x = np.concatenate([x, x_new])
-            order_x = np.argsort(x, kind="stable")
-            x, grid = x[order_x], np.concatenate([grid, self._log_averaged(x_new)], axis=1)[:, order_x]
-            # the nodes of each interval, as _hermite finds it
-            runs = np.diff(np.r_[0, np.searchsorted(ys, x[1:-1]), ys.size])
+        on_grid = gridded[np.searchsorted(lo, ys, side="right") - 1]
+        # each point is a window and a Chebyshev angle pi t; the cells are
+        # triples of point indices (start, midpoint, end)
+        n = self.WINDOW_FLOOR
+        wp = np.repeat(np.flatnonzero(gridded), n)
+        t = np.tile(np.arange(n) / (n - 1), np.count_nonzero(gridded))
+        a = (np.arange(0, wp.size, n)[:, None] + np.arange(0, n - 1, 2)).reshape(-1)
+        m, b = a + 1, a + 2
+        x, grid, sd, err = np.empty(0), np.empty((3, 0)), np.empty(0), np.empty(0)
+        fail = np.zeros(ys.size, dtype=bool)
+        while x.size < wp.size:
+            new = slice(x.size, wp.size)
+            x_new = _lobatto(lo[wp[new]], hi[wp[new]], math.pi * t[new])
+            x, sd = np.r_[x, x_new], np.r_[sd, _sd(self.ch_ty.noise, x_new[:, None])]
+            grid = np.concatenate([grid, self._log_averaged(x_new)], axis=1)
+            c = slice(err.size, a.size)  # the cells not yet checked
             with np.errstate(invalid="ignore"):
-                bound = ws * np.repeat(_grid_errors(x, grid, size)[:-1], runs)
-            # (failing now) - (failing at 64 EFFECT_TOL): the nodes a doubling
-            # is expected to clear
-            cleared = np.add.reduceat(
-                (bound > self.EFFECT_TOL) & (bound <= 64.0 * self.EFFECT_TOL), first, dtype=np.intp
-            )
-            grow &= size - 1 < cleared
-            size = np.where(grow, 2 * size - 1, size)
-            x_new = _lobatto(lo, hi, np.where(grow, size, 0), odd=True)
-        gridless = np.repeat(size[win] == 0, y.shape[1])[order]
+                err = np.r_[err, np.abs(_hermite_step(x, grid, a[c], b[c], x[m[c]]) - grid[0, m[c]])]
+                starts = np.argsort(x[a])
+                cell = starts[np.searchsorted(x[a][starts], ys, side="right") - 1]
+                fail = ~(ws * err[cell] <= self.EFFECT_TOL) & on_grid
+            split = np.bincount(cell, fail, minlength=a.size) > 2 * self.POINT_COST
+            split &= x[b] - x[a] > np.min(sd[np.stack([a, m, b])], axis=0) / 8.0
+            s = np.flatnonzero(split)
+            q = wp.size + np.arange(0, 2 * s.size, 2)  # the quarter points
+            wp = np.r_[wp, np.repeat(wp[m[s]], 2)]
+            t = np.r_[t, np.c_[t[a[s]] + t[m[s]], t[m[s]] + t[b[s]]].reshape(-1) / 2.0]
+            keep = ~split
+            a, m, b = np.r_[a[keep], a[s], m[s]], np.r_[m[keep], q, q + 1], np.r_[b[keep], m[s], b[s]]
+            err = err[keep]
+        order_x = np.argsort(x)
+        rank = np.empty(x.size, dtype=np.intp)
+        rank[order_x] = np.arange(x.size)
         direct = np.empty(y.shape, dtype=bool)
-        direct.reshape(-1)[order] = ~(bound <= self.EFFECT_TOL) | gridless
-        return x, grid, size, direct
+        direct.reshape(-1)[order] = fail | ~on_grid
+        return x[order_x], grid[:, order_x], rank[np.stack([a, m, b])], direct
 
     def _log_averaged(self, x: np.ndarray) -> np.ndarray:
         """log e, e'/e and e''/e - (e'/e)^2 at effect points x (n,), stacked (3, n)."""
@@ -485,10 +504,19 @@ class _ScalarChain:
         its Chebyshev coefficients estimates the error; a component keeps
         its grid while that estimate times its largest KL weight sd p w is
         below COND_TOL. A failing component doubles its grid once, nested,
-        evaluating only the new points. One that still fails, or whose grid
-        holds a log p that is not finite, is left to direct evaluation, as is
-        every component when the doubled grid would not have fewer points
-        than the nodes.
+        evaluating only the new points, unless even geometric decay of its
+        coefficients could not bring it under COND_TOL: decay at the rate
+        the top half shows against the rest would cut the estimate by their
+        ratio. Measured on 27,196 components (the fig1b family, linear
+        dimmers and switches at noise 1e-3 to 0.5, power and Weber dimmers),
+        a doubled estimate was never below 2.3 times that prediction, and no
+        component its doubled grid resolves came within 22 times of being
+        refused one. A component refused a doubling or failing its doubled
+        grid, or whose grid holds a log p that is not finite, is left to
+        direct evaluation, as is every component when the doubled grid
+        would not have fewer points than the nodes. On dimmer_family(1,
+        0.2, 0.2) 10 of 48 components skip the doubling, and 53 of the
+        Weber chain's 55 direct ones.
 
         COND_TOL is EFFECT_TOL's 2.5e-13. On 17 chains (the fig1b family,
         linear, power and Weber dimmers, the binary switch, at noise 1e-4 to
@@ -521,20 +549,25 @@ class _ScalarChain:
         rows = np.arange(m)
         grid = log_conditional(rows, _chebyshev(size, k)[0])
         for doubled in (False, True):
-            _, interp, tail = _chebyshev(size, k)
-            with np.errstate(invalid="ignore", over="ignore"):
+            _, interp, coef = _chebyshev(size, k)
+            q = (size - 1) // 2
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 lp = grid @ interp
-                est[rows] = np.sum(np.abs(grid @ tail), axis=1)
+                c = np.abs(grid @ coef)
+                est[rows] = np.sum(c[:, -q:], axis=1)
                 weight = np.max(sd[rows, None] * np.exp(lp) * w, axis=1)
+                # what the doubled grid's estimate would be at best
+                hope = est[rows] ** 2 / np.sum(c[:, :-q], axis=1) * weight < self.COND_TOL
             keep = np.all(np.isfinite(grid), axis=1) & (est[rows] * weight < self.COND_TOL)
             log_p[rows[keep]] = lp[keep]
             direct[rows[keep]] = False
-            rows = rows[~keep]
+            retry = ~keep & hope
+            rows = rows[retry]
             if doubled or not rows.size:
                 break
             size = 2 * size - 1
             nested = np.empty((rows.size, size))
-            nested[:, ::2] = grid[~keep]
+            nested[:, ::2] = grid[retry]
             nested[:, 1::2] = log_conditional(rows, _chebyshev(size, k)[0][1::2])
             grid = nested
         return log_p, est, direct
@@ -545,12 +578,15 @@ class _ScalarChain:
         All intervention rows share one flattened effect grid so the kernel
         runs a handful of large vector operations instead of a Python loop.
         The conditional density comes from per-component Chebyshev grids
-        (conditional_grids) and the averaged density from one shared
-        interpolant per call; each leaves what its grids do not resolve to
-        direct evaluation. On the six seed-0 fig1b points of the sweep-quad
-        bench workload the conditional grids cut the parameter rows the
-        effect map is evaluated at from 7.21M to 3.85M, and over all of fig1b
-        they move the EI by at most 9.2e-16 nats.
+        (conditional_grids) and the averaged density from one set of locally
+        refined grids per call (effect_grids); each leaves what its grids do
+        not resolve to direct evaluation. On the six seed-0 fig1b points of
+        the sweep-quad bench workload the conditional grids cut the
+        parameter rows the effect map is evaluated at from 7.21M to 3.85M,
+        and over all of fig1b they move the EI by at most 9.2e-16 nats; the
+        averaged density's cells evaluate it at 5,617 rows (13,572 when each
+        window doubled whole), and move each EI by at most 8.9e-15 nats
+        against direct evaluation.
         """
         mu_q = np.asarray(mu_q, dtype=float)
         sig_q = np.broadcast_to(np.asarray(sig_q, dtype=float), mu_q.shape)
@@ -587,17 +623,9 @@ def _effect_windows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[starts], hi[ends]
 
 
-def _lobatto(lo: np.ndarray, hi: np.ndarray, size: np.ndarray, odd: bool = False) -> np.ndarray:
-    """Chebyshev-Lobatto grids of size[w] (odd) points on the windows [lo[w], hi[w]], in order.
-
-    With odd, only the points at odd indices: those a doubling adds.
-    """
-    step = 2 if odd else 1
-    count = size // step
-    w = np.repeat(np.arange(size.size), count)
-    index = step * (np.arange(w.size) - np.repeat(np.cumsum(count) - count, count)) + step - 1
-    c = 0.5 * (1.0 - np.cos(math.pi * index / (size[w] - 1)))
-    return lo[w] + (hi[w] - lo[w]) * c
+def _lobatto(lo: np.ndarray, hi: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """The Chebyshev-Lobatto points at angles (n,) on the windows [lo, hi] (n,)."""
+    return lo + (hi - lo) * (0.5 * (1.0 - np.cos(angle)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -608,10 +636,10 @@ def _chebyshev(size: int, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     are the even-indexed points of its doubling); the barycentric matrix
     (size, nodes) that takes values at them to their interpolant at the
     nodes of gauss_legendre(-8, 8, nodes) (Berrut & Trefethen, SIAM Rev.
-    46, 2004); and the matrix (size, q) that takes them to the top q =
-    (size - 1) // 2 of their Chebyshev coefficients, up to sign.
+    46, 2004); and the matrix (size, size - 1) that takes them to their
+    Chebyshev coefficients but the first, up to sign.
     """
-    x = _lobatto(np.array([-_EFFECT_TAIL_SIGMAS]), np.array([_EFFECT_TAIL_SIGMAS]), np.array([size]))
+    x = _lobatto(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, math.pi * np.arange(size) / (size - 1))
     t, _ = gauss_legendre(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, nodes)
     bw = (-1.0) ** np.arange(size)
     bw[[0, -1]] *= 0.5
@@ -624,27 +652,10 @@ def _chebyshev(size: int, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # c_k = 2/(size - 1) sum_j'' f_j T_k(x_j), halved at k = size - 1, with
     # T_k(x_j) = (-1)^k cos(pi k j / (size - 1))
     j = np.arange(size)
-    k = np.arange(size - (size - 1) // 2, size)
-    tail = np.cos(math.pi * np.outer(j, k) / (size - 1)) * (2.0 / (size - 1))
-    tail[[0, -1]] *= 0.5
-    tail[:, -1] *= 0.5
-    return _read_only((x, interp, tail))
-
-
-def _grid_errors(x: np.ndarray, grid: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Error bound of each interval of the concatenated grids x with size[w] points each.
-
-    grid holds log e, its slope and its curvature at x (3, N). Quintic steps
-    over every other point of each window (both of its ends included) are
-    checked at the points in between; each check point covers the two
-    intervals beside it. The step from a window's last point to the next
-    window, only met at t = 0, keeps a zero bound.
-    """
-    odd = np.flatnonzero((np.arange(x.size) - np.repeat(np.cumsum(size) - size, size)) % 2)
-    err = np.zeros(x.size)
-    with np.errstate(invalid="ignore"):
-        err[odd] = err[odd - 1] = np.abs(_hermite_step(x, grid, odd - 1, odd + 1, x[odd]) - grid[0, odd])
-    return err
+    coef = np.cos(math.pi * np.outer(j, j[1:]) / (size - 1)) * (2.0 / (size - 1))
+    coef[[0, -1]] *= 0.5
+    coef[:, -1] *= 0.5
+    return _read_only((x, interp, coef))
 
 
 def _hermite(x: np.ndarray, grid: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -714,18 +725,23 @@ def ei_exact_quadrature(
     The parameter is marginalized per intervention and the effect integral
     runs over a mean +- tail*sigma envelope with nodes_per_axis nodes. The
     intervention average over a box is composite Gauss-Legendre, 12 nodes
-    per panel, with panels graded into the boundary layer at each edge and
-    around each effect-noise kink; over discrete points it is a plain mean.
+    per panel, with panels graded into the boundary layer at each edge and,
+    at 1 and 3 layer widths only, around each effect-noise kink (the Weber
+    chain: 180 outer nodes, 8.8e-10 nats from uniform G3201, where the full
+    ladder took 252 for 9.8e-10); over discrete points it is a plain mean.
     The intervention-averaged effect density is evaluated, with its first
-    two derivatives, on nested Chebyshev grids, one per effect window, each
-    starting at 33 points and doubling only while its error check asks for
-    more than the doubling costs (``_ScalarChain.effect_grids``); log e is
-    interpolated at the effect nodes by quintic Hermite steps, and nodes the
-    grids do not resolve to the kernel's tolerance are evaluated directly.
-    Its integration breakpoints come from inverting f through a table built
+    two derivatives, on Chebyshev grids, one per effect window, each
+    starting at 33 points and refined cell by cell where its error check
+    fails at more nodes than the new points cost, down to 1/8 of the
+    effect-noise sd (``_ScalarChain.effect_grids``); log e is interpolated
+    at the effect nodes by quintic Hermite steps, and nodes the grids do not
+    resolve to the kernel's tolerance are evaluated directly. On the six
+    fig1b points of the sweep-quad bench workload this evaluates the
+    density at 5,617 rows, where doubling whole windows took 13,572. Its
+    integration breakpoints come from inverting f through a table built
     once per chain. On the bundled chains the graded panels match a uniform
     401-node outer rule to 5e-12 nats, and against direct evaluation at
-    every node the grids move the bundled figures by at most 1.5e-13 nats.
+    every node the grids move the bundled figures by at most 1.4e-13 nats.
     Each intervention's conditional effect density is evaluated on a
     Chebyshev-Lobatto grid in the standardized effect coordinate, 33
     points doubled once to 65 where its coefficient-tail error estimate
@@ -733,10 +749,10 @@ def ei_exact_quadrature(
     grids do not resolve is evaluated at every node
     (``_ScalarChain.conditional_grids``). Against evaluating every
     component at every node, these grids move fig1b by at most 9.2e-16
-    nats and fig1c by at most 3.9e-14, and make a checked EI 10-50% faster
-    (Weber dimmer 0.81 -> 0.74 s, family a = 1 0.19 -> 0.10 s). A second
-    pass with every node count doubled flags non-convergence beyond 1e-3
-    nats.
+    nats and fig1c by at most 3.9e-14. A component whose first grid even
+    geometric coefficient decay could not resolve in one doubling goes
+    direct without it. A second pass with every node count doubled flags
+    non-convergence beyond 1e-3 nats.
 
     The kernel's (rows x nodes) arrays, those of the conditional and of the
     averaged density, are formed in row blocks of at most _BLOCK = 65,536

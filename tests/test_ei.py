@@ -44,7 +44,6 @@ from causalgeom.ei import (
     FLAG_NOT_CONVERGED,
     _EFFECT_TAIL_SIGMAS,
     _effect_windows,
-    _grid_errors,
     _ScalarChain,
     _field_grid,
     _sd,
@@ -375,8 +374,12 @@ GRID_CASES = {
         # near its floor Weber noise is 3e-5 wide, about the grid spacing
         # there, so the error bound sends many nodes to direct evaluation
         (dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003), QuadratureSpec(), gauss_legendre),
+        # f' = 0 at the box's lower edge, where cells reach the noise-width floor
+        (dimmer_model(power_profile(2.0), 1e-3, 1e-3), QuadratureSpec(), gauss_legendre),
+        # at large noise most nodes sit in the mixture's shoulders
+        (dimmer_family(1.0, 0.2, 0.2), QuadratureSpec(), gauss_legendre),
     ],
-    ids=[*GRID_CASES, "weber"],
+    ids=[*GRID_CASES, "weber", "power2-1e-3", "family-a1-0.2"],
 )
 def test_shared_grid_log_density_matches_direct_evaluation(model, spec, rule, monkeypatch):
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
@@ -428,25 +431,24 @@ def window_of_each_row(y):
     return np.searchsorted(lo, np.min(y, axis=1), side="right") - 1
 
 
-def failing_nodes(chain, y, weight, x, grid, size):
-    """Nodes of each effect window whose bound on the grids exceeds
-    EFFECT_TOL, and 64 EFFECT_TOL, each node in the interval _hermite finds."""
-    j = np.clip(np.searchsorted(x, y.reshape(-1), side="right") - 1, 0, x.size - 2)
-    bound = weight.reshape(-1) * _grid_errors(x, grid, size)[j]
-    assert np.all(np.isfinite(bound))
-    win = np.repeat(window_of_each_row(y), y.shape[1])
-    tol = chain.EFFECT_TOL
-    count = [np.bincount(win, bound > t, minlength=size.size) for t in (tol, 64.0 * tol)]
-    return count[0], count[1], (bound > tol).reshape(y.shape)
+def cell_failures(chain, y, weight, x, grid, cells):
+    """The cells sorted by their start (3, C), each one's nodes failing
+    EFFECT_TOL and the failing nodes (m, k). A node's bound is its weight
+    times the check of the cell holding it: the quintic step across the cell
+    against log e at its midpoint. Nodes outside every cell do not fail."""
+    a, m, b = cells[:, np.argsort(cells[0])]
+    err = np.abs(ei._hermite_step(x, grid, a, b, x[m]) - grid[0, m])
+    cell = np.searchsorted(x[a], y.reshape(-1), side="right") - 1
+    inside = (cell >= 0) & (y.reshape(-1) <= x[b[cell]])
+    bound = weight.reshape(-1) * err[cell]
+    assert np.all(np.isfinite(bound[inside]))
+    fails = inside & (bound > chain.EFFECT_TOL)
+    return np.stack([a, m, b]), np.bincount(cell[fails], minlength=a.size), fails.reshape(y.shape)
 
 
-def previous_grids(x, grid, size):
-    """The grids before the last doubling of each window past WINDOW_FLOOR
-    points: the old points sit at the even indices."""
-    local = np.arange(x.size) - np.repeat(np.cumsum(size) - size, size)
-    grown = size > _ScalarChain.WINDOW_FLOOR
-    keep = ~np.repeat(grown, size) | (local % 2 == 0)
-    return x[keep], grid[:, keep], np.where(grown, (size + 1) // 2, size), grown
+def points_per_window(y, x):
+    lo, _ = _effect_windows(y)
+    return np.bincount(np.searchsorted(lo, x, side="right") - 1, minlength=lo.size)
 
 
 GROWTH_CASES = {
@@ -454,29 +456,34 @@ GROWTH_CASES = {
     "family-a1-doubled": (dimmer_family(1.0, 0.03, 0.03), 2),
     "linear-1e-3": (dimmer_model(linear_profile(), 1e-3, 1e-3), 1),
     "linear-1e-3-doubled": (dimmer_model(linear_profile(), 1e-3, 1e-3), 2),
+    "power2-1e-3": (dimmer_model(power_profile(2.0), 1e-3, 1e-3), 1),
+    "weber": (dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003), 1),
 }
 
 
 @pytest.mark.parametrize("model, refine", GROWTH_CASES.values(), ids=list(GROWTH_CASES))
 def test_effect_grids_double_while_doubling_pays(model, refine):
-    """A window doubles from n to 2n - 1 points while n - 1 plus its nodes
-    failing at 64 EFFECT_TOL is less than its nodes failing now, and its
-    nodes failing at the last round are the ones evaluated directly."""
+    """The grids double locally, cell by cell. The cells tile each window,
+    three grid points each, with the midpoint halfway in the window's
+    Chebyshev angle. A cell stops splitting in two only when its failing
+    nodes do not outnumber what its two quarter points would cost, or when
+    it is no wider than 1/8 of the smallest effect-noise sd at its points;
+    the failing nodes are exactly the direct ones."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
-    x, grid, size, direct = chain.effect_grids(y, weight)
-    assert np.all(size > 0) and x.size == np.sum(size)
-    steps = (size - 1) // (chain.WINDOW_FLOOR - 1)  # 2 ** doublings
-    assert np.all(size == steps * (chain.WINDOW_FLOOR - 1) + 1) and np.all(steps & (steps - 1) == 0)
-    failing, still, fails = failing_nodes(chain, y, weight, x, grid, size)
-    assert np.array_equal(direct, fails)
-    # no window stopped where a doubling would have paid
-    assert np.all(size - 1 + still >= failing)
-    # and each doubling paid when it was made
-    while np.any(size > chain.WINDOW_FLOOR):
-        x, grid, size, grown = previous_grids(x, grid, size)
-        failing, still, _ = failing_nodes(chain, y, weight, x, grid, size)
-        assert np.all((size - 1 + still < failing)[grown])
+    x, grid, cells, direct = chain.effect_grids(y, weight)
+    (a, m, b), failing, fails = cell_failures(chain, y, weight, x, grid, cells)
+    windows = np.count_nonzero(points_per_window(y, x))
+    assert np.all(np.diff(x) > 0) and np.all(m == a + 1) and np.all(b == a + 2)
+    assert np.count_nonzero(np.diff(a) == 3) == windows - 1 and np.all(np.isin(np.diff(a), (2, 3)))
+    lo, hi = (np.repeat(v, points_per_window(y, x)) for v in _effect_windows(y))
+    angle = np.arccos(1.0 - 2.0 * (x - lo) / (hi - lo))
+    np.testing.assert_allclose(angle[m], 0.5 * (angle[a] + angle[b]), rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(direct, fails)
+    sd = _sd(chain.ch_ty.noise, x[:, None])
+    floor = x[b] - x[a] <= np.minimum(np.minimum(sd[a], sd[m]), sd[b]) / 8.0
+    assert np.all((failing <= 2 * chain.POINT_COST) | floor)
+    assert np.any(failing > 0) and len(a) > windows * (chain.WINDOW_FLOOR // 2)
 
 
 @pytest.mark.parametrize(
@@ -485,19 +492,22 @@ def test_effect_grids_double_while_doubling_pays(model, refine):
     ids=["family-a-5", "linear-1e-3-doubled"],
 )
 def test_every_effect_grid_point_is_evaluated_once(model, refine, monkeypatch):
-    """One averaged-density evaluation (its row blocks inside) per round for
-    the new points of every growing window, then one for the nodes left to
-    direct evaluation: the rows evaluated are the final grid points plus the
-    direct nodes."""
+    """One averaged-density evaluation (its row blocks inside) per round:
+    the starting grids first, then the two quarter points of every
+    splitting cell; then one for the nodes left to direct evaluation. The
+    rows evaluated are the final grid points plus the direct nodes."""
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
     calls, averaged = [], chain._averaged
     monkeypatch.setattr(chain, "_averaged", lambda ys, *args: calls.append(ys[:, 0]) or averaged(ys, *args))
-    x, _, size, direct = chain.effect_grids(y, weight)
+    x, _, cells, direct = chain.effect_grids(y, weight)
     evaluated = np.concatenate(calls)
     assert np.array_equal(np.sort(evaluated), x) and np.unique(evaluated).size == x.size
-    rounds = 1 + int(np.log2((np.max(size) - 1) // (chain.WINDOW_FLOOR - 1)))
-    assert len(calls) == rounds > 1 and np.any(direct)
+    windows = np.count_nonzero(points_per_window(y, x))
+    assert calls[0].size == windows * chain.WINDOW_FLOOR and all(c.size % 2 == 0 for c in calls[1:])
+    assert x.size == 2 * cells.shape[1] + windows
+    rounds = len(calls)
+    assert rounds > 1 and np.any(direct)
     calls.clear()
     chain.log_averaged_density(y, weight)
     assert len(calls) == rounds + 1
@@ -507,30 +517,31 @@ def test_every_effect_grid_point_is_evaluated_once(model, refine, monkeypatch):
 def test_window_with_no_more_nodes_than_its_starting_grid_goes_direct():
     """Each interior outer row of the linear dimmer at 1e-3 has an effect
     window of its own; with up to 33 effect nodes those windows get no grid,
-    while the edge windows (61 rows each) grow theirs."""
+    while the edge windows (61 rows each) refine theirs."""
     model = dimmer_model(linear_profile(), 1e-3, 1e-3)
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     for nodes in (31, 33, 35):
         y, weight, _ = kernel_nodes(chain, QuadratureSpec(nodes_per_axis=nodes))
         rows = np.bincount(window_of_each_row(y))
         assert rows.tolist() == [61] + [1] * 10 + [61]
-        x, _, size, direct = chain.effect_grids(y, weight)
-        assert np.array_equal(size == 0, rows * nodes <= chain.WINDOW_FLOOR)
-        assert np.all(direct[size[window_of_each_row(y)] == 0]) and x.size == np.sum(size)
-        assert np.all(size[[0, -1]] > chain.WINDOW_FLOOR)
+        x, _, _, direct = chain.effect_grids(y, weight)
+        points = points_per_window(y, x)
+        assert np.array_equal(points == 0, rows * nodes <= chain.WINDOW_FLOOR)
+        assert np.all(direct[points[window_of_each_row(y)] == 0])
+        assert np.all(points[[0, -1]] > chain.WINDOW_FLOOR)
 
 
 def test_fragmented_rows_take_the_grid_path_within_effect_grid(monkeypatch):
     """Graded outer rows of the linear dimmer at 1e-3 leave gaps between
     their effect envelopes, in both passes; every window then gets a grid of
-    its own, all grown in the same rounds, instead of falling back to direct
-    evaluation at every node (the bounds are those of the shared-grid test,
-    which runs this chain too). The row bounds: a fixed 4001-point grid
-    shared between the windows by rows evaluated 12,437 rows over both
-    passes, which the doubling brings to 9,370, and 4,156 in the first
-    pass, which it exceeds at 4,212: there the edge windows stop at 1,025
-    points and leave 916 nodes each to direct evaluation, where the fixed
-    grid gave them 1,699 points each."""
+    its own, all refined in the same rounds, instead of falling back to
+    direct evaluation at every node (the bounds are those of the shared-grid
+    test, which runs this chain too). The row bounds are those of a fixed
+    4001-point grid shared between the windows by rows: 12,437 rows over
+    both passes and 4,156 in the first, where whole-window doubling took
+    9,370 and 4,212 (leaving 916 nodes of each edge window direct), and
+    local refinement takes 2,532 and 930 (920 grid points, 10 nodes
+    direct)."""
     model = dimmer_model(linear_profile(), 1e-3, 1e-3)
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
     evaluated = []
@@ -543,10 +554,25 @@ def test_fragmented_rows_take_the_grid_path_within_effect_grid(monkeypatch):
         got = chain.log_averaged_density(y, weight)
         monkeypatch.undo()
         evaluated.append(sum(rows))
-        assert np.all(chain.effect_grids(y, weight)[2] > 0)
+        assert np.all(points_per_window(y, chain.effect_grids(y, weight)[0]) >= chain.WINDOW_FLOOR)
         assert np.max(np.abs(got - direct)[weight >= 1e-3]) <= 1e-9
         assert np.max(np.abs((weight * (got - direct)) @ w)) <= 1e-10
     assert evaluated[0] <= 4212 and sum(evaluated) <= 12437
+
+
+def test_the_six_sweep_bench_points_evaluate_few_averaged_density_rows(monkeypatch):
+    """The six seed-0 fig1b points of the sweep-quad bench workload (a = -5
+    to 3.75, 7 grid steps apart), unchecked as a sweep runs them, send at
+    most 5,617 rows to the averaged density, grid and direct: measured 3,704
+    + 1,913, where whole-window doubling took 9,222 + 4,350."""
+    rows = []
+    averaged = _ScalarChain._averaged
+    monkeypatch.setattr(
+        _ScalarChain, "_averaged", lambda self, ys, *args: rows.append(len(ys)) or averaged(self, ys, *args)
+    )
+    for a in np.linspace(-5.0, 5.0, 41)[::7]:
+        quad_ei(dimmer_family(a, 0.03, 0.03), check_convergence=False)
+    assert sum(rows) <= 5617
 
 
 BLOCK_CHAINS = {
@@ -702,7 +728,8 @@ def test_chebyshev_interpolation_reproduces_polynomials(size):
 def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
     """One component per kl_all call: a component kept on its first grid
     sends 33 rows to conditional_density, one kept after its doubling 33 +
-    32, and one left direct 65 + 201."""
+    32, one left direct after it 65 + 201, and one whose first grid no
+    doubling could resolve 33 + 201."""
     counts = {}
     for name in ("family-a-5", "weber"):
         model = GRID_CHAINS[name]
@@ -714,7 +741,37 @@ def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
             monkeypatch.setattr(chain, "conditional_density", lambda y, *a: rows.append(len(y)) or density(y, *a))
             chain.kl_all(mu[i : i + 1], sig[i : i + 1], 201)
             counts[tuple(rows)] = counts.get(tuple(rows), 0) + 1
-    assert set(counts) == {(33,), (33, 32), (33, 32, 201)}
+    assert set(counts) == {(33,), (33, 32), (33, 32, 201), (33, 201)}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*GRID_CHAINS.values(), dimmer_family(1.0, 0.2, 0.2), dimmer_family(-5.0, 0.3, 0.3)],
+    ids=[*GRID_CHAINS, "family-a1-0.2", "family-a-5-0.3"],
+)
+def test_only_components_their_doubled_grid_fails_go_direct(model):
+    """A component skips its doubling when even geometric decay of its
+    Chebyshev coefficients could not bring its estimate under COND_TOL; the
+    components kept are exactly those the 33- or the 65-point grid resolves,
+    as if every failing component had doubled. Measured: the 65-point
+    estimate of a skipped component is at least 2.3 times what geometric
+    decay predicts, and no component that passes its 65-point grid comes
+    within 22 times of being skipped (27,196 components of the fig1b
+    family, linear dimmers and switches at noise 1e-3 to 0.5, and power
+    and Weber dimmers)."""
+    chain, f0, sd, mu, sig, (u, w) = grid_inputs(model)
+    direct = chain.conditional_grids(f0, sd, mu, sig, w)[2]
+    kept = np.zeros(mu.size, dtype=bool)
+    for size in (33, 65):
+        x, interp, coef = ei._chebyshev(size, 201)
+        at = f0 + sd[:, None] * x
+        p = chain.conditional_density(at.reshape(-1, 1), np.repeat(mu, size), np.repeat(sig, size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp = np.log(p).reshape(at.shape)
+            est = np.sum(np.abs(lp @ coef)[:, -(size // 2) :], axis=1)
+            weight = np.max(sd[:, None] * np.exp(lp @ interp) * w, axis=1)
+        kept |= np.all(np.isfinite(lp), axis=1) & (est * weight < chain.COND_TOL)
+    np.testing.assert_array_equal(~direct, kept)
 
 
 OUTER_CASES = {
