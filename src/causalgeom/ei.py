@@ -148,10 +148,9 @@ class _ScalarChain:
     SEGMENT_NODES = 16
     LADDER = (-12.0, -6.0, -3.0, -1.0, 1.0, 3.0, 6.0, 12.0)
     PANEL_NODES = 12  # per graded panel of a box's outer rule
-    WINDOW_FLOOR = 33  # the points an effect window starts with, odd
+    WINDOW_FLOOR = 33  # the points an effect window and a conditional grid start with, odd
     EFFECT_TOL = 2.5e-13
     POINT_COST = 1.3  # direct rows of e a grid row costs, as it also forms e' and e'' (1.2-1.4 measured)
-    COND_GRID = 33  # the points a conditional grid starts with at 201 effect nodes, odd
     COND_TOL = 2.5e-13
     INVERSE_TABLE = 1025
     NEWTON_STEPS = 3
@@ -497,26 +496,26 @@ class _ScalarChain:
         """log p(y|do(x)) at the effect nodes y = f0 + sd u (m, k) of kl_all, from grids in u.
 
         w (k,) is the effect rule's weights. Each component's log p is
-        evaluated on a Chebyshev-Lobatto grid in u over [-8, 8], with
-        COND_GRID - 1 = 32 intervals per 201 effect nodes (rounded up), and
-        interpolated to the nodes by one barycentric matrix shared by every
-        component (_chebyshev). The sum of the magnitudes of the top half of
-        its Chebyshev coefficients estimates the error; a component keeps
-        its grid while that estimate times its largest KL weight sd p w is
-        below COND_TOL. A failing component doubles its grid once, nested,
-        evaluating only the new points, unless even geometric decay of its
-        coefficients could not bring it under COND_TOL: decay at the rate
-        the top half shows against the rest would cut the estimate by their
-        ratio. Measured on 27,196 components (the fig1b family, linear
-        dimmers and switches at noise 1e-3 to 0.5, power and Weber dimmers),
-        a doubled estimate was never below 2.3 times that prediction, and no
-        component its doubled grid resolves came within 22 times of being
-        refused one. A component refused a doubling or failing its doubled
-        grid, or whose grid holds a log p that is not finite, is left to
-        direct evaluation, as is every component when the doubled grid
-        would not have fewer points than the nodes. On dimmer_family(1,
-        0.2, 0.2) 10 of 48 components skip the doubling, and 53 of the
-        Weber chain's 55 direct ones.
+        evaluated on a Chebyshev-Lobatto grid in u over [-8, 8] and
+        interpolated to the nodes by one barycentric matrix per grid size,
+        shared by every component (_chebyshev). The sum of the magnitudes of
+        the top half of its Chebyshev coefficients estimates the error; a
+        component keeps its grid once that estimate times its largest KL
+        weight sd p w is below COND_TOL. Every grid starts at WINDOW_FLOOR
+        = 33 points. A failing component doubles its grid, nested,
+        evaluating only the new points, while the doubled grid has fewer
+        points than the nodes and geometric decay of its coefficients could
+        bring it under COND_TOL: decay at the rate the top half shows
+        against the rest would cut the estimate by their ratio. Measured at
+        every doubling of 16,224 components (both passes of the fig1b
+        family, linear dimmers and switches at noise 1e-3 to 0.5, power and
+        Weber dimmers, dimmer_family at 0.2 and 0.3), the doubled grid's
+        estimate was never below 1.66 times that prediction, and no
+        component its doubled grid resolves came within 25 times of being
+        refused it. A component that stops doubling unresolved, or whose
+        grid holds a log p that is not finite, is left to direct
+        evaluation. On dimmer_family(1, 0.2, 0.2) this sends 7,242 rows to
+        conditional_density, where direct evaluation alone sends 9,648.
 
         COND_TOL is EFFECT_TOL's 2.5e-13. On 17 chains (the fig1b family,
         linear, power and Weber dimmers, the binary switch, at noise 1e-4 to
@@ -532,9 +531,6 @@ class _ScalarChain:
         m, k = sd.size, w.size
         log_p, est = np.empty((m, k)), np.full(m, np.inf)
         direct = np.ones(m, dtype=bool)
-        size = (self.COND_GRID - 1) * -(-k // QuadratureSpec.nodes_per_axis) + 1
-        if 2 * size - 1 >= k:
-            return log_p, est, direct
 
         def log_conditional(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
             """log p at u = at (s,) for the components rows, (rows, s)."""
@@ -546,9 +542,9 @@ class _ScalarChain:
             with np.errstate(divide="ignore"):
                 return np.log(p).reshape(rows.size, at.size)
 
-        rows = np.arange(m)
+        rows, size = np.arange(m), self.WINDOW_FLOOR
         grid = log_conditional(rows, _chebyshev(size, k)[0])
-        for doubled in (False, True):
+        while rows.size:
             _, interp, coef = _chebyshev(size, k)
             q = (size - 1) // 2
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -561,15 +557,13 @@ class _ScalarChain:
             keep = np.all(np.isfinite(grid), axis=1) & (est[rows] * weight < self.COND_TOL)
             log_p[rows[keep]] = lp[keep]
             direct[rows[keep]] = False
-            retry = ~keep & hope
-            rows = rows[retry]
-            if doubled or not rows.size:
-                break
-            size = 2 * size - 1
-            nested = np.empty((rows.size, size))
-            nested[:, ::2] = grid[retry]
-            nested[:, 1::2] = log_conditional(rows, _chebyshev(size, k)[0][1::2])
-            grid = nested
+            retry = ~keep & hope & (2 * size - 1 < k)
+            rows, size = rows[retry], 2 * size - 1
+            if rows.size:
+                nested = np.empty((rows.size, size))
+                nested[:, ::2] = grid[retry]
+                nested[:, 1::2] = log_conditional(rows, _chebyshev(size, k)[0][1::2])
+                grid = nested
         return log_p, est, direct
 
     def kl_all(self, mu_q: np.ndarray, sig_q: np.ndarray, nodes: int) -> np.ndarray:
@@ -581,12 +575,12 @@ class _ScalarChain:
         (conditional_grids) and the averaged density from one set of locally
         refined grids per call (effect_grids); each leaves what its grids do
         not resolve to direct evaluation. On the six seed-0 fig1b points of
-        the sweep-quad bench workload the conditional grids cut the
-        parameter rows the effect map is evaluated at from 7.21M to 3.85M,
-        and over all of fig1b they move the EI by at most 9.2e-16 nats; the
-        averaged density's cells evaluate it at 5,617 rows (13,572 when each
-        window doubled whole), and move each EI by at most 8.9e-15 nats
-        against direct evaluation.
+        the sweep-quad bench workload the conditional grids send 36,236
+        rows to the conditional density, where every node direct takes
+        143,208, and over all of fig1b they move the EI by at most 8.9e-16
+        nats; the averaged density's cells evaluate it at 5,617 rows (13,572
+        when each window doubled whole), and move each EI by at most 8.9e-15
+        nats against direct evaluation.
         """
         mu_q = np.asarray(mu_q, dtype=float)
         sig_q = np.broadcast_to(np.asarray(sig_q, dtype=float), mu_q.shape)
@@ -743,16 +737,16 @@ def ei_exact_quadrature(
     401-node outer rule to 5e-12 nats, and against direct evaluation at
     every node the grids move the bundled figures by at most 1.4e-13 nats.
     Each intervention's conditional effect density is evaluated on a
-    Chebyshev-Lobatto grid in the standardized effect coordinate, 33
-    points doubled once to 65 where its coefficient-tail error estimate
-    asks, and its log is interpolated to the effect nodes; a component the
-    grids do not resolve is evaluated at every node
+    Chebyshev-Lobatto grid in the standardized effect coordinate, starting
+    at 33 points and doubled, nested, while its coefficient-tail error
+    estimate asks, the doubled grid has fewer points than the effect
+    nodes, and geometric decay of its coefficients could resolve it; its
+    log is interpolated to the effect nodes, and a component the grids do
+    not resolve is evaluated at every node
     (``_ScalarChain.conditional_grids``). Against evaluating every
-    component at every node, these grids move fig1b by at most 9.2e-16
-    nats and fig1c by at most 3.9e-14. A component whose first grid even
-    geometric coefficient decay could not resolve in one doubling goes
-    direct without it. A second pass with every node count doubled flags
-    non-convergence beyond 1e-3 nats.
+    component at every node, these grids move fig1b by at most 8.9e-16
+    nats and fig1c by at most 3.9e-14. A second pass with every node
+    count doubled flags non-convergence beyond 1e-3 nats.
 
     The kernel's (rows x nodes) arrays, those of the conditional and of the
     averaged density, are formed in row blocks of at most _BLOCK = 65,536

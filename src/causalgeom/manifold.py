@@ -17,7 +17,7 @@ import typing as tp
 import numpy as np
 
 from .channels import Domain
-from .ei import EIReport, _field_grid, ei_geometric
+from .ei import EIReport, ei_geometric
 from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigError
 from .geometry import MetricField, _sym
 
@@ -42,18 +42,17 @@ class Submanifold:
         return self.sigma_domain.dim
 
 
-def _embedding_jacobian(sub: Submanifold, dims: tp.Iterable[int], points: np.ndarray) -> np.ndarray:
+def _embedding_jacobian(sub: Submanifold, dim: int, points: np.ndarray) -> np.ndarray:
     """The embedding Jacobian (n, d, k) at ``points``, checked for shape and rank.
 
-    Raises InvalidConfigError when it is not (d, k) for each metric dimension
-    d in ``dims``, and DegenerateEmbeddingError where it is rank deficient.
+    Raises InvalidConfigError when it is not (d, k) for the metric dimension
+    d = ``dim``, and DegenerateEmbeddingError where it is rank deficient.
     """
     jac = np.asarray(sub.jacobian(points), dtype=float)  # (n, d, k)
-    for dim in dims:
-        if jac.shape != (len(points), dim, sub.dim):
-            raise InvalidConfigError(
-                f"embedding Jacobian has shape {jac.shape[1:]}, expected {(dim, sub.dim)}"
-            )
+    if jac.shape != (len(points), dim, sub.dim):
+        raise InvalidConfigError(
+            f"embedding Jacobian has shape {jac.shape[1:]}, expected {(dim, sub.dim)}"
+        )
     if sub.dim == 1:  # the one singular value is the column norm
         svals = np.sqrt(np.sum(jac * jac, axis=1))
     else:
@@ -71,15 +70,6 @@ def _pullback(m: MetricField, sub: Submanifold, jac: np.ndarray, points: np.ndar
     return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
 
 
-def _unchecked_pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
-    """:func:`pullback_field` for points whose embedding Jacobian is already checked."""
-
-    def batch(points: np.ndarray) -> np.ndarray:
-        return _pullback(m, sub, np.asarray(sub.jacobian(points), dtype=float), points)
-
-    return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
-
-
 def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     """The pulled-back metric J^T m J as a field over the submanifold coordinates.
 
@@ -88,7 +78,7 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     """
 
     def batch(points: np.ndarray) -> np.ndarray:
-        return _pullback(m, sub, _embedding_jacobian(sub, (m.dim,), points), points)
+        return _pullback(m, sub, _embedding_jacobian(sub, m.dim, points), points)
 
     return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
 
@@ -98,13 +88,9 @@ def coarse_grained_ei(model, sub: Submanifold, nodes_per_axis: int = 101) -> EIR
 
     ``model`` must expose metric fields ``g`` and ``h``; both are pulled back
     through the embedding and integrated over the submanifold's own box, with
-    the dimension in the volume term equal to the submanifold dimension. The
-    embedding Jacobian is checked once on that box's grid, for both fields.
+    the dimension in the volume term equal to the submanifold dimension.
     """
-    grid = _field_grid(sub.sigma_domain, nodes_per_axis)[0]
-    _embedding_jacobian(sub, (model.h.dim, model.g.dim), grid)
-    g_hat = _unchecked_pullback_field(model.g, sub)
-    h_hat = _unchecked_pullback_field(model.h, sub)
+    g_hat, h_hat = pullback_field(model.g, sub), pullback_field(model.h, sub)
     return ei_geometric(g_hat, h_hat, sub.sigma_domain, nodes_per_axis)
 
 

@@ -726,10 +726,10 @@ def test_chebyshev_interpolation_reproduces_polynomials(size):
 
 
 def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
-    """One component per kl_all call: a component kept on its first grid
-    sends 33 rows to conditional_density, one kept after its doubling 33 +
-    32, one left direct after it 65 + 201, and one whose first grid no
-    doubling could resolve 33 + 201."""
+    """One component per kl_all call: it sends 33 rows to
+    conditional_density, then 32 and 64 for each doubling it takes (to 65
+    and 129 points), and 201 more if it is left direct. (33, 32, 201) is
+    possible too, but no component of these two chains takes it."""
     counts = {}
     for name in ("family-a-5", "weber"):
         model = GRID_CHAINS[name]
@@ -741,7 +741,7 @@ def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
             monkeypatch.setattr(chain, "conditional_density", lambda y, *a: rows.append(len(y)) or density(y, *a))
             chain.kl_all(mu[i : i + 1], sig[i : i + 1], 201)
             counts[tuple(rows)] = counts.get(tuple(rows), 0) + 1
-    assert set(counts) == {(33,), (33, 32), (33, 32, 201), (33, 201)}
+    assert set(counts) == {(33,), (33, 32), (33, 32, 64), (33, 201), (33, 32, 64, 201)}
 
 
 @pytest.mark.parametrize(
@@ -750,28 +750,61 @@ def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
     ids=[*GRID_CHAINS, "family-a1-0.2", "family-a-5-0.3"],
 )
 def test_only_components_their_doubled_grid_fails_go_direct(model):
-    """A component skips its doubling when even geometric decay of its
-    Chebyshev coefficients could not bring its estimate under COND_TOL; the
-    components kept are exactly those the 33- or the 65-point grid resolves,
-    as if every failing component had doubled. Measured: the 65-point
-    estimate of a skipped component is at least 2.3 times what geometric
-    decay predicts, and no component that passes its 65-point grid comes
-    within 22 times of being skipped (27,196 components of the fig1b
-    family, linear dimmers and switches at noise 1e-3 to 0.5, and power
-    and Weber dimmers)."""
+    """The components kept are exactly those that a grid of 33, 65 or 129
+    points resolves while, at every smaller grid, geometric decay of the
+    Chebyshev coefficients could still bring the next grid's estimate under
+    COND_TOL. Measured at every doubling of 16,224 components (both passes
+    of the fig1b family, linear dimmers and switches at noise 1e-3 to 0.5,
+    power and Weber dimmers, dimmer_family at 0.2 and 0.3): the doubled
+    grid's estimate is at least 1.66 times what geometric decay predicts,
+    and no component its doubled grid resolves comes within 25 times of
+    being refused it."""
     chain, f0, sd, mu, sig, (u, w) = grid_inputs(model)
     direct = chain.conditional_grids(f0, sd, mu, sig, w)[2]
     kept = np.zeros(mu.size, dtype=bool)
-    for size in (33, 65):
+    hope = np.ones(mu.size, dtype=bool)
+    for size in (33, 65, 129):
         x, interp, coef = ei._chebyshev(size, 201)
         at = f0 + sd[:, None] * x
         p = chain.conditional_density(at.reshape(-1, 1), np.repeat(mu, size), np.repeat(sig, size))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        q = size // 2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lp = np.log(p).reshape(at.shape)
-            est = np.sum(np.abs(lp @ coef)[:, -(size // 2) :], axis=1)
+            c = np.abs(lp @ coef)
+            est = np.sum(c[:, -q:], axis=1)
             weight = np.max(sd[:, None] * np.exp(lp @ interp) * w, axis=1)
-        kept |= np.all(np.isfinite(lp), axis=1) & (est * weight < chain.COND_TOL)
+            resolved = np.all(np.isfinite(lp), axis=1) & (est * weight < chain.COND_TOL)
+            kept |= hope & resolved
+            hope &= ~resolved & (est**2 / np.sum(c[:, :-q], axis=1) * weight < chain.COND_TOL)
     np.testing.assert_array_equal(~direct, kept)
+
+
+def conditional_rows(monkeypatch, models) -> int:
+    """The rows unchecked exact EIs of models send to conditional_density."""
+    rows = []
+    density = _ScalarChain.conditional_density
+    monkeypatch.setattr(
+        _ScalarChain, "conditional_density", lambda self, y, *a: rows.append(len(y)) or density(self, y, *a)
+    )
+    for model in models:
+        quad_ei(model, check_convergence=False)
+    return sum(rows)
+
+
+def test_large_noise_conditional_grids_evaluate_fewer_rows_than_direct_evaluation(monkeypatch):
+    """dimmer_family(1, 0.2, 0.2) has 48 components of 201 effect nodes,
+    9,648 rows direct. Its grids take fewer: measured 7,242, where a single
+    doubling with every failing component sent direct took 12,448."""
+    assert conditional_rows(monkeypatch, [dimmer_family(1.0, 0.2, 0.2)]) < 48 * 201
+
+
+def test_the_six_sweep_bench_points_evaluate_few_conditional_density_rows(monkeypatch):
+    """The six seed-0 fig1b points of the sweep-quad bench workload send at
+    most 36,236 rows to conditional_density, grid and direct: measured
+    36,236, where a single doubling took 37,880 and every node direct
+    143,208."""
+    models = [dimmer_family(a, 0.03, 0.03) for a in np.linspace(-5.0, 5.0, 41)[::7]]
+    assert conditional_rows(monkeypatch, models) <= 36236
 
 
 OUTER_CASES = {

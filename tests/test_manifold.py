@@ -1,5 +1,6 @@
 """Pullbacks, coarse-grained information, sweeps, and crossover scans."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,24 +85,19 @@ def test_coarse_grained_ei_rejects_degenerate_embedding():
         coarse_grained_ei(model, sub)
 
 
-def test_coarse_grained_ei_checks_the_embedding_rank_once(monkeypatch):
-    """g and h are pulled back through one checked Jacobian: one rank check
-    per call, and the same report as the two checked pullback fields."""
+def test_coarse_grained_ei_evaluates_the_embedding_jacobian_once_per_field():
+    """g and h are each pulled back through their own checked Jacobian: two
+    Jacobian evaluations per call, and the same report as the two checked
+    pullback fields."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
     sub = antidiagonal_submanifold()
     expected = ei_geometric(
         pullback_field(model.g, sub), pullback_field(model.h, sub), sub.sigma_domain
     )
     calls = []
-    check = manifold._embedding_jacobian
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(manifold, "_embedding_jacobian", counting)
-    assert coarse_grained_ei(model, sub) == expected
-    assert len(calls) == 1
+    counting = dataclasses.replace(sub, jacobian=lambda s: calls.append(1) or sub.jacobian(s))
+    assert coarse_grained_ei(model, counting) == expected
+    assert len(calls) == 2
 
 
 def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
@@ -111,7 +107,7 @@ def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
     points = np.linspace(0.0, 1.0, 5)[:, None]
-    jac = manifold._embedding_jacobian(diagonal_submanifold(), (2,), points)
+    jac = manifold._embedding_jacobian(diagonal_submanifold(), 2, points)
     assert jac.shape == (5, 2, 1)
     collapsed = Submanifold(
         embed=lambda s: np.stack([s[..., 0], s[..., 0] * 0.0], axis=-1),
@@ -120,7 +116,7 @@ def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
         label="collapsed",
     )
     with pytest.raises(DegenerateEmbeddingError, match=r"embedding Jacobian is rank deficient at \[0.\]"):
-        manifold._embedding_jacobian(collapsed, (2,), points)
+        manifold._embedding_jacobian(collapsed, 2, points)
     assert calls == []
     plane = Submanifold(
         embed=lambda s: s,
@@ -128,7 +124,7 @@ def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
         sigma_domain=Domain(((0.0, 1.0), (0.0, 1.0))),
         label="plane",
     )
-    manifold._embedding_jacobian(plane, (2,), np.zeros((3, 2)))
+    manifold._embedding_jacobian(plane, 2, np.zeros((3, 2)))
     assert len(calls) == 1
 
 
