@@ -1020,7 +1020,7 @@ def ei_geometric(
     logdet_h = _logdet(h_grid)
     _require_factored(logdet_h, nodes, "intervention metric")
     l_vals = _mismatch_batch(g_grid, h_grid, nodes)
-    sqrt_h = np.exp(0.5 * np.broadcast_to(logdet_h, shape))
+    sqrt_h = np.full(shape, np.exp(0.5 * logdet_h))  # a constant h takes one exp, not one per node
     volume = float(cell * np.sum(sqrt_h))
     mean_l = float(np.sum(sqrt_h * l_vals) * cell / volume)
     volume_term = math.log(volume) - 0.5 * d * _LOG_2PIE

@@ -60,28 +60,28 @@ def _gather(entries: Entries) -> np.ndarray:
 
 
 def _potf2(entries: Entries) -> tuple[list[np.ndarray], np.ndarray]:
-    """LAPACK's unblocked potf2 on the matrices given by their entries, d <= 2.
+    """The pivots of LAPACK's unblocked potf2 on the matrices given by their entries, d <= 2.
 
     ``entries`` is (a,) or (a, b, c) = (m00, m10, m11), see :func:`_entries`.
-    Returns the factor's diagonal [l00] or [l00, l11] and where a matrix
-    fails, with the operations of potf2 (as OpenBLAS builds it) in its
-    order, broadcast over the entries: l00 = sqrt(a), l10 = b * (1 / l00),
-    l11 = sqrt(c - l10 * l10), failing where a pivot is <= 0. A NaN pivot is
-    no failure. The diagonal is the gufunc's behind ``np.linalg.cholesky`` bit
-    for bit, without its per-matrix copy and LAPACK call; the one exception is
-    a +inf l00 over an infinite or NaN b, where OpenBLAS scales by 1 / l00 = 0
-    by writing zeros and IEEE arithmetic gives NaN. FP flags are ignored.
+    Returns the pivots [a] or [a, c - l10 * l10] and where a matrix fails,
+    with the operations of potf2 (as OpenBLAS builds it) in its order,
+    broadcast over the entries: l10 = b * (1 / sqrt(a)), failing where a
+    pivot is <= 0. A NaN pivot is no failure. The square roots of the pivots
+    are the diagonal of the gufunc behind ``np.linalg.cholesky`` bit for bit,
+    without its per-matrix copy and LAPACK call; the one exception is a +inf
+    a over an infinite or NaN b, where OpenBLAS scales by 1 / sqrt(a) = 0 by
+    writing zeros and IEEE arithmetic gives NaN. FP flags are ignored.
     """
     with np.errstate(all="ignore"):
         a = entries[0]
-        diag = [np.sqrt(a)]
-        failed = np.less_equal(a, 0.0)
-        if len(entries) == 3:
-            l10 = entries[1] * (1.0 / diag[0])
-            pivot = entries[2] - l10 * l10
-            diag.append(np.sqrt(pivot))
-            failed = failed | (pivot <= 0.0)
-    return diag, failed
+        if len(entries) == 1:
+            return [a], np.less_equal(a, 0.0)
+        l10 = entries[1] * (1.0 / np.sqrt(a))
+        l10 *= l10
+        pivot = entries[2] - l10
+        failed = pivot <= 0.0  # in the broadcast shape of all three entries
+        failed |= np.less_equal(a, 0.0)
+    return [a, pivot], failed
 
 
 def _lapack_cholesky(mats: np.ndarray) -> np.ndarray:
@@ -112,26 +112,32 @@ def _jittered(entries: Entries) -> Entries:
 def _logdet(entries: Entries, jitter: bool = False) -> np.ndarray:
     """log det of the matrices given by their entries (:func:`_entries`); NaN where one does not factor.
 
-    2 * the in-order sum of the logs of the Cholesky diagonal, in the broadcast
-    shape of the entries (0-d where every entry is a scalar). For d <= 2 the
-    diagonal comes from the potf2 pivots (:func:`_potf2`) without building a
-    matrix or factor stack; above, the matrices are gathered and factored by
-    :func:`_lapack_cholesky`. With ``jitter`` the failing matrices alone are
+    In the broadcast shape of the entries (0-d where every entry is a
+    scalar). For d <= 2 it is the in-order sum of the logs of the potf2
+    pivots (:func:`_potf2`), without building a matrix or factor stack;
+    above, the matrices are gathered and factored by
+    :func:`_lapack_cholesky`, and it is 2 * the in-order sum of the logs of
+    the factor's diagonal. With ``jitter`` the failing matrices alone are
     retried once, on their entries through :func:`_jittered`.
     """
-    if len(entries) > 3:
-        chol = _lapack_cholesky(_gather(entries))
-        diag = [chol[..., j, j] for j in range(chol.shape[-1])]
-        failed = np.isnan(chol[..., 0, -1])
-    else:
-        diag, failed = _potf2(entries)
     with np.errstate(all="ignore"):
-        logdet = np.asarray(2.0 * sum(np.log(l_jj) for l_jj in diag))
-    np.copyto(logdet, np.nan, where=failed)
-    if jitter and failed.any():
-        shape = np.shape(failed)
-        retry = tuple(np.broadcast_to(e, shape)[failed] for e in entries)
-        logdet[failed] = _logdet(_jittered(retry))
+        if len(entries) > 3:
+            chol = _lapack_cholesky(_gather(entries))
+            logdet = np.asarray(2.0 * sum(np.log(chol[..., j, j]) for j in range(chol.shape[-1])))
+            failed = np.isnan(chol[..., 0, -1])
+        else:
+            pivots, failed = _potf2(entries)
+            # The last pivot has the broadcast shape; IEEE addition commutes,
+            # so adding the first log to it in place is log p0 + log p1.
+            logdet = np.asarray(np.log(pivots[-1]))
+            if len(pivots) == 2:
+                logdet += np.log(pivots[0])
+    if failed.any():
+        np.copyto(logdet, np.nan, where=failed)
+        if jitter:
+            shape = np.shape(failed)
+            retry = tuple(np.broadcast_to(e, shape)[failed] for e in entries)
+            logdet[failed] = _logdet(_jittered(retry))
     return logdet
 
 
@@ -281,7 +287,13 @@ def _mismatch_batch(g: Entries, h: Entries, points: np.ndarray | None = None) ->
     ld_sum = _logdet(tuple(g_e + h_e for g_e, h_e in zip(g, h)), jitter=True)
     _require_factored(ld_sum, points, "g + h")
     ld_g = _logdet(g)
-    return np.where(np.isnan(ld_g), math.inf, 0.5 * (ld_sum - ld_g))
+    # g + h has the broadcast shape of both, so the mismatch is assembled in ld_sum.
+    mismatch = np.subtract(ld_sum, ld_g, out=ld_sum)
+    mismatch *= 0.5
+    singular = np.isnan(ld_g)
+    if singular.any():
+        np.copyto(mismatch, math.inf, where=singular)
+    return mismatch
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,13 @@ def _embedding_jacobian(sub: Submanifold, dim: int, points: np.ndarray) -> np.nd
         raise InvalidConfigError(
             f"embedding Jacobian has shape {jac.shape[1:]}, expected {(dim, sub.dim)}"
         )
-    if sub.dim == 1:  # the one singular value is the column norm
-        svals = np.sqrt(np.sum(jac * jac, axis=1))
+    if sub.dim == 1:  # the one singular value is the column norm: compare squares
+        col = jac[..., 0]
+        sq_norm = sum(col[:, i] * col[:, i] for i in range(dim))
+        rank_deficient = sq_norm <= 1e-24 * np.maximum(sq_norm, 1.0)
     else:
         svals = np.linalg.svd(jac, compute_uv=False)
-    rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
+        rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
     if rank_deficient.any():
         bad = points[int(np.argmax(rank_deficient))]
         raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {bad}")
@@ -65,14 +67,29 @@ def _embedding_jacobian(sub: Submanifold, dim: int, points: np.ndarray) -> np.nd
 
 
 def _pullback(m: MetricField, sub: Submanifold, jac: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """J^T m J at ``points``, given the embedding Jacobian J there."""
+    """J^T m J at ``points``, given the embedding Jacobian J there.
+
+    For k = 1 it is the sum of j_i j_k m_ik over the lower triangle of m, row
+    by row, each off-diagonal term twice: taken on the entries of m's batch,
+    with no (n, d, d) product formed.
+    """
     mats = m.batch(np.asarray(sub.embed(points), dtype=float))
-    return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
+    if sub.dim > 1:
+        return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
+    j = jac[..., 0]
+    total = j[:, 0] * j[:, 0] * mats[:, 0, 0]
+    for i in range(1, m.dim):
+        for k in range(i):
+            total += 2.0 * j[:, i] * j[:, k] * mats[:, i, k]
+        total += j[:, i] * j[:, i] * mats[:, i, i]
+    return total[:, None, None]
 
 
 def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     """The pulled-back metric J^T m J as a field over the submanifold coordinates.
 
+    Each batch evaluates the embedding Jacobian and checks its rank, so a
+    nonlinear embedding works too; see :func:`_pullback` for the k = 1 form.
     Raises InvalidConfigError when the embedding Jacobian is not (d, k), and
     DegenerateEmbeddingError where it is rank deficient.
     """

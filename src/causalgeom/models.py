@@ -311,17 +311,23 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
     def gram(th0: np.ndarray, th1: np.ndarray, cross: tp.Callable) -> tuple[np.ndarray, ...]:
         # J^T J entry by entry, each an in-order sum over the time points: the
         # einsum's value, at a fraction of its cost on these short axes. One
-        # time point at a time, so no (n, N) temporary is built; the products
-        # are those of `jac`. g01 takes its products through `cross`.
-        g00 = g01 = g11 = 0
+        # time point at a time, summed in place, so no (n, N) temporary is
+        # built; the products are those of `jac`. g01 takes its products
+        # through `cross`.
+        sums = None
         for neg_t in -times:
             j0 = neg_t * np.exp(neg_t * th0)
             j1 = neg_t * np.exp(neg_t * th1)
-            g00 = g00 + j0 * j0
-            g01 = g01 + cross(j0, j1)
-            g11 = g11 + j1 * j1
+            terms = (j0 * j0, cross(j0, j1), j1 * j1)
+            if sums is None:
+                sums = terms
+            else:
+                for total, term in zip(sums, terms):
+                    total += term
         scale = cfg.epsilon**2
-        return g00 / scale, g01 / scale, g11 / scale
+        for total in sums:
+            total /= scale
+        return sums
 
     def g_batch(points: np.ndarray) -> np.ndarray:
         g00, g01, g11 = gram(points[:, 0], points[:, 1], np.multiply)
@@ -358,8 +364,7 @@ def diagonal_submanifold() -> Submanifold:
 
     def jacobian(s):
         s = np.asarray(s, dtype=float)
-        j = np.array([[1.0], [1.0]])
-        return np.broadcast_to(j, s.shape[:-1] + (2, 1)).copy()
+        return np.broadcast_to(np.array([[1.0], [1.0]]), s.shape[:-1] + (2, 1))
 
     return Submanifold(embed, jacobian, UNIT_INTERVAL, "diagonal")
 
@@ -373,8 +378,7 @@ def antidiagonal_submanifold() -> Submanifold:
 
     def jacobian(s):
         s = np.asarray(s, dtype=float)
-        j = np.array([[1.0], [-1.0]])
-        return np.broadcast_to(j, s.shape[:-1] + (2, 1)).copy()
+        return np.broadcast_to(np.array([[1.0], [-1.0]]), s.shape[:-1] + (2, 1))
 
     return Submanifold(embed, jacobian, UNIT_INTERVAL, "antidiagonal")
 

@@ -168,7 +168,7 @@ def test_mixed_stack_matches_pointwise_mismatch():
     ld_g = _logdet(_entries(g_stack))
     assert np.all(np.isnan(ld_g) == (picks > 0))
     chol = np.linalg.cholesky(g_stack[picks == 0])
-    np.testing.assert_array_equal(ld_g[picks == 0], 2.0 * (np.log(chol[:, 0, 0]) + np.log(chol[:, 1, 1])))
+    np.testing.assert_array_equal(ld_g[picks == 0], _pivot_logdet(_entries(g_stack[picks == 0]), chol, False))
 
     h_stack[5] = np.diag([-2.0, 0.0])  # g + h indefinite at node 5 whatever g is there
     with pytest.raises(DegenerateModelError, match=r"g \+ h .* at \[5\. 0\.\]"):
@@ -216,17 +216,62 @@ def _edge_stack(d: int) -> np.ndarray:
     return np.stack([cases[k] for k in rng.permutation(np.repeat(np.arange(len(cases)), 5))])
 
 
+# |log det - 2 * sum log diag(L)| in ulps of 1 + sum |log pivot|: measured at
+# most 1.88 on the fig4 grids of g and g + h and 1.61 on 200,000 random SPD 2 x 2
+# matrices. Taking the root of a pivot rounds it, which moves its log by up to
+# one ulp of 1 after the doubling.
+PIVOT_ULPS = 2.0
+
+
+def _pivots_with_retry(entries, jitter: bool):
+    """potf2's pivots of each matrix, or of its jittered form where it fails
+    and ``jitter`` is on, and where the matrix then still fails."""
+    pivots, failed = geometry._potf2(entries)
+    if jitter:
+        retry, still = geometry._potf2(geometry._jittered(entries))
+        pivots = [np.where(failed, r, p) for p, r in zip(pivots, retry)]
+        failed = failed & still
+    return pivots, failed
+
+
+def _pivot_logdet(entries, factors: np.ndarray, jitter: bool) -> np.ndarray:
+    """The in-order sum of the logs of the potf2 pivots of each d <= 2 matrix
+    (n, d, d) given by ``entries``, with the one jitter retry, NaN where it
+    fails; checked against ``factors``, LAPACK's factors of the same matrices
+    with the same retry. The square root of each pivot is the factor's
+    diagonal bit for bit; the log det is 2 * the in-order sum of the logs of
+    that diagonal within PIVOT_ULPS ulps of 1 + sum |log pivot|."""
+    pivots, failed = _pivots_with_retry(entries, jitter)
+    with np.errstate(all="ignore"):
+        for j, pivot in enumerate(pivots):
+            np.testing.assert_array_equal(np.where(failed, np.nan, np.sqrt(pivot)), factors[:, j, j])
+        logs = [np.log(p) for p in pivots]
+        logdet = np.where(failed, np.nan, sum(logs[1:], logs[0]))
+        from_factor = 2.0 * sum(np.log(factors[:, j, j]) for j in range(len(pivots)))
+        np.testing.assert_array_equal(np.isnan(logdet), np.isnan(from_factor))
+        finite = np.isfinite(logdet)
+        np.testing.assert_array_equal(logdet[~finite], from_factor[~finite])
+        scale = 1.0 + sum(np.abs(term) for term in logs)
+        gap = np.abs(logdet - from_factor)[finite] / (np.finfo(float).eps * scale[finite])
+    assert gap.max(initial=0.0) <= PIVOT_ULPS
+    return logdet
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("jitter", [False, True])
 def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
     """On shuffled SPD, singular, jitter-recoverable, indefinite and
-    NaN-holding matrices, the log det (for d <= 2 taken from the potf2
-    pivots, with no factor stack) is 2 * the in-order sum of the logs of the
-    diagonal np.linalg.cholesky gives each matrix alone, bit for bit; NaN
-    where that matrix does not factor."""
+    NaN-holding matrices, with factors from np.linalg.cholesky on each matrix
+    alone: for d <= 2 the log det is the in-order sum of the logs of the
+    potf2 pivots bit for bit, each pivot the square of the factor's diagonal
+    (see _pivot_logdet); for d = 3 it is 2 * the in-order sum of the logs of
+    that diagonal bit for bit. NaN where the matrix does not factor."""
     stack = _edge_stack(d)
     factors = np.stack([_cholesky_one(m, jitter) for m in stack])
-    expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
+    if d <= 2:
+        expected = _pivot_logdet(_entries(stack), factors, jitter)
+    else:
+        expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
     logdet = geometry._logdet(_entries(stack), jitter)
     np.testing.assert_array_equal(logdet, expected)
     assert np.isnan(logdet).any() and not np.isnan(logdet).all()
@@ -248,9 +293,8 @@ def test_logdet_is_twice_the_log_diagonal_of_each_factor(d, jitter):
                     cases.append(m)
         mats = np.stack(cases)
         factors = np.stack([_cholesky_one(m, jitter) for m in mats])
-        expected = 2.0 * sum(np.log(factors[:, j, j]) for j in range(d))
         logdet = geometry._logdet(_entries(mats), jitter)
-        np.testing.assert_array_equal(logdet, expected)
+        np.testing.assert_array_equal(logdet, _pivot_logdet(_entries(mats), factors, jitter))
         if d == 2:  # the exact-zero pivot fails, and the jitter recovers it
             assert np.isnan(logdet[1]) != jitter
 
@@ -474,16 +518,17 @@ def _grid(domain: Domain, nodes_per_axis: int = 101):
     return axes, pts, pts.reshape(tuple(len(a) for a in axes) + (domain.dim,))
 
 
-def _lapack_logdet(stack: np.ndarray, jitter: bool) -> np.ndarray:
-    """log det of each 2 x 2 matrix of a stack from LAPACK's factors, with
-    one retry of the failing ones at 1e-12 * trace / 2 added to the diagonal."""
+def _stack_logdet(stack: np.ndarray, jitter: bool) -> np.ndarray:
+    """log det of each 2 x 2 matrix of a stack from its potf2 pivots, checked
+    against LAPACK's factors (see _pivot_logdet), with one retry of the
+    failing ones at 1e-12 * trace / 2 added to the diagonal."""
     chol = _lapack_factor(stack)
     failed = np.isnan(chol).all(axis=(1, 2))
     if jitter and failed.any():
         retry = stack[failed]
         shift = (1e-12 * (retry[:, 0, 0] + retry[:, 1, 1])) / 2
         chol[failed] = _lapack_factor(retry + shift[:, None, None] * np.eye(2))
-    return 2.0 * (np.log(chol[:, 0, 0]) + np.log(chol[:, 1, 1]))
+    return _pivot_logdet(_entries(stack), chol, jitter)
 
 
 @pytest.mark.parametrize("matrix", [np.eye(2), SKEWED])
@@ -492,7 +537,8 @@ def test_two_species_grid_entries_and_mismatch_match_the_stacks(matrix):
     does not factor at some nodes): the grid entries of g and h equal the
     entries of their batch stacks bit for bit, g00 and g11 stay vectors along
     their own axis and h's are scalars; the mismatch from the entries equals
-    the arithmetic on the full g + h and g stacks, factored by LAPACK."""
+    the arithmetic on the pivots of the full g + h and g stacks, whose roots
+    are LAPACK's factor diagonal (see _stack_logdet)."""
     singular = 0
     for delta_t in (0.02, 0.1, 1.0, 5.0, 13.57, 20.0, 50.0):
         model = two_species_model(
@@ -508,13 +554,46 @@ def test_two_species_grid_entries_and_mismatch_match_the_stacks(matrix):
             for entry, expected in zip(grid, _entries(stack.reshape(shape + (2, 2)))):
                 np.testing.assert_array_equal(np.broadcast_to(entry, shape), expected)
 
-        ld_g = _lapack_logdet(g_stack, False)
-        expected = np.where(np.isnan(ld_g), math.inf, 0.5 * (_lapack_logdet(g_stack + h_stack, True) - ld_g))
+        ld_g = _stack_logdet(g_stack, False)
+        expected = np.where(np.isnan(ld_g), math.inf, 0.5 * (_stack_logdet(g_stack + h_stack, True) - ld_g))
         l_vals = _mismatch_batch(g_grid, h_grid, nodes)
         assert l_vals.shape == shape
         np.testing.assert_array_equal(l_vals.reshape(-1), expected)
         singular += int(np.isinf(expected).sum())
     assert singular > 0
+
+
+# The fig4 sweep (np.geomspace(0.02, 50, 25)) at 0.02, 0.0277, 13.57 and 50:
+# both ends, the cell whose 2d value is round-off, and the first where g fails.
+FIG4_DELTA_T = np.geomspace(0.02, 50.0, 25)[[0, 1, 20, 24]]
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), SKEWED])
+def test_fig4_pivot_roots_are_lapack_factor_diagonals(matrix):
+    """On the fig4 grids, the square roots of the potf2 pivots of g and of
+    g + h, taken on the grid entries, are the diagonal of the gufunc behind
+    np.linalg.cholesky on the stacked matrices bit for bit, and potf2 fails
+    exactly where that factor is NaN. This pins the pivot arithmetic:
+    c - b * b / a in place of c - l10 * l10 moves last bits on these grids."""
+    failing = 0
+    for delta_t in FIG4_DELTA_T:
+        model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix))
+        axes, pts, nodes = _grid(model.theta_domain)
+        shape = nodes.shape[:-1]
+        g_grid, h_grid = model.g.grid(axes, pts), model.h.grid(axes, pts)
+        g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
+        sum_grid = tuple(g_e + h_e for g_e, h_e in zip(g_grid, h_grid))
+        for entries, stack in ((g_grid, g_stack), (sum_grid, g_stack + h_stack)):
+            pivots, failed = geometry._potf2(entries)
+            failed = np.broadcast_to(failed, shape).reshape(-1)
+            chol = _lapack_factor(stack)
+            np.testing.assert_array_equal(failed, np.isnan(chol).all(axis=(1, 2)))
+            for j, pivot in enumerate(pivots):
+                with np.errstate(invalid="ignore"):
+                    root = np.sqrt(np.broadcast_to(pivot, shape)).reshape(-1)
+                np.testing.assert_array_equal(root[~failed], chol[~failed, j, j])
+            failing += int(failed.sum())
+    assert failing > 0
 
 
 def _split_field(c_of_theta2, h11: float):

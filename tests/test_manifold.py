@@ -140,6 +140,44 @@ def test_pullback_field_batch_rejects_wrong_jacobian_shape():
         field.batch(np.array([[0.2], [0.4]]))
 
 
+def _squared_diagonal() -> Submanifold:
+    """The diagonal reparameterized by sigma -> sigma^2."""
+    base = diagonal_submanifold()
+    return Submanifold(
+        embed=lambda s: base.embed(s**2),
+        jacobian=lambda s: base.jacobian(s**2) * (2.0 * s)[..., None],
+        sigma_domain=base.sigma_domain,
+        label="diag-sq",
+    )
+
+
+# |entry-wise pullback - J^T M J| in ulps of |J|^T |M| |J|: measured at most
+# 1.23 over these cases (both products round each of a few terms once).
+PULLBACK_ULPS = 2.0
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
+def test_entrywise_pullback_matches_the_matrix_product(matrix):
+    """For k = 1 the pulled-back g and h, summed from the metric's entries,
+    match J^T M J from the stack of M on the 102-node submanifold grid, on the
+    diagonal, the antidiagonal and the sigma^2 diagonal, over the fig4 sweep."""
+    sigma = (np.arange(102)[:, None] + 0.5) / 102
+    worst = 0.0
+    for delta_t in np.geomspace(0.02, 50.0, 25):
+        model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix))
+        for sub in (diagonal_submanifold(), antidiagonal_submanifold(), _squared_diagonal()):
+            jac = np.asarray(sub.jacobian(sigma))
+            jac_t = np.swapaxes(jac, -1, -2)
+            for m in (model.g, model.h):
+                mats = m.batch(sub.embed(sigma))
+                got = pullback_field(m, sub).batch(sigma)
+                assert got.shape == (102, 1, 1)
+                scale = np.abs(jac_t) @ np.abs(mats) @ np.abs(jac)
+                gap = np.abs(got - jac_t @ mats @ jac) / (np.finfo(float).eps * scale)
+                worst = max(worst, float(gap.max()))
+    assert worst <= PULLBACK_ULPS
+
+
 def test_coarse_grained_ei_against_adaptive_quadrature():
     """Same geometric definition evaluated with scipy's adaptive integrator
     on the closed-form pulled-back fields."""
@@ -167,19 +205,8 @@ def test_coarse_grained_ei_reparameterization_invariance():
     """Substituting sigma -> sigma^2 in the embedding leaves EI_g unchanged
     up to grid error; both volume and mean mismatch are invariant integrals."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
-    base = diagonal_submanifold()
-
-    def embed(s):
-        return base.embed(s**2)
-
-    def jacobian(s):
-        return base.jacobian(s**2) * (2.0 * s)[..., None]
-
-    squared = Submanifold(
-        embed=embed, jacobian=jacobian, sigma_domain=base.sigma_domain, label="diag-sq"
-    )
-    a = coarse_grained_ei(model, base)
-    b = coarse_grained_ei(model, squared)
+    a = coarse_grained_ei(model, diagonal_submanifold())
+    b = coarse_grained_ei(model, _squared_diagonal())
     assert abs(a.nats - b.nats) < 1e-3
 
 
