@@ -33,7 +33,7 @@ class DegenerateModelError(CausalGeomError):
 
 
 class DegenerateEmbeddingError(CausalGeomError):
-    """A submanifold embedding has a rank-deficient Jacobian."""
+    """A submanifold line has a zero direction."""
 
 
 class UseMonteCarloError(CausalGeomError):

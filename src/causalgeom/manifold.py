@@ -1,10 +1,11 @@
 """Submanifolds of parameter space and coarse-grained information.
 
-A submanifold restricts attention to a k-dimensional family of parameter
-values. Pulling both metrics back through the embedding gives the
-coarse-grained geometric effective information, and scanning it against the
-full model over a noise (or timescale) sweep locates the crossovers where a
-description of lower dimension starts carrying more information.
+A submanifold restricts attention to a line through parameter space, a
+one-parameter family of parameter values. Pulling both metrics back onto the
+line gives the coarse-grained geometric effective information, and scanning
+it against the full model over a noise (or timescale) sweep locates the
+crossovers where a description of lower dimension starts carrying more
+information.
 """
 
 from __future__ import annotations
@@ -19,93 +20,79 @@ import numpy as np
 from .channels import Domain
 from .ei import EIReport, ei_geometric
 from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigError
-from .geometry import MetricField, _sym
+from .geometry import MetricField
 
 logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass(frozen=True)
 class Submanifold:
-    """A smooth embedding of a box of coordinates into parameter space.
+    """The line sigma -> offset + sigma * direction through parameter space.
 
-    ``embed`` maps (..., k) to (..., d); ``jacobian`` maps (..., k) to
-    (..., d, k) and must have full column rank everywhere.
+    ``offset`` and ``direction`` are finite 1-D arrays of the parameter
+    dimension d, and ``sigma_domain`` is the one-dimensional box sigma ranges
+    over. They are checked once, here: InvalidConfigError for values that do
+    not make a line, DegenerateEmbeddingError for a zero direction.
     """
 
-    embed: tp.Callable[[np.ndarray], np.ndarray]
-    jacobian: tp.Callable[[np.ndarray], np.ndarray]
+    offset: np.ndarray
+    direction: np.ndarray
     sigma_domain: Domain
     label: str
 
-    @property
-    def dim(self) -> int:
-        return self.sigma_domain.dim
+    def __post_init__(self) -> None:
+        offset = np.asarray(self.offset, dtype=float)
+        direction = np.asarray(self.direction, dtype=float)
+        if self.sigma_domain.dim != 1:
+            raise InvalidConfigError("a submanifold line needs a one-dimensional sigma domain")
+        if offset.ndim != 1 or direction.shape != offset.shape:
+            raise InvalidConfigError(
+                f"offset {offset.shape} and direction {direction.shape} must be 1-D of one length"
+            )
+        if not np.isfinite([offset, direction]).all():
+            raise InvalidConfigError(f"submanifold {self.label!r} has a non-finite offset or direction")
+        if not direction.any():
+            raise DegenerateEmbeddingError(f"submanifold {self.label!r} has a zero direction")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "direction", direction)
 
-
-def _embedding_jacobian(sub: Submanifold, dim: int, points: np.ndarray) -> np.ndarray:
-    """The embedding Jacobian (n, d, k) at ``points``, checked for shape and rank.
-
-    Raises InvalidConfigError when it is not (d, k) for the metric dimension
-    d = ``dim``, and DegenerateEmbeddingError where it is rank deficient.
-    """
-    jac = np.asarray(sub.jacobian(points), dtype=float)  # (n, d, k)
-    if jac.shape != (len(points), dim, sub.dim):
-        raise InvalidConfigError(
-            f"embedding Jacobian has shape {jac.shape[1:]}, expected {(dim, sub.dim)}"
-        )
-    if sub.dim == 1:  # the one singular value is the column norm: compare squares
-        col = jac[..., 0]
-        sq_norm = sum(col[:, i] * col[:, i] for i in range(dim))
-        rank_deficient = sq_norm <= 1e-24 * np.maximum(sq_norm, 1.0)
-    else:
-        svals = np.linalg.svd(jac, compute_uv=False)
-        rank_deficient = svals[:, -1] <= 1e-12 * np.maximum(svals[:, 0], 1.0)
-    if rank_deficient.any():
-        bad = points[int(np.argmax(rank_deficient))]
-        raise DegenerateEmbeddingError(f"embedding Jacobian is rank deficient at {bad}")
-    return jac
-
-
-def _pullback(m: MetricField, sub: Submanifold, jac: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """J^T m J at ``points``, given the embedding Jacobian J there.
-
-    For k = 1 it is the sum of j_i j_k m_ik over the lower triangle of m, row
-    by row, each off-diagonal term twice: taken on the entries of m's batch,
-    with no (n, d, d) product formed.
-    """
-    mats = m.batch(np.asarray(sub.embed(points), dtype=float))
-    if sub.dim > 1:
-        return _sym(np.swapaxes(jac, -1, -2) @ mats @ jac)
-    j = jac[..., 0]
-    total = j[:, 0] * j[:, 0] * mats[:, 0, 0]
-    for i in range(1, m.dim):
-        for k in range(i):
-            total += 2.0 * j[:, i] * j[:, k] * mats[:, i, k]
-        total += j[:, i] * j[:, i] * mats[:, i, i]
-    return total[:, None, None]
+    def embed(self, points: np.ndarray) -> np.ndarray:
+        """Parameter points (n, d) of the line at coordinates ``points`` (n, 1)."""
+        return self.offset + points * self.direction
 
 
 def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
-    """The pulled-back metric J^T m J as a field over the submanifold coordinates.
+    """The pulled-back metric a^T m a as a field over the line's coordinate.
 
-    Each batch evaluates the embedding Jacobian and checks its rank, so a
-    nonlinear embedding works too; see :func:`_pullback` for the k = 1 form.
-    Raises InvalidConfigError when the embedding Jacobian is not (d, k), and
-    DegenerateEmbeddingError where it is rank deficient.
+    For the direction a it is the sum of a_i a_k m_ik over the lower triangle
+    of m, row by row, each off-diagonal term twice: taken on the entries of
+    m's batch along the line, with no (n, d, d) product formed. Raises
+    InvalidConfigError when the direction's length is not m's dimension.
     """
+    a = sub.direction
+    if a.size != m.dim:
+        raise InvalidConfigError(
+            f"submanifold {sub.label!r} lies in {a.size} dimensions, the metric in {m.dim}"
+        )
 
     def batch(points: np.ndarray) -> np.ndarray:
-        return _pullback(m, sub, _embedding_jacobian(sub, m.dim, points), points)
+        mats = m.batch(sub.embed(points))
+        total = a[0] * a[0] * mats[:, 0, 0]
+        for i in range(1, m.dim):
+            for k in range(i):
+                total += 2.0 * a[i] * a[k] * mats[:, i, k]
+            total += a[i] * a[i] * mats[:, i, i]
+        return total[:, None, None]
 
-    return MetricField(lambda sigma: batch(sigma[None])[0], sub.dim, batch)
+    return MetricField(lambda sigma: batch(sigma[None])[0], 1, batch)
 
 
 def coarse_grained_ei(model, sub: Submanifold, nodes_per_axis: int = 101) -> EIReport:
     """Geometric effective information of the model restricted to a submanifold.
 
     ``model`` must expose metric fields ``g`` and ``h``; both are pulled back
-    through the embedding and integrated over the submanifold's own box, with
-    the dimension in the volume term equal to the submanifold dimension.
+    onto the line and integrated over its sigma interval, with dimension one
+    in the volume term.
     """
     g_hat, h_hat = pullback_field(model.g, sub), pullback_field(model.h, sub)
     return ei_geometric(g_hat, h_hat, sub.sigma_domain, nodes_per_axis)
@@ -151,7 +138,7 @@ class SweepSpec:
 
 @dataclasses.dataclass(frozen=True)
 class Crossing:
-    """A refined location where two curves exchange order."""
+    """Where two curves exchange order: a refined root, or an exact tie."""
 
     first: str
     second: str
@@ -177,8 +164,11 @@ def _refine_crossing(
 ) -> tuple[float, tuple[float, float]]:
     """Bisect the sign change of fn_a - fn_b inside [lo, hi].
 
-    The bracket comes from adjacent sweep grid points, so roughly ten extra
-    EI evaluations reach a relative width of 1e-3.
+    The bracket comes from adjacent sweep grid points. Bisection runs in v,
+    or in ln v on a log sweep, and stops once the bracket [a, b] in that
+    coordinate has |b - a| <= 1e-3 * max(|(a + b) / 2|, 1e-30), or after 40
+    halvings. On a log sweep the width is thus relative to |ln v|, not to v:
+    the stop tightens as the crossing nears v = 1 and loosens away from it.
     """
     a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
     sign_lo = math.copysign(1.0, d_lo)
@@ -206,6 +196,9 @@ def crossover_scan(
     Points where a curve fails to evaluate (degenerate model, unreachable
     parameters, ...) are kept as gaps, each logged as a warning: they are
     excluded from the winner count and never used as crossing brackets.
+    A grid point where two curves are exactly equal is reported as a crossing
+    there, with the bracket (v, v); a grid bracket is refined only where the
+    differences at its ends have strictly opposite signs.
     """
     if len(models) < 1:
         raise InvalidConfigError("crossover scan needs at least one model")
@@ -249,20 +242,19 @@ def crossover_scan(
     for ia in range(len(labels)):
         for ib in range(ia + 1, len(labels)):
             la, lb = labels[ia], labels[ib]
-            for i in range(sweep.values.size - 1):
-                quad = (curves[la][i], curves[lb][i], curves[la][i + 1], curves[lb][i + 1])
-                if any(r is None for r in quad):
-                    continue
-                d0 = quad[0].nats - quad[1].nats
-                d1 = quad[2].nats - quad[3].nats
-                if d0 == 0.0 or math.copysign(1.0, d0) != math.copysign(1.0, d1):
+            # A gap leaves no difference, and two curves both at -inf (or both
+            # at +inf) a NaN one; neither has a sign.
+            diffs = [
+                math.nan if ra is None or rb is None else ra.nats - rb.nats
+                for ra, rb in zip(curves[la], curves[lb])
+            ]
+            for i, d0 in enumerate(diffs):
+                v0 = float(sweep.values[i])
+                if d0 == 0.0:  # an exact tie is its own crossing, at the grid value
+                    crossings.append(Crossing(la, lb, v0, (v0, v0)))
+                if i + 1 < len(diffs) and (d0 < 0.0 < diffs[i + 1] or diffs[i + 1] < 0.0 < d0):
                     value, bracket = _refine_crossing(
-                        curve(la),
-                        curve(lb),
-                        float(sweep.values[i]),
-                        float(sweep.values[i + 1]),
-                        d0,
-                        sweep.log,
+                        curve(la), curve(lb), v0, float(sweep.values[i + 1]), d0, sweep.log
                     )
                     crossings.append(Crossing(la, lb, value, bracket))
     return CrossoverScan(sweep=sweep, curves=curves, argmax=argmax, crossings=tuple(crossings))

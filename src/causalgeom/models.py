@@ -357,30 +357,12 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
 
 def diagonal_submanifold() -> Submanifold:
     """Both species share one rate: sigma -> (sigma, sigma)."""
-
-    def embed(s):
-        s = np.asarray(s, dtype=float)
-        return np.concatenate([s, s], axis=-1)
-
-    def jacobian(s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(np.array([[1.0], [1.0]]), s.shape[:-1] + (2, 1))
-
-    return Submanifold(embed, jacobian, UNIT_INTERVAL, "diagonal")
+    return Submanifold(np.zeros(2), np.ones(2), UNIT_INTERVAL, "diagonal")
 
 
 def antidiagonal_submanifold() -> Submanifold:
     """Complementary rates: sigma -> (sigma, 1 - sigma)."""
-
-    def embed(s):
-        s = np.asarray(s, dtype=float)
-        return np.concatenate([s, 1.0 - s], axis=-1)
-
-    def jacobian(s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(np.array([[1.0], [-1.0]]), s.shape[:-1] + (2, 1))
-
-    return Submanifold(embed, jacobian, UNIT_INTERVAL, "antidiagonal")
+    return Submanifold(np.array([0.0, 1.0]), np.array([1.0, -1.0]), UNIT_INTERVAL, "antidiagonal")
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 """Pullbacks, coarse-grained information, sweeps, and crossover scans."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from causalgeom import manifold
 from causalgeom import (
     CausalGeomError,
     DegenerateEmbeddingError,
     Domain,
     EIReport,
     InvalidConfigError,
+    SmoothMap,
     Submanifold,
     SweepSpec,
     TwoSpeciesConfig,
@@ -24,6 +23,7 @@ from causalgeom import (
     antidiagonal_submanifold,
     ei_geometric,
     pullback_field,
+    reparameterize,
     two_species_model,
 )
 
@@ -61,112 +61,58 @@ def test_pullback_field_batch_matches_single():
 
 
 def test_degenerate_embedding_rejected():
-    sub = Submanifold(
-        embed=lambda s: np.stack([s[..., 0], s[..., 0] * 0.0], axis=-1),
-        jacobian=lambda s: np.zeros(s.shape[:-1] + (2, 1)),
-        sigma_domain=Domain(((0.0, 1.0),)),
-        label="collapsed",
-    )
-    m = constant_metric(np.eye(2), 2)
-    with pytest.raises(DegenerateEmbeddingError):
-        pullback_field(m, sub)(0.5)
+    """A line with a zero direction is refused when it is built, so no pullback
+    or coarse-grained EI ever sees it."""
+    with pytest.raises(DegenerateEmbeddingError, match="zero direction"):
+        Submanifold(np.zeros(2), np.zeros(2), Domain(((0.0, 1.0),)), "collapsed")
 
 
-def test_coarse_grained_ei_rejects_degenerate_embedding():
-    """The batched pullback checks the rank the single point always did."""
-    sub = Submanifold(
-        embed=lambda s: np.stack([s[..., 0], s[..., 0] * 0.0], axis=-1),
-        jacobian=lambda s: np.zeros(s.shape[:-1] + (2, 1)),
-        sigma_domain=Domain(((0.0, 1.0),)),
-        label="collapsed",
-    )
-    model = two_species_model(TwoSpeciesConfig(epsilon=0.05, delta=0.05))
-    with pytest.raises(DegenerateEmbeddingError, match="rank deficient at"):
-        coarse_grained_ei(model, sub)
+def test_submanifold_rejects_shapes_that_do_not_make_a_line():
+    unit = Domain(((0.0, 1.0),))
+    with pytest.raises(InvalidConfigError):
+        Submanifold(np.zeros(2), np.ones(3), unit, "mismatched")
+    with pytest.raises(InvalidConfigError):
+        Submanifold(np.zeros((2, 1)), np.ones((2, 1)), unit, "columns")
+    with pytest.raises(InvalidConfigError):
+        Submanifold(np.zeros(2), np.array([1.0, math.nan]), unit, "nan")
+    with pytest.raises(InvalidConfigError):
+        Submanifold(np.zeros(2), np.ones(2), Domain(((0.0, 1.0), (0.0, 1.0))), "plane")
 
 
-def test_coarse_grained_ei_evaluates_the_embedding_jacobian_once_per_field():
-    """g and h are each pulled back through their own checked Jacobian: two
-    Jacobian evaluations per call, and the same report as the two checked
-    pullback fields."""
-    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
-    sub = antidiagonal_submanifold()
-    expected = ei_geometric(
-        pullback_field(model.g, sub), pullback_field(model.h, sub), sub.sigma_domain
-    )
-    calls = []
-    counting = dataclasses.replace(sub, jacobian=lambda s: calls.append(1) or sub.jacobian(s))
-    assert coarse_grained_ei(model, counting) == expected
-    assert len(calls) == 2
+def test_pullback_field_rejects_a_direction_of_the_wrong_length():
+    sub = Submanifold(np.zeros(3), np.ones(3), Domain(((0.0, 1.0),)), "three")
+    with pytest.raises(InvalidConfigError, match="3 dimensions"):
+        pullback_field(constant_metric(np.eye(2), 2), sub)
 
 
-def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
-    """For k = 1 the one singular value is the column norm, so no SVD runs;
-    a zero column still raises the same error. k = 2 keeps the SVD."""
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-    points = np.linspace(0.0, 1.0, 5)[:, None]
-    jac = manifold._embedding_jacobian(diagonal_submanifold(), 2, points)
-    assert jac.shape == (5, 2, 1)
-    collapsed = Submanifold(
-        embed=lambda s: np.stack([s[..., 0], s[..., 0] * 0.0], axis=-1),
-        jacobian=lambda s: np.zeros(s.shape[:-1] + (2, 1)),
-        sigma_domain=Domain(((0.0, 1.0),)),
-        label="collapsed",
-    )
-    with pytest.raises(DegenerateEmbeddingError, match=r"embedding Jacobian is rank deficient at \[0.\]"):
-        manifold._embedding_jacobian(collapsed, 2, points)
-    assert calls == []
-    plane = Submanifold(
-        embed=lambda s: s,
-        jacobian=lambda s: np.broadcast_to(np.eye(2), s.shape[:-1] + (2, 2)),
-        sigma_domain=Domain(((0.0, 1.0), (0.0, 1.0))),
-        label="plane",
-    )
-    manifold._embedding_jacobian(plane, 2, np.zeros((3, 2)))
-    assert len(calls) == 1
-
-
-def test_pullback_field_batch_rejects_wrong_jacobian_shape():
-    sub = Submanifold(
-        embed=lambda s: np.concatenate([s, s], axis=-1),
-        jacobian=lambda s: np.ones(s.shape[:-1] + (1, 2)),
-        sigma_domain=Domain(((0.0, 1.0),)),
-        label="transposed",
-    )
-    field = pullback_field(constant_metric(np.eye(2), 2), sub)
-    with pytest.raises(InvalidConfigError, match="shape"):
-        field.batch(np.array([[0.2], [0.4]]))
-
-
-def _squared_diagonal() -> Submanifold:
-    """The diagonal reparameterized by sigma -> sigma^2."""
-    base = diagonal_submanifold()
-    return Submanifold(
-        embed=lambda s: base.embed(s**2),
-        jacobian=lambda s: base.jacobian(s**2) * (2.0 * s)[..., None],
-        sigma_domain=base.sigma_domain,
-        label="diag-sq",
+def test_bundled_lines_embed_the_grid_exactly():
+    """The diagonal and antidiagonal put the 102-node submanifold grid at
+    exactly (s, s) and (s, 1 - s), bit for bit."""
+    sigma = (np.arange(102)[:, None] + 0.5) / 102
+    s = sigma[:, 0]
+    np.testing.assert_array_equal(diagonal_submanifold().embed(sigma), np.stack([s, s], axis=-1))
+    np.testing.assert_array_equal(
+        antidiagonal_submanifold().embed(sigma), np.stack([s, 1.0 - s], axis=-1)
     )
 
 
 # |entry-wise pullback - J^T M J| in ulps of |J|^T |M| |J|: measured at most
-# 1.23 over these cases (both products round each of a few terms once).
+# 1.00 over these cases (both products round each of a few terms once).
 PULLBACK_ULPS = 2.0
 
 
 @pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
 def test_entrywise_pullback_matches_the_matrix_product(matrix):
-    """For k = 1 the pulled-back g and h, summed from the metric's entries,
-    match J^T M J from the stack of M on the 102-node submanifold grid, on the
-    diagonal, the antidiagonal and the sigma^2 diagonal, over the fig4 sweep."""
+    """The pulled-back g and h, summed from the metric's entries, match
+    J^T M J from the stack of M on the 102-node submanifold grid, with J the
+    line's direction as a column, on the diagonal and the antidiagonal, over
+    the fig4 sweep."""
     sigma = (np.arange(102)[:, None] + 0.5) / 102
     worst = 0.0
     for delta_t in np.geomspace(0.02, 50.0, 25):
         model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix))
-        for sub in (diagonal_submanifold(), antidiagonal_submanifold(), _squared_diagonal()):
-            jac = np.asarray(sub.jacobian(sigma))
+        for sub in (diagonal_submanifold(), antidiagonal_submanifold()):
+            jac = np.broadcast_to(sub.direction[:, None], (102, 2, 1))
             jac_t = np.swapaxes(jac, -1, -2)
             for m in (model.g, model.h):
                 mats = m.batch(sub.embed(sigma))
@@ -202,11 +148,16 @@ def test_coarse_grained_ei_against_adaptive_quadrature():
 
 
 def test_coarse_grained_ei_reparameterization_invariance():
-    """Substituting sigma -> sigma^2 in the embedding leaves EI_g unchanged
-    up to grid error; both volume and mean mismatch are invariant integrals."""
+    """Substituting sigma -> sigma^2 in the pulled-back fields leaves EI_g
+    unchanged up to grid error; both volume and mean mismatch are invariant
+    integrals."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
-    a = coarse_grained_ei(model, diagonal_submanifold())
-    b = coarse_grained_ei(model, _squared_diagonal())
+    sub = diagonal_submanifold()
+    a = coarse_grained_ei(model, sub)
+    square = SmoothMap(lambda s: s**2, lambda s: 2.0 * s)
+    g_sq = reparameterize(pullback_field(model.g, sub), square)
+    h_sq = reparameterize(pullback_field(model.h, sub), square)
+    b = ei_geometric(g_sq, h_sq, sub.sigma_domain)
     assert abs(a.nats - b.nats) < 1e-3
 
 
@@ -267,6 +218,32 @@ def test_crossover_scan_evaluates_each_curve_value_once():
     assert scan.crossings[1].value == pytest.approx(0.6, abs=1e-3)
     assert ("flat", 0.5) in calls
     assert len(calls) == len(set(calls))
+
+
+def test_crossover_scan_reports_an_exact_tie_once_at_the_grid_value():
+    """A tie at a grid point is one crossing there, with a zero-width bracket;
+    the bracket after it, whose far end has the same sign, is not bisected."""
+    sweep = SweepSpec.from_range("v", 0.0, 1.0, 3, log=False)
+    scan = crossover_scan(
+        [("rising", synthetic_curve(lambda v: v - 0.5)), ("zero", synthetic_curve(lambda v: 0.0))],
+        sweep,
+    )
+    assert [(c.value, c.bracket) for c in scan.crossings] == [(0.5, (0.5, 0.5))]
+
+
+def test_crossover_scan_skips_brackets_where_both_curves_are_minus_inf():
+    """Two curves both at -inf have no sign of difference: no crossing is
+    read into the bracket where they reach it."""
+
+    def a(v):
+        return 1.0 if v <= 0.7 else -math.inf
+
+    def b(v):
+        return 0.0 if v <= 0.7 else -math.inf
+
+    sweep = SweepSpec.from_range("v", 0.0, 1.0, 11, log=False)
+    scan = crossover_scan([("a", synthetic_curve(a)), ("b", synthetic_curve(b))], sweep)
+    assert scan.crossings == ()
 
 
 def test_crossover_scan_keeps_failures_as_gaps():
