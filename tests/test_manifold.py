@@ -67,6 +67,33 @@ def test_degenerate_embedding_rejected():
         Submanifold(np.zeros(2), np.zeros(2), Domain(((0.0, 1.0),)), "collapsed")
 
 
+def test_coarse_grained_ei_rejects_degenerate_embedding():
+    """A collapsed line never yields a coarse-grained EI: the zero direction
+    raises before coarse_grained_ei can run on it."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.05, delta=0.05))
+    with pytest.raises(DegenerateEmbeddingError, match="zero direction"):
+        coarse_grained_ei(
+            model, Submanifold(np.zeros(2), np.zeros(2), Domain(((0.0, 1.0),)), "collapsed")
+        )
+
+
+def test_one_dimensional_rank_check_takes_the_column_norm(monkeypatch):
+    """A line's one embedding column is its direction, so its rank check is
+    the direction being nonzero: no SVD runs to build a line, to refuse a zero
+    one, or to take its coarse-grained EI."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    unit = Domain(((0.0, 1.0),))
+    tiny = Submanifold(np.zeros(2), np.array([1e-300, 0.0]), unit, "tiny")
+    np.testing.assert_array_equal(tiny.direction, [1e-300, 0.0])
+    with pytest.raises(DegenerateEmbeddingError, match="zero direction"):
+        Submanifold(np.zeros(2), np.array([0.0, -0.0]), unit, "collapsed")
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.05, delta=0.05))
+    assert math.isfinite(coarse_grained_ei(model, diagonal_submanifold()).nats)
+    assert calls == []
+
+
 def test_submanifold_rejects_shapes_that_do_not_make_a_line():
     unit = Domain(((0.0, 1.0),))
     with pytest.raises(InvalidConfigError):
