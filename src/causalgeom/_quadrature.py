@@ -1,8 +1,8 @@
 """Small quadrature toolbox used by the numeric modules.
 
-Thin wrappers around numpy's Gauss rules, a composite Gauss-Legendre rule
-graded into layers of the integrand, and the midpoint grids used for
-metric-field integrals. Nothing here is model specific.
+Thin wrappers around numpy's Gauss rules, composite Gauss-Legendre rules on
+given panels or graded into layers of the integrand, and the midpoint grids
+used for metric-field integrals. Nothing here is model specific.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy.polynomial.legendre
 
 __all__ = [
     "gauss_legendre",
+    "composite_gauss_legendre",
     "graded_gauss_legendre",
     "gauss_hermite",
     "midpoint_axes",
@@ -49,6 +50,18 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * t, half * w
 
 
+def composite_gauss_legendre(breakpoints: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule with n nodes on each panel between consecutive breakpoints.
+
+    The breakpoints must increase. Only the n-node rule is built, so a wide
+    window costs the panels' arithmetic, not a rule as large as its node count.
+    """
+    t, w = _leggauss(int(n))
+    mid = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    half = 0.5 * np.diff(breakpoints)
+    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
+
+
 # breakpoints of graded_gauss_legendre, in layer widths from a layer's centre
 GRADING = (1.0, 3.0, 6.0, 12.0, 24.0)
 
@@ -71,10 +84,7 @@ def graded_gauss_legendre(
     inner = inner[edge[:, None] | (np.abs(steps) <= GRADING[1])]
     bp = np.sort(np.clip(np.r_[a, inner, b], a, b))
     bp = bp[np.r_[True, np.diff(bp) > 0.0]]  # np.unique's values, without its lazy numpy.ma import
-    t, w = _leggauss(int(n))
-    mid = 0.5 * (bp[:-1] + bp[1:])
-    half = 0.5 * np.diff(bp)
-    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
+    return composite_gauss_legendre(bp, n)
 
 
 def midpoint_axes(

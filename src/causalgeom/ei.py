@@ -958,27 +958,28 @@ def ei_exact_mc(
 
 
 @functools.lru_cache(maxsize=16)
-def _field_axes(domain: Domain, nodes_per_axis: int) -> tuple[tuple[np.ndarray, ...], float]:
-    """Midpoint nodes of the box along each axis and the cell volume, read-only."""
+def _field_mesh(domain: Domain, nodes_per_axis: int) -> tuple[tuple[np.ndarray, ...], float]:
+    """The open mesh of the box's midpoint nodes and the cell volume, read-only.
+
+    Axis k's nodes lie along dimension k of the mesh (``np.ix_``), so the
+    coordinates broadcast to the tensor grid without filling it.
+    """
     axes, cell = midpoint_axes(domain.lower, domain.upper, nodes_per_axis)
-    for axis in axes:
-        axis.flags.writeable = False
-    return tuple(axes), cell
+    mesh = np.ix_(*axes)
+    for coord in mesh:
+        coord.flags.writeable = False
+    return mesh, cell
 
 
 @functools.lru_cache(maxsize=16)
 def _field_grid(domain: Domain, nodes_per_axis: int) -> tuple[np.ndarray, float]:
     """Midpoint nodes (N, d) of the box and the cell volume, built once per grid.
 
-    The nodes are the tensor grid of :func:`_field_axes`, flattened in C
+    The nodes are the tensor grid of :func:`_field_mesh`, flattened in C
     order, and read-only: every call with this grid shares the one array.
     """
-    axes, cell = _field_axes(domain, nodes_per_axis)
-    if domain.dim == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    mesh, cell = _field_mesh(domain, nodes_per_axis)
+    pts = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, domain.dim)
     pts.flags.writeable = False
     return pts, cell
 
@@ -1001,22 +1002,21 @@ def ei_geometric(
     a node; it is reported as-is with a flag. An h that is not positive
     definite at a node raises, naming it.
 
-    Both metrics are read on the tensor grid through
-    :meth:`MetricField.grid`, as entries that broadcast to the grid shape:
-    a field with a ``grid_func`` (a constant metric, the two-species g)
-    computes them per axis, any other field through its batch at every
-    node. The log dets are taken from those entries; for d <= 2 no g + h or
-    factor stack is built.
+    Both metrics are read through :meth:`MetricField.entries` at the open
+    mesh of the tensor grid, as entries that broadcast to the grid shape: a
+    field with an ``entries_func`` (a constant metric, the two-species g, a
+    line's pullback) computes them per axis or as scalars, any other field
+    through its batch at every node. The log dets are taken from those
+    entries; for d <= 2 no g + h or factor stack is built.
     """
     if g.dim != h.dim or g.dim != domain.dim:
         raise InvalidConfigError("metric fields and domain must share a dimension")
     d = domain.dim
-    axes, cell = _field_axes(domain, nodes_per_axis)
-    pts = _field_grid(domain, nodes_per_axis)[0]
-    shape = tuple(len(axis) for axis in axes)
-    nodes = pts.reshape(shape + (d,))
-    h_grid = h.grid(axes, pts)
-    g_grid = g.grid(axes, pts)
+    mesh, cell = _field_mesh(domain, nodes_per_axis)
+    shape = np.broadcast_shapes(*(coord.shape for coord in mesh))
+    nodes = _field_grid(domain, nodes_per_axis)[0].reshape(shape + (d,))
+    h_grid = h.entries(mesh)
+    g_grid = g.entries(mesh)
     logdet_h = _logdet(h_grid)
     _require_factored(logdet_h, nodes, "intervention metric")
     l_vals = _mismatch_batch(g_grid, h_grid, nodes)

@@ -48,9 +48,9 @@ def _dim(entries: Entries) -> int:
     return (math.isqrt(8 * len(entries) + 1) - 1) // 2
 
 
-def _gather(entries: Entries) -> np.ndarray:
-    """The symmetric matrices (..., d, d) that ``entries`` give, in their broadcast shape."""
-    shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
+def _gather(entries: Entries, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """The symmetric matrices (..., d, d) that ``entries`` give, in their broadcast shape with ``shape``."""
+    shape = np.broadcast_shapes(shape, *(np.shape(e) for e in entries))
     cols = [np.broadcast_to(e, shape) for e in entries]
     d = _dim(entries)
     mats = np.empty(cols[0].shape + (d, d))
@@ -163,20 +163,25 @@ class MetricField:
     passes them on as they are. A constructor whose arithmetic can break
     symmetry in the last bit symmetrizes once, itself.
 
-    ``grid_func`` is an optional hook for the geometric estimator: given the
-    node vectors of a tensor grid, one per axis, it returns the field's
-    entries there (see :meth:`grid`), each an array that broadcasts to the
-    grid shape. A field whose entries separate along the axes, or are
-    constant, can then compute them on vectors instead of at every node.
+    ``entries_func`` is an optional hook on coordinates: given d arrays that
+    broadcast together, the k-th holding coordinate k of the points, it
+    returns the field's entries there (see :meth:`entries`). The geometric
+    estimator passes the open mesh of its tensor grid and a line passes
+    ``offset_k + sigma * a_k``, so a field whose entries separate along the
+    axes, or are constant, computes them on vectors or as scalars instead of
+    at every point. A field with the hook needs no ``func`` or
+    ``batch_func``: both are then its entries gathered into matrices.
     """
 
-    func: tp.Callable[[np.ndarray], np.ndarray]
+    func: tp.Callable[[np.ndarray], np.ndarray] | None
     dim: int
     batch_func: tp.Callable[[np.ndarray], np.ndarray] | None = None
-    grid_func: tp.Callable[[tp.Sequence[np.ndarray]], Entries] | None = None
+    entries_func: tp.Callable[[tp.Sequence[np.ndarray]], Entries] | None = None
 
     def __call__(self, theta: ArrayLike) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if self.func is None:
+            return self.batch(theta[None])[0]
         return np.asarray(self.func(theta), dtype=float)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
@@ -184,20 +189,23 @@ class MetricField:
         points = np.asarray(points, dtype=float)
         if self.batch_func is not None:
             return np.asarray(self.batch_func(points), dtype=float)
+        if self.entries_func is not None:
+            return _gather(self.entries_func(tuple(points.T)), points.shape[:1])
         return np.stack([self(p) for p in points])
 
-    def grid(self, axes: tp.Sequence[np.ndarray], points: np.ndarray) -> Entries:
-        """The entries (m00,) or (m00, m10, m11) on the tensor grid of ``axes``.
+    def entries(self, coords: tp.Sequence[np.ndarray]) -> Entries:
+        """The entries (m00,) or (m00, m10, m11) at the points with coordinates ``coords``.
 
-        ``points`` (N, dim) is that grid flattened in C order. Each entry
-        broadcasts to the grid shape (len(axis) for each axis). They come from
-        ``grid_func`` when the field has one, else from :meth:`batch` at
-        ``points``, as views of its stack.
+        ``coords`` holds one array per parameter, all broadcasting to one
+        shape; each entry broadcasts to it. They come from ``entries_func``
+        when the field has one, else from :meth:`batch` at every point, as
+        views of its stack.
         """
-        if self.grid_func is not None:
-            return self.grid_func(axes)
-        shape = tuple(len(axis) for axis in axes) + (self.dim, self.dim)
-        return _entries(self.batch(points).reshape(shape))
+        if self.entries_func is not None:
+            return self.entries_func(coords)
+        points = np.stack(np.broadcast_arrays(*coords), axis=-1)
+        mats = self.batch(points.reshape(-1, self.dim))
+        return _entries(mats.reshape(points.shape[:-1] + (self.dim, self.dim)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,8 +254,8 @@ def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:
     """A metric field equal to the same matrix everywhere.
 
     Its batch is a read-only view repeating the matrix along a stride-0
-    axis 0, and its grid entries are scalars, which the estimator factors
-    once.
+    axis 0, and its entries are scalars, which the estimator factors once
+    and a line pulls back to a scalar.
     """
     matrix = _sym(np.atleast_2d(np.asarray(matrix, dtype=float)))
     matrix.setflags(write=False)  # every call hands out this one array
@@ -256,7 +264,7 @@ def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:
     def batch(points: np.ndarray) -> np.ndarray:
         return np.broadcast_to(matrix, (points.shape[0],) + matrix.shape)
 
-    return MetricField(lambda theta: matrix, dim, batch, lambda axes: entries)
+    return MetricField(lambda theta: matrix, dim, batch, lambda coords: entries)
 
 
 # ---------------------------------------------------------------------------

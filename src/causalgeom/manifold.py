@@ -65,26 +65,27 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     """The pulled-back metric a^T m a as a field over the line's coordinate.
 
     For the direction a it is the sum of a_i a_k m_ik over the lower triangle
-    of m, row by row, each off-diagonal term twice: taken on the entries of
-    m's batch along the line, with no (n, d, d) product formed. Raises
-    InvalidConfigError when the direction's length is not m's dimension.
+    of m, row by row, each off-diagonal term twice: taken on m's entries at
+    the line's coordinates offset_k + sigma * a_k (:meth:`MetricField.entries`),
+    with no (n, d, d) stack or product formed. So a constant m pulls back to
+    a scalar. Raises InvalidConfigError when the direction's length is not
+    m's dimension.
     """
-    a = sub.direction
+    a, offset = sub.direction, sub.offset
     if a.size != m.dim:
         raise InvalidConfigError(
             f"submanifold {sub.label!r} lies in {a.size} dimensions, the metric in {m.dim}"
         )
+    pairs = [(i, k) for i in range(m.dim) for k in range(i + 1)]
 
-    def batch(points: np.ndarray) -> np.ndarray:
-        mats = m.batch(sub.embed(points))
-        total = a[0] * a[0] * mats[:, 0, 0]
-        for i in range(1, m.dim):
-            for k in range(i):
-                total += 2.0 * a[i] * a[k] * mats[:, i, k]
-            total += a[i] * a[i] * mats[:, i, i]
-        return total[:, None, None]
+    def entries(coords: tp.Sequence[np.ndarray]) -> tuple[np.ndarray]:
+        parent = m.entries(tuple(offset[k] + coords[0] * a[k] for k in range(m.dim)))
+        total = a[0] * a[0] * parent[0]
+        for (i, k), entry in zip(pairs[1:], parent[1:]):
+            total = total + (2.0 if k < i else 1.0) * a[i] * a[k] * entry
+        return (total,)
 
-    return MetricField(lambda sigma: batch(sigma[None])[0], 1, batch)
+    return MetricField(None, 1, entries_func=entries)
 
 
 def coarse_grained_ei(model, sub: Submanifold, nodes_per_axis: int = 101) -> EIReport:
@@ -161,7 +162,7 @@ CurveFn = tp.Callable[[float], EIReport]
 
 def _refine_crossing(
     fn_a: CurveFn, fn_b: CurveFn, lo: float, hi: float, d_lo: float, log: bool
-) -> tuple[float, tuple[float, float]]:
+) -> tuple[float, tuple[float, float]] | None:
     """Bisect the sign change of fn_a - fn_b inside [lo, hi].
 
     The bracket comes from adjacent sweep grid points. Bisection runs in v,
@@ -169,6 +170,8 @@ def _refine_crossing(
     coordinate has |b - a| <= 1e-3 * max(|(a + b) / 2|, 1e-30), or after 40
     halvings. On a log sweep the width is thus relative to |ln v|, not to v:
     the stop tightens as the crossing nears v = 1 and loosens away from it.
+    A NaN difference at a midpoint (both curves at the same infinity) has no
+    sign, so it ends the refinement and None is returned: no crossing.
     """
     a, b = (math.log(lo), math.log(hi)) if log else (lo, hi)
     sign_lo = math.copysign(1.0, d_lo)
@@ -178,6 +181,8 @@ def _refine_crossing(
         if abs(b - a) <= 1e-3 * max(abs(mid), 1e-30):
             break
         diff = fn_a(value).nats - fn_b(value).nats
+        if math.isnan(diff):
+            return None
         if math.copysign(1.0, diff) == sign_lo:
             a = mid
         else:
@@ -198,7 +203,9 @@ def crossover_scan(
     excluded from the winner count and never used as crossing brackets.
     A grid point where two curves are exactly equal is reported as a crossing
     there, with the bracket (v, v); a grid bracket is refined only where the
-    differences at its ends have strictly opposite signs.
+    differences at its ends have strictly opposite signs, and one whose
+    refinement meets a NaN difference is logged as a warning and reports no
+    crossing.
     """
     if len(models) < 1:
         raise InvalidConfigError("crossover scan needs at least one model")
@@ -253,8 +260,13 @@ def crossover_scan(
                 if d0 == 0.0:  # an exact tie is its own crossing, at the grid value
                     crossings.append(Crossing(la, lb, v0, (v0, v0)))
                 if i + 1 < len(diffs) and (d0 < 0.0 < diffs[i + 1] or diffs[i + 1] < 0.0 < d0):
-                    value, bracket = _refine_crossing(
-                        curve(la), curve(lb), v0, float(sweep.values[i + 1]), d0, sweep.log
-                    )
-                    crossings.append(Crossing(la, lb, value, bracket))
+                    v1 = float(sweep.values[i + 1])
+                    refined = _refine_crossing(curve(la), curve(lb), v0, v1, d0, sweep.log)
+                    if refined is None:
+                        logger.warning(
+                            "%s - %s is NaN inside %s in (%r, %r): no crossing reported there",
+                            la, lb, sweep.variable, v0, v1,
+                        )
+                    else:
+                        crossings.append(Crossing(la, lb, *refined))
     return CrossoverScan(sweep=sweep, curves=curves, argmax=argmax, crossings=tuple(crossings))

@@ -15,7 +15,7 @@ import typing as tp
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
+from ._quadrature import composite_gauss_legendre
 from .channels import (
     ConstantIsotropic,
     DiagonalStateDependent,
@@ -308,19 +308,21 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         jacobian=jac,
     )
 
-    def gram(th0: np.ndarray, th1: np.ndarray, cross: tp.Callable) -> tuple[np.ndarray, ...]:
+    def g_entries(coords: tp.Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         # J^T J entry by entry, each an in-order sum over the time points: the
         # einsum's value, at a fraction of its cost on these short axes. One
         # time point at a time, summed in place, so no (n, N) temporary is
-        # built; the products are those of `jac`. g01 takes its products
-        # through `cross`.
+        # built; the products are those of `jac`. On the open mesh of a
+        # tensor grid g00 varies along theta_1 alone and g11 along theta_2
+        # alone; only g01 fills the grid. The sums start as arrays, which 0-d
+        # coordinates' scalars are not, so that += adds in place.
         sums = None
         for neg_t in -times:
-            j0 = neg_t * np.exp(neg_t * th0)
-            j1 = neg_t * np.exp(neg_t * th1)
-            terms = (j0 * j0, cross(j0, j1), j1 * j1)
+            j0 = neg_t * np.exp(neg_t * coords[0])
+            j1 = neg_t * np.exp(neg_t * coords[1])
+            terms = (j0 * j0, j0 * j1, j1 * j1)
             if sums is None:
-                sums = terms
+                sums = tuple(np.asarray(term) for term in terms)
             else:
                 for total, term in zip(sums, terms):
                     total += term
@@ -329,19 +331,7 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
             total /= scale
         return sums
 
-    def g_batch(points: np.ndarray) -> np.ndarray:
-        g00, g01, g11 = gram(points[:, 0], points[:, 1], np.multiply)
-        out = np.empty((len(points), 2, 2))
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = g00, g01, g01, g11
-        return out
-
-    def g_grid(axes: tp.Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-        # g00 varies along theta_1 alone and g11 along theta_2 alone; only g01
-        # fills the grid, as a sum of outer products in time order.
-        g00, g01, g11 = gram(axes[0], axes[1], np.multiply.outer)
-        return g00[:, None], g01, g11
-
-    g = MetricField(lambda t: g_batch(t[None, :])[0], 2, g_batch, g_grid)
+    g = MetricField(None, 2, entries_func=g_entries)
     a_inv = np.linalg.inv(a)
     h = constant_metric(a_inv.T @ a_inv / cfg.delta**2, 2)
     return ChainModel(
@@ -446,8 +436,14 @@ def _confounder_moments(cfg: DecayConfounderConfig, theta: float) -> tuple[float
     theta), so a single windowed Gauss-Legendre pass gives the Fisher
     information as the score covariance -- no finite differences involved.
     The window is centred on the root of mu(x) = theta
-    (:func:`_confounder_root`); a window that holds no mass raises
-    NumericalFailureError naming theta.
+    (:func:`_confounder_root`) and spans 14 widths sigma_net / |mu'| either
+    side; a window that holds no mass raises NumericalFailureError naming
+    theta. It is integrated by a composite rule of 8 equal panels of 50
+    nodes. Against a dense trapezoid over the same window, on the configs
+    measured, both moments are within 1e-14 relative inside the series
+    regime (ratio <= 0.1) and within 2e-6 outside it, where mu bends inside
+    the window; there the window itself, sized from mu's slope at the root,
+    can also miss mass.
     """
     # The helpers take Python floats and arrays alike; squares are written
     # x * x, which rounds as numpy's array x**2 does.
@@ -467,7 +463,7 @@ def _confounder_moments(cfg: DecayConfounderConfig, theta: float) -> tuple[float
     theta = float(theta)
     x0 = _confounder_root(mu, dmu, theta)
     width = 14.0 * math.sqrt(s2(x0)) / abs(dmu(x0))
-    nodes, w = gauss_legendre(x0 - width, x0 + width, 400)
+    nodes, w = composite_gauss_legendre(np.linspace(x0 - width, x0 + width, 9), 50)
     var = s2(nodes)
     dens = np.exp(-0.5 * (theta - mu(nodes)) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
     score = -(theta - mu(nodes)) / var

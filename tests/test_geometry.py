@@ -28,7 +28,7 @@ from causalgeom import (
     two_species_model,
 )
 from causalgeom import ei, geometry
-from causalgeom.ei import _field_axes, _field_grid
+from causalgeom.ei import _field_grid, _field_mesh
 from causalgeom.geometry import _entries, _logdet, _mismatch_batch, _require_factored
 from reference import intervention_metric, invert_uniform_prior
 
@@ -512,10 +512,10 @@ SKEWED = np.array([[1.0, 0.8], [0.7, 1.0]])
 
 
 def _grid(domain: Domain, nodes_per_axis: int = 101):
-    """The estimator's axes, flattened nodes and nodes in grid shape."""
-    axes = _field_axes(domain, nodes_per_axis)[0]
+    """The estimator's open mesh, flattened nodes and nodes in grid shape."""
+    mesh = _field_mesh(domain, nodes_per_axis)[0]
     pts = _field_grid(domain, nodes_per_axis)[0]
-    return axes, pts, pts.reshape(tuple(len(a) for a in axes) + (domain.dim,))
+    return mesh, pts, pts.reshape(np.broadcast_shapes(*(c.shape for c in mesh)) + (domain.dim,))
 
 
 def _stack_logdet(stack: np.ndarray, jitter: bool) -> np.ndarray:
@@ -544,11 +544,11 @@ def test_two_species_grid_entries_and_mismatch_match_the_stacks(matrix):
         model = two_species_model(
             TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix)
         )
-        axes, pts, nodes = _grid(model.theta_domain)
+        mesh, pts, nodes = _grid(model.theta_domain)
         shape = nodes.shape[:-1]
-        g_grid, h_grid = model.g.grid(axes, pts), model.h.grid(axes, pts)
+        g_grid, h_grid = model.g.entries(mesh), model.h.entries(mesh)
         g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
-        assert [np.shape(e) for e in g_grid] == [(101, 1), shape, (102,)]
+        assert [np.shape(e) for e in g_grid] == [(101, 1), shape, (1, 102)]
         assert [np.shape(e) for e in h_grid] == [(), (), ()]
         for grid, stack in ((g_grid, g_stack), (h_grid, h_stack)):
             for entry, expected in zip(grid, _entries(stack.reshape(shape + (2, 2)))):
@@ -578,9 +578,9 @@ def test_fig4_pivot_roots_are_lapack_factor_diagonals(matrix):
     failing = 0
     for delta_t in FIG4_DELTA_T:
         model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix))
-        axes, pts, nodes = _grid(model.theta_domain)
+        mesh, pts, nodes = _grid(model.theta_domain)
         shape = nodes.shape[:-1]
-        g_grid, h_grid = model.g.grid(axes, pts), model.h.grid(axes, pts)
+        g_grid, h_grid = model.g.entries(mesh), model.h.entries(mesh)
         g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
         sum_grid = tuple(g_e + h_e for g_e, h_e in zip(g_grid, h_grid))
         for entries, stack in ((g_grid, g_stack), (sum_grid, g_stack + h_stack)):
@@ -598,14 +598,14 @@ def test_fig4_pivot_roots_are_lapack_factor_diagonals(matrix):
 
 def _split_field(c_of_theta2, h11: float):
     """A 2-D g whose entries separate along the axes, g = diag(1, c(theta_2)),
-    as a grid hook and as a batch, with the constant h = diag(1, h11)."""
+    as an entries hook and as a batch, with the constant h = diag(1, h11)."""
 
     def batch(pts):
         out = np.zeros((len(pts), 2, 2))
         out[:, 0, 0], out[:, 1, 1] = 1.0, c_of_theta2(pts[:, 1])
         return out
 
-    g = MetricField(lambda t: batch(t[None])[0], 2, batch, lambda axes: (1.0, 0.0, c_of_theta2(axes[1])))
+    g = MetricField(lambda t: batch(t[None])[0], 2, batch, lambda coords: (1.0, 0.0, c_of_theta2(coords[1])))
     return g, constant_metric(np.diag([1.0, h11]), 2)
 
 
@@ -617,8 +617,8 @@ def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
     recover raises, naming the first failing node of the grid."""
     square = Domain(((0.0, 1.0), (0.0, 1.0)))
     g, h = _split_field(lambda t2: np.where(t2 > 0.75, -2e-20, 1.0), 1e-20)
-    axes, pts, nodes = _grid(square)
-    failing = int(np.sum(axes[1] > 0.75))
+    mesh, pts, nodes = _grid(square)
+    failing = int(np.sum(mesh[1] > 0.75))
     rows = []
     potf2 = geometry._potf2
 
@@ -627,7 +627,7 @@ def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
         return potf2(entries)
 
     monkeypatch.setattr(geometry, "_potf2", counting)
-    l_vals = _mismatch_batch(g.grid(axes, pts), h.grid(axes, pts), nodes)
+    l_vals = _mismatch_batch(g.entries(mesh), h.entries(mesh), nodes)
     assert rows == [102, failing, 102]  # g + h, its jitter retry, g
     expected = mismatch(g, h, pts).reshape(nodes.shape[:-1])
     np.testing.assert_array_equal(np.broadcast_to(l_vals, expected.shape), expected)
@@ -635,7 +635,7 @@ def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
     assert ei_geometric(g, h, square).nats == -math.inf
 
     g, h = _split_field(lambda t2: np.where(t2 > 0.75, -2.0, 1.0), 1.0)
-    first = nodes[0, int(np.argmax(axes[1] > 0.75))]
+    first = nodes[0, int(np.argmax(mesh[1][0] > 0.75))]
     with pytest.raises(DegenerateModelError, match=re.escape(f"g + h is not positive definite at {first}")):
         ei_geometric(g, h, square)
 

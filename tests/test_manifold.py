@@ -12,6 +12,7 @@ from causalgeom import (
     Domain,
     EIReport,
     InvalidConfigError,
+    MetricField,
     SmoothMap,
     Submanifold,
     SweepSpec,
@@ -151,6 +152,41 @@ def test_entrywise_pullback_matches_the_matrix_product(matrix):
     assert worst <= PULLBACK_ULPS
 
 
+def _stack_pullback(m, sub):
+    """The pullback summed over the entries of m's (n, d, d) batch along the
+    line, in the same order as pullback_field, with no entries hook."""
+    a = sub.direction
+
+    def batch(points):
+        mats = m.batch(sub.embed(points))
+        total = a[0] * a[0] * mats[:, 0, 0]
+        for i in range(1, m.dim):
+            for k in range(i):
+                total += 2.0 * a[i] * a[k] * mats[:, i, k]
+            total += a[i] * a[i] * mats[:, i, i]
+        return total[:, None, None]
+
+    return MetricField(lambda sigma: batch(sigma[None])[0], 1, batch)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
+def test_constant_metric_pulls_back_to_a_scalar_and_lines_keep_their_bits(matrix):
+    """A constant metric pulls back to a 0-d entry, a^T M a (exact here in
+    binary). The coarse-grained estimate on the diagonal and antidiagonal is
+    the one the stack path gives, bit for bit, over the fig4 sweep."""
+    m = np.array([[2.0, 0.5], [0.5, 4.0]])
+    line = Submanifold(np.array([0.25, 0.75]), np.array([0.5, -1.5]), Domain(((0.0, 1.0),)), "line")
+    (entry,) = pullback_field(constant_metric(m, 2), line).entries((np.linspace(0.0, 1.0, 5),))
+    assert np.shape(entry) == ()
+    assert entry == line.direction @ m @ line.direction == 8.75
+
+    for delta_t in np.geomspace(0.02, 50.0, 25):
+        model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix))
+        for sub in (diagonal_submanifold(), antidiagonal_submanifold()):
+            stacked = ei_geometric(_stack_pullback(model.g, sub), _stack_pullback(model.h, sub), sub.sigma_domain)
+            assert coarse_grained_ei(model, sub) == stacked
+
+
 def test_coarse_grained_ei_against_adaptive_quadrature():
     """Same geometric definition evaluated with scipy's adaptive integrator
     on the closed-form pulled-back fields."""
@@ -271,6 +307,27 @@ def test_crossover_scan_skips_brackets_where_both_curves_are_minus_inf():
     sweep = SweepSpec.from_range("v", 0.0, 1.0, 11, log=False)
     scan = crossover_scan([("a", synthetic_curve(a)), ("b", synthetic_curve(b))], sweep)
     assert scan.crossings == ()
+
+
+def test_crossover_scan_reports_no_crossing_where_a_midpoint_difference_is_nan(caplog):
+    """Inside a sign-changing bracket both curves are -inf on (0.4, 0.6): the
+    first bisection midpoint has a NaN difference, which has no sign, so the
+    bracket reports no crossing and logs a warning. Read by the NaN's sign
+    bit, the bisection walked to 0.59985, where a - b is 0.2."""
+
+    def a(v):
+        return -math.inf if 0.4 < v < 0.6 else 2.0 * (v - 0.5)
+
+    def b(v):
+        return -math.inf if 0.4 < v < 0.6 else 0.0
+
+    sweep = SweepSpec(variable="v", values=np.linspace(0.0, 1.0, 2))
+    with caplog.at_level("WARNING", logger="causalgeom.manifold"):
+        scan = crossover_scan([("a", synthetic_curve(a)), ("b", synthetic_curve(b))], sweep)
+    assert scan.crossings == ()
+    assert scan.argmax == ["b", "a"]
+    (record,) = caplog.records
+    assert "a - b is NaN inside v in (0.0, 1.0)" in record.getMessage()
 
 
 def test_crossover_scan_keeps_failures_as_gaps():
