@@ -971,19 +971,6 @@ def _field_mesh(domain: Domain, nodes_per_axis: int) -> tuple[tuple[np.ndarray, 
     return mesh, cell
 
 
-@functools.lru_cache(maxsize=16)
-def _field_grid(domain: Domain, nodes_per_axis: int) -> tuple[np.ndarray, float]:
-    """Midpoint nodes (N, d) of the box and the cell volume, built once per grid.
-
-    The nodes are the tensor grid of :func:`_field_mesh`, flattened in C
-    order, and read-only: every call with this grid shares the one array.
-    """
-    mesh, cell = _field_mesh(domain, nodes_per_axis)
-    pts = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, domain.dim)
-    pts.flags.writeable = False
-    return pts, cell
-
-
 def ei_geometric(
     g: MetricField,
     h: MetricField,
@@ -1002,24 +989,27 @@ def ei_geometric(
     a node; it is reported as-is with a flag. An h that is not positive
     definite at a node raises, naming it.
 
-    Both metrics are read through :meth:`MetricField.entries` at the open
+    Both metrics are read through :attr:`MetricField.entries` at the open
     mesh of the tensor grid, as entries that broadcast to the grid shape: a
-    field with an ``entries_func`` (a constant metric, the two-species g, a
-    line's pullback) computes them per axis or as scalars, any other field
-    through its batch at every node. The log dets are taken from those
-    entries; for d <= 2 no g + h or factor stack is built.
+    constant metric, the two-species g and a line's pullback compute them
+    per axis or as scalars, a field made by :meth:`MetricField.from_batch`
+    (the 1-D effect metrics) at every node. The log dets are taken from
+    those entries; for d <= 2 no g + h or factor stack is built.
+    ``nodes_per_axis`` must be an integer >= 1 (a bool is not one).
     """
+    n = nodes_per_axis
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidConfigError(f"nodes_per_axis must be an integer >= 1, got {n!r}")
     if g.dim != h.dim or g.dim != domain.dim:
         raise InvalidConfigError("metric fields and domain must share a dimension")
     d = domain.dim
     mesh, cell = _field_mesh(domain, nodes_per_axis)
     shape = np.broadcast_shapes(*(coord.shape for coord in mesh))
-    nodes = _field_grid(domain, nodes_per_axis)[0].reshape(shape + (d,))
     h_grid = h.entries(mesh)
     g_grid = g.entries(mesh)
     logdet_h = _logdet(h_grid)
-    _require_factored(logdet_h, nodes, "intervention metric")
-    l_vals = _mismatch_batch(g_grid, h_grid, nodes)
+    _require_factored(logdet_h, mesh, "intervention metric")
+    l_vals = _mismatch_batch(g_grid, h_grid, mesh)
     sqrt_h = np.full(shape, np.exp(0.5 * logdet_h))  # a constant h takes one exp, not one per node
     volume = float(cell * np.sum(sqrt_h))
     mean_l = float(np.sum(sqrt_h * l_vals) * cell / volume)

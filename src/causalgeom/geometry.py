@@ -141,71 +141,63 @@ def _logdet(entries: Entries, jitter: bool = False) -> np.ndarray:
     return logdet
 
 
-def _require_factored(logdet: np.ndarray, points: np.ndarray | None, what: str) -> None:
-    """Raise DegenerateModelError naming the first point whose log det is NaN.
+def _require_factored(logdet: np.ndarray, coords: tp.Sequence[np.ndarray] | None, what: str) -> None:
+    """Raise DegenerateModelError naming the first node whose log det is NaN.
 
-    ``points`` (..., d) holds the nodes in the shape ``logdet`` broadcasts to.
+    ``coords`` holds one array per parameter (as ``MetricField.entries``
+    takes them), broadcasting to the shape ``logdet`` broadcasts to.
     """
     failed = np.isnan(logdet)
     if failed.any():
         where = ""
-        if points is not None:
-            first = int(np.argmax(np.broadcast_to(failed, points.shape[:-1])))
-            where = f" at {points.reshape(-1, points.shape[-1])[first]}"
+        if coords is not None:
+            shape = np.broadcast_shapes(failed.shape, *(np.shape(c) for c in coords))
+            first = np.unravel_index(int(np.argmax(np.broadcast_to(failed, shape))), shape)
+            where = f" at {np.array([np.broadcast_to(c, shape)[first] for c in coords])}"
         raise DegenerateModelError(f"{what} is not positive definite{where}")
 
 
 @dataclasses.dataclass(frozen=True)
 class MetricField:
-    """A symmetric-matrix-valued function of the parameter point.
+    """A symmetric-matrix-valued function of the parameter point, given by its entries.
 
-    ``func`` and ``batch_func`` must return symmetric matrices; the field
-    passes them on as they are. A constructor whose arithmetic can break
-    symmetry in the last bit symmetrizes once, itself.
-
-    ``entries_func`` is an optional hook on coordinates: given d arrays that
-    broadcast together, the k-th holding coordinate k of the points, it
-    returns the field's entries there (see :meth:`entries`). The geometric
-    estimator passes the open mesh of its tensor grid and a line passes
+    ``entries(coords)`` is the field: given d arrays that broadcast
+    together, the k-th holding coordinate k of the points, it returns the
+    entries (m00,) or (m00, m10, m11) there (:func:`_entries`), each
+    broadcasting to the coordinates' shape. The geometric estimator passes
+    the open mesh of its tensor grid and a line passes
     ``offset_k + sigma * a_k``, so a field whose entries separate along the
     axes, or are constant, computes them on vectors or as scalars instead of
-    at every point. A field with the hook needs no ``func`` or
-    ``batch_func``: both are then its entries gathered into matrices.
+    at every point. A field known as matrices over a stack of points gets
+    its hook from :meth:`from_batch`.
     """
 
-    func: tp.Callable[[np.ndarray], np.ndarray] | None
+    entries: tp.Callable[[tp.Sequence[np.ndarray]], Entries]
     dim: int
-    batch_func: tp.Callable[[np.ndarray], np.ndarray] | None = None
-    entries_func: tp.Callable[[tp.Sequence[np.ndarray]], Entries] | None = None
+
+    @classmethod
+    def from_batch(cls, batch: tp.Callable[[np.ndarray], np.ndarray], dim: int) -> MetricField:
+        """The field whose entries are views of ``batch``'s symmetric (n, dim, dim) stack at (n, dim) points.
+
+        A constructor whose arithmetic can break symmetry in the last bit
+        symmetrizes once, itself.
+        """
+
+        def entries(coords: tp.Sequence[np.ndarray]) -> Entries:
+            points = np.stack(np.broadcast_arrays(*coords), axis=-1)
+            mats = np.asarray(batch(points.reshape(-1, dim)), dtype=float)
+            return _entries(mats.reshape(points.shape[:-1] + (dim, dim)))
+
+        return cls(entries, dim)
 
     def __call__(self, theta: ArrayLike) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.func is None:
-            return self.batch(theta[None])[0]
-        return np.asarray(self.func(theta), dtype=float)
+        return self.batch(theta[None])[0]
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at (n, dim) points, returning (n, dim, dim)."""
         points = np.asarray(points, dtype=float)
-        if self.batch_func is not None:
-            return np.asarray(self.batch_func(points), dtype=float)
-        if self.entries_func is not None:
-            return _gather(self.entries_func(tuple(points.T)), points.shape[:1])
-        return np.stack([self(p) for p in points])
-
-    def entries(self, coords: tp.Sequence[np.ndarray]) -> Entries:
-        """The entries (m00,) or (m00, m10, m11) at the points with coordinates ``coords``.
-
-        ``coords`` holds one array per parameter, all broadcasting to one
-        shape; each entry broadcasts to it. They come from ``entries_func``
-        when the field has one, else from :meth:`batch` at every point, as
-        views of its stack.
-        """
-        if self.entries_func is not None:
-            return self.entries_func(coords)
-        points = np.stack(np.broadcast_arrays(*coords), axis=-1)
-        mats = self.batch(points.reshape(-1, self.dim))
-        return _entries(mats.reshape(points.shape[:-1] + (self.dim, self.dim)))
+        return _gather(self.entries(tuple(points.T)), points.shape[:1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,7 +230,7 @@ class EigenReport:
 def effect_metric(channel: GaussianChannel) -> MetricField:
     """Fisher metric of the effect channel: J^T Sigma^-1 J at the channel mean.
 
-    Works on one point (d,) or a batch (n, d) alike.
+    Computed on a stack of points (n, d) at once (:meth:`MetricField.from_batch`).
     """
 
     def fisher(theta: np.ndarray) -> np.ndarray:
@@ -247,24 +239,19 @@ def effect_metric(channel: GaussianChannel) -> MetricField:
         wj_t = channel.noise.whiten(np.swapaxes(jac, -1, -2), mean[..., None, :])  # (W J)^T
         return _sym(wj_t @ np.swapaxes(wj_t, -1, -2))
 
-    return MetricField(fisher, channel.dim_in, fisher)
+    return MetricField.from_batch(fisher, channel.dim_in)
 
 
-def constant_metric(matrix: np.ndarray, dim: int) -> MetricField:
-    """A metric field equal to the same matrix everywhere.
+def constant_metric(matrix: np.ndarray) -> MetricField:
+    """A metric field equal to the same matrix everywhere, of the matrix's dimension.
 
-    Its batch is a read-only view repeating the matrix along a stride-0
-    axis 0, and its entries are scalars, which the estimator factors once
-    and a line pulls back to a scalar.
+    Its entries are scalars, which the estimator factors once and a line
+    pulls back to a scalar.
     """
     matrix = _sym(np.atleast_2d(np.asarray(matrix, dtype=float)))
-    matrix.setflags(write=False)  # every call hands out this one array
+    matrix.setflags(write=False)  # every call hands out views of this one array
     entries = _entries(matrix)
-
-    def batch(points: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(matrix, (points.shape[0],) + matrix.shape)
-
-    return MetricField(lambda theta: matrix, dim, batch, lambda coords: entries)
+    return MetricField(lambda coords: entries, matrix.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +269,10 @@ def mismatch_at(g_mat: np.ndarray, h_mat: np.ndarray) -> float:
     return float(_mismatch_batch(_entries(g_mat[None]), _entries(h_mat[None]))[0])
 
 
-def _mismatch_batch(g: Entries, h: Entries, points: np.ndarray | None = None) -> np.ndarray:
+def _mismatch_batch(g: Entries, h: Entries, coords: tp.Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Mismatch from the entries of g and h (:func:`_entries`), in their broadcast shape.
 
-    ``points`` only names a failing point (see :func:`_require_factored`).
+    ``coords`` only names a failing node (see :func:`_require_factored`).
     Gives +inf where g does not factor (without jitter): the parameter
     directions h still cares about are then invisible to the effects, and the
     log ratio genuinely diverges. A g + h that stays indefinite after the
@@ -293,7 +280,7 @@ def _mismatch_batch(g: Entries, h: Entries, points: np.ndarray | None = None) ->
     is summed entry by entry, so no matrix stack is built for d <= 2.
     """
     ld_sum = _logdet(tuple(g_e + h_e for g_e, h_e in zip(g, h)), jitter=True)
-    _require_factored(ld_sum, points, "g + h")
+    _require_factored(ld_sum, coords, "g + h")
     ld_g = _logdet(g)
     # g + h has the broadcast shape of both, so the mismatch is assembled in ld_sum.
     mismatch = np.subtract(ld_sum, ld_g, out=ld_sum)
@@ -343,4 +330,4 @@ def reparameterize(m: MetricField, phi: SmoothMap) -> MetricField:
         jac = np.atleast_2d(np.asarray(phi.jacobian(theta_new), dtype=float))
         return _sym(jac.T @ m(np.atleast_1d(np.asarray(phi.func(theta_new), dtype=float))) @ jac)
 
-    return MetricField(single, m.dim)
+    return MetricField.from_batch(lambda points: np.stack([single(p) for p in points]), m.dim)

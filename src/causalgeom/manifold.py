@@ -66,7 +66,7 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
 
     For the direction a it is the sum of a_i a_k m_ik over the lower triangle
     of m, row by row, each off-diagonal term twice: taken on m's entries at
-    the line's coordinates offset_k + sigma * a_k (:meth:`MetricField.entries`),
+    the line's coordinates offset_k + sigma * a_k (:attr:`MetricField.entries`),
     with no (n, d, d) stack or product formed. So a constant m pulls back to
     a scalar. Raises InvalidConfigError when the direction's length is not
     m's dimension.
@@ -85,7 +85,7 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
             total = total + (2.0 if k < i else 1.0) * a[i] * a[k] * entry
         return (total,)
 
-    return MetricField(None, 1, entries_func=entries)
+    return MetricField(entries, 1)
 
 
 def coarse_grained_ei(model, sub: Submanifold, nodes_per_axis: int = 101) -> EIReport:

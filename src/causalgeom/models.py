@@ -216,7 +216,7 @@ def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -
         ch_ty=ch_ty,
         theta_domain=UNIT_INTERVAL,
         g=effect_metric(ch_ty),
-        h=constant_metric(np.array([[1.0 / delta**2]]), 1),
+        h=constant_metric(np.array([[1.0 / delta**2]])),
     )
 
 
@@ -331,9 +331,9 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
             total /= scale
         return sums
 
-    g = MetricField(None, 2, entries_func=g_entries)
+    g = MetricField(g_entries, 2)
     a_inv = np.linalg.inv(a)
-    h = constant_metric(a_inv.T @ a_inv / cfg.delta**2, 2)
+    h = constant_metric(a_inv.T @ a_inv / cfg.delta**2)
     return ChainModel(
         label="two-species",
         x_set=UniformBox(UNIT_SQUARE),
@@ -485,13 +485,12 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
     only served inside its validity regime (ratio <= 0.1).
     """
     h_caus_val = 1.0 / (cfg.sigma_t**2 * cfg.alpha**2)
-    h_caus = constant_metric(np.array([[h_caus_val]]), 1)
+    h_caus = constant_metric(np.array([[h_caus_val]]))
 
-    def stat_single(theta: np.ndarray) -> np.ndarray:
-        fisher, _ = _confounder_moments(cfg, float(theta[0]))
-        return np.array([[fisher]])
+    def stat_batch(points: np.ndarray) -> np.ndarray:
+        return np.array([[[_confounder_moments(cfg, float(theta))[0]]] for theta in points[:, 0]])
 
-    h_stat = MetricField(stat_single, 1)
+    h_stat = MetricField.from_batch(stat_batch, 1)
 
     def series(theta: float) -> float:
         if cfg.ratio > 0.1:

@@ -229,4 +229,6 @@ def invert_uniform_prior(channel: GaussianChannel, x_set: InterventionSet) -> In
 
 def intervention_metric(inverted: InvertedChannel) -> MetricField:
     """Fisher metric of the uniform-prior inverted channel."""
-    return MetricField(inverted.fisher, inverted.channel.dim_out)
+    return MetricField.from_batch(
+        lambda points: np.stack([inverted.fisher(p) for p in points]), inverted.channel.dim_out
+    )

@@ -321,9 +321,9 @@ def test_criterion_13_property_contracts():
     )
 
     sub = diagonal_submanifold()
-    m1 = constant_metric(g_mat, 2)
-    m2 = constant_metric(h_mat, 2)
-    combo = constant_metric(2.5 * g_mat + h_mat, 2)
+    m1 = constant_metric(g_mat)
+    m2 = constant_metric(h_mat)
+    combo = constant_metric(2.5 * g_mat + h_mat)
     pulled = [pullback_field(m, sub)(0.4) for m in (combo, m1, m2)]
     gap = np.max(np.abs(pulled[0] - 2.5 * pulled[1] - pulled[2]))
     results.append(gap < 1e-12)

@@ -84,6 +84,58 @@ def test_eigen_decay_confounder_reports_both_metrics(capsys):
     assert float(out["h_stat"]) != float(out["h_caus"])
 
 
+def _eigen_values(capsys) -> dict[str, float]:
+    lines = capsys.readouterr().out.strip().splitlines()
+    return {name: float(value) for name, value in (line.split() for line in lines)}
+
+
+EIGEN_PINS = [
+    pytest.param(
+        ["--model", "two-species", "--theta", "0.3,0.7"],
+        {"lambda_1": 3.8181819581788048, "lambda_2": 0.047893925385086966},
+        id="two-species",
+    ),
+    pytest.param(["--model", "dimmer", "--theta", "0.4"], {"lambda_1": 1.0}, id="dimmer"),
+    pytest.param(
+        ["--model", "dimmer", "--param", "profile=power", "--theta", "0.4"],
+        {"lambda_1": 0.64000000000000001},
+        id="dimmer-power",
+    ),
+    pytest.param(
+        ["--model", "dimmer-family", "--param", "a=2", "--theta", "0.4"],
+        {"lambda_1": 0.48535304591157863},
+        id="dimmer-family",
+    ),
+    pytest.param(["--model", "dimmer-weber", "--theta", "0.4"], {"lambda_1": 1.0376628178232923}, id="dimmer-weber"),
+    pytest.param(
+        ["--model", "decay-confounder", "--theta", "0.5"],
+        {"theta": 0.5, "h_caus": 399.99999999999994, "h_stat": 400.25127244996975, "h_stat_series": 400.25121184250162},
+        id="decay-confounder",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", EIGEN_PINS)
+def test_eigen_prints_the_pinned_values(capsys, args, expected):
+    """Each model with an eigen computation, through every field's point call."""
+    assert main(["eigen", *args]) == 0
+    out = _eigen_values(capsys)
+    assert list(out) == list(expected)
+    for name, value in expected.items():
+        assert out[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+def test_eigen_skewed_two_species_has_one_zero_eigenvalue(capsys):
+    """The skewed coupling's pencil is rank one at the diagonal point; the
+    sign of the round-off second eigenvalue is not pinned."""
+    args = ["eigen", "--model", "two-species", "--param", "matrix=[[1.0,0.8],[0.7,1.0]]", "--theta", "0.5,0.5"]
+    assert main(args) == 0
+    out = _eigen_values(capsys)
+    assert list(out) == ["lambda_1", "lambda_2"]
+    assert out["lambda_1"] == pytest.approx(8.3202746811977768, rel=1e-12, abs=0.0)
+    assert abs(out["lambda_2"]) <= 1e-12 * out["lambda_1"]
+
+
 def test_run_writes_results_and_manifest(tmp_path):
     code, out = run_into(tmp_path, MINI)
     assert code == 0

@@ -22,7 +22,9 @@ from causalgeom import (
     QuadratureSpec,
     UseMonteCarloError,
     binary_switch_model,
+    coarse_grained_ei,
     constant_metric,
+    diagonal_submanifold,
     dimmer_family,
     dimmer_model,
     ei_exact_mc,
@@ -45,7 +47,7 @@ from causalgeom.ei import (
     _EFFECT_TAIL_SIGMAS,
     _effect_windows,
     _ScalarChain,
-    _field_grid,
+    _field_mesh,
     _sd,
 )
 
@@ -245,21 +247,40 @@ def test_geometric_grid_names_the_axis_lengths():
 
 
 def test_field_grid_is_built_once_per_grid_and_read_only():
-    """Equal boxes share one read-only node array; another count is another grid."""
-    pts, cell = _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
-    again, cell_again = _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
-    assert again is pts and cell_again == cell
-    assert pts.shape == (11 * 12, 2) and not pts.flags.writeable
+    """Equal boxes share one read-only open mesh; another count is another grid."""
+    mesh, cell = _field_mesh(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
+    again, cell_again = _field_mesh(Domain(((0.0, 1.0), (0.0, 2.0))), 11)
+    assert again is mesh and cell_again == cell
+    assert [c.shape for c in mesh] == [(11, 1), (1, 12)] and not any(c.flags.writeable for c in mesh)
     with pytest.raises(ValueError):
-        pts[0, 0] = 0.5
-    assert _field_grid(Domain(((0.0, 1.0), (0.0, 2.0))), 12)[0].shape == (12 * 13, 2)
+        mesh[0][0, 0] = 0.5
+    assert [c.shape for c in _field_mesh(Domain(((0.0, 1.0), (0.0, 2.0))), 12)[0]] == [(12, 1), (1, 13)]
+
+
+def test_geometric_rejects_a_constant_metric_of_another_dimension():
+    """A constant metric takes its dimension from its matrix, so a 2 x 2 h
+    on the 1-D dimmer fails the estimator's dimension check."""
+    model = dimmer_model(linear_profile(), 0.03, 0.03)
+    assert constant_metric(np.eye(2)).dim == 2
+    with pytest.raises(InvalidConfigError, match="share a dimension"):
+        ei_geometric(model.g, constant_metric(np.eye(2)), model.theta_domain)
+
+
+@pytest.mark.parametrize("nodes", [0, -3, 2.5, True])
+def test_geometric_and_coarse_grained_refuse_a_node_count_that_is_no_positive_integer(nodes):
+    dimmer = dimmer_model(linear_profile(), 0.03, 0.03)
+    with pytest.raises(InvalidConfigError, match="nodes_per_axis must be an integer >= 1"):
+        ei_geometric(dimmer.g, dimmer.h, dimmer.theta_domain, nodes_per_axis=nodes)
+    two = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
+    with pytest.raises(InvalidConfigError, match="nodes_per_axis must be an integer >= 1"):
+        coarse_grained_ei(two, diagonal_submanifold(), nodes_per_axis=nodes)
 
 
 def test_geometric_rejects_indefinite_intervention_metric_with_positive_determinant():
     """det(diag(-1, -1)) > 0, but h is no metric: its Cholesky factor fails."""
     square = Domain(((0.0, 1.0), (0.0, 1.0)))
-    g = constant_metric(np.diag([10.0, 10.0]), 2)
-    h = constant_metric(np.diag([-1.0, -1.0]), 2)
+    g = constant_metric(np.diag([10.0, 10.0]))
+    h = constant_metric(np.diag([-1.0, -1.0]))
     with pytest.raises(DegenerateModelError, match=r"intervention metric .* at \["):
         ei_geometric(g, h, square)
 

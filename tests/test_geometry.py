@@ -28,7 +28,7 @@ from causalgeom import (
     two_species_model,
 )
 from causalgeom import ei, geometry
-from causalgeom.ei import _field_grid, _field_mesh
+from causalgeom.ei import _field_mesh
 from causalgeom.geometry import _entries, _logdet, _mismatch_batch, _require_factored
 from reference import intervention_metric, invert_uniform_prior
 
@@ -49,7 +49,7 @@ def chol_logdet(m: np.ndarray) -> float:
 
 def mismatch(g: MetricField, h: MetricField, points: np.ndarray) -> np.ndarray:
     """The mismatch of two fields at points (n, d), each read through its batch."""
-    return _mismatch_batch(_entries(g.batch(points)), _entries(h.batch(points)), points)
+    return _mismatch_batch(_entries(g.batch(points)), _entries(h.batch(points)), tuple(points.T))
 
 
 def test_chol_logdet_known_values():
@@ -116,7 +116,7 @@ def test_intervention_metric_identity_channel():
 
 def test_metric_symmetry():
     rng = np.random.default_rng(3)
-    m = constant_metric(spd(rng, 3), 3)
+    m = constant_metric(spd(rng, 3))
     mat = m(np.zeros(3))
     assert np.max(np.abs(mat - mat.T)) < 1e-12
 
@@ -158,7 +158,7 @@ def test_mixed_stack_matches_pointwise_mismatch():
     points = np.column_stack([np.arange(picks.size, dtype=float), np.zeros(picks.size)])
 
     def field(stack):
-        return MetricField(lambda t: stack[int(t[0])], 2, lambda pts: stack[pts[:, 0].astype(int)])
+        return MetricField.from_batch(lambda pts: stack[pts[:, 0].astype(int)], 2)
 
     expected = np.array([mismatch_at(g_mat, h_mat) for g_mat, h_mat in zip(g_stack, h_stack)])
     assert np.all(np.isinf(expected) == (picks > 0))
@@ -317,8 +317,8 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
     metrics go through potf2 and cost none; with 3x3 metrics, where g fails
     and g + h factors only with the jitter, the g + h log det costs two."""
     cubic = types.SimpleNamespace(
-        g=MetricField(lambda t: _cubic_metric(t[None])[0], 3, _cubic_metric),
-        h=constant_metric(np.eye(3), 3),
+        g=MetricField.from_batch(_cubic_metric, 3),
+        h=constant_metric(np.eye(3)),
         theta_domain=Domain(((0.0, 1.0),) * 3),
     )
     cases = [
@@ -391,8 +391,8 @@ def test_large_stacks_make_at_most_two_lapack_calls(monkeypatch):
 
 def test_mismatch_field_matches_pointwise():
     rng = np.random.default_rng(5)
-    g = constant_metric(spd(rng, 2), 2)
-    h = constant_metric(spd(rng, 2), 2)
+    g = constant_metric(spd(rng, 2))
+    h = constant_metric(spd(rng, 2))
     theta = np.array([0.2, 0.8])
     assert mismatch(g, h, theta[None])[0] == pytest.approx(mismatch_at(g(theta), h(theta)), rel=1e-14)
 
@@ -400,7 +400,7 @@ def test_mismatch_field_matches_pointwise():
 def test_causal_eigenvalues_descending_and_match_generalized_solver():
     rng = np.random.default_rng(23)
     g_mat, h_mat = spd(rng, 3), spd(rng, 3)
-    report = causal_eigenvalues(constant_metric(g_mat, 3), constant_metric(h_mat, 3), np.zeros(3))
+    report = causal_eigenvalues(constant_metric(g_mat), constant_metric(h_mat), np.zeros(3))
     assert np.all(np.diff(report.eigenvalues) <= 0)
     ref = np.sort(linalg.eigh(g_mat, h_mat, eigvals_only=True))[::-1]
     np.testing.assert_allclose(report.eigenvalues, ref, rtol=1e-12)
@@ -425,21 +425,21 @@ def test_two_species_causal_eigenvalues_match_a_whitening_reference(matrix):
 def test_causal_eigenvalues_retry_h_once_with_the_jitter():
     """An h = diag(1, -1e-20) that only the one jitter factors gives the
     eigenvalues of the jittered h; an indefinite h raises."""
-    g = constant_metric(np.array([[2.0, 0.5], [0.5, 1.0]]), 2)
+    g = constant_metric(np.array([[2.0, 0.5], [0.5, 1.0]]))
     h_mat = np.diag([1.0, -1e-20])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(h_mat)
     jittered = h_mat + (1e-12 * (1.0 - 1e-20) / 2) * np.eye(2)
-    report = causal_eigenvalues(g, constant_metric(h_mat, 2), np.zeros(2))
+    report = causal_eigenvalues(g, constant_metric(h_mat), np.zeros(2))
     assert np.all(np.isfinite(report.eigenvalues))
     np.testing.assert_array_equal(report.eigenvalues, _whitened_eigenvalues(g(np.zeros(2)), jittered))
     with pytest.raises(IllPosedInterventionsError, match="intervention metric is singular"):
-        causal_eigenvalues(g, constant_metric(np.diag([1.0, -1.0]), 2), np.zeros(2))
+        causal_eigenvalues(g, constant_metric(np.diag([1.0, -1.0])), np.zeros(2))
 
 
 def test_reparameterize_identity_map_is_noop():
     rng = np.random.default_rng(2)
-    g = constant_metric(spd(rng, 2), 2)
+    g = constant_metric(spd(rng, 2))
     phi = SmoothMap(func=lambda t: t, jacobian=lambda t: np.eye(2))
     g2 = reparameterize(g, phi)
     theta = np.array([0.4, 0.6])
@@ -448,7 +448,7 @@ def test_reparameterize_identity_map_is_noop():
 
 def test_reparameterize_scaling_quadruples_constant_metric():
     # theta = 2 theta' pulls a constant 1D metric back to 4x its value.
-    g = constant_metric(np.array([[3.0]]), 1)
+    g = constant_metric(np.array([[3.0]]))
     phi = SmoothMap(func=lambda t: 2.0 * t, jacobian=lambda t: np.array([[2.0]]))
     g2 = reparameterize(g, phi)
     assert g2(0.1)[0, 0] == pytest.approx(12.0, rel=1e-14)
@@ -459,8 +459,8 @@ def test_pencil_spectrum_invariant_under_reparameterization():
     the spectrum of g alone moves."""
     rng = np.random.default_rng(17)
     g_mat, h_mat = spd(rng, 2), spd(rng, 2)
-    g = constant_metric(g_mat, 2)
-    h = constant_metric(h_mat, 2)
+    g = constant_metric(g_mat)
+    h = constant_metric(h_mat)
     b = np.array([[0.5, 0.2], [-0.1, 0.8]])
 
     def func(t):
@@ -514,8 +514,8 @@ SKEWED = np.array([[1.0, 0.8], [0.7, 1.0]])
 def _grid(domain: Domain, nodes_per_axis: int = 101):
     """The estimator's open mesh, flattened nodes and nodes in grid shape."""
     mesh = _field_mesh(domain, nodes_per_axis)[0]
-    pts = _field_grid(domain, nodes_per_axis)[0]
-    return mesh, pts, pts.reshape(np.broadcast_shapes(*(c.shape for c in mesh)) + (domain.dim,))
+    nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1)
+    return mesh, nodes.reshape(-1, domain.dim), nodes
 
 
 def _stack_logdet(stack: np.ndarray, jitter: bool) -> np.ndarray:
@@ -556,7 +556,7 @@ def test_two_species_grid_entries_and_mismatch_match_the_stacks(matrix):
 
         ld_g = _stack_logdet(g_stack, False)
         expected = np.where(np.isnan(ld_g), math.inf, 0.5 * (_stack_logdet(g_stack + h_stack, True) - ld_g))
-        l_vals = _mismatch_batch(g_grid, h_grid, nodes)
+        l_vals = _mismatch_batch(g_grid, h_grid, mesh)
         assert l_vals.shape == shape
         np.testing.assert_array_equal(l_vals.reshape(-1), expected)
         singular += int(np.isinf(expected).sum())
@@ -598,15 +598,9 @@ def test_fig4_pivot_roots_are_lapack_factor_diagonals(matrix):
 
 def _split_field(c_of_theta2, h11: float):
     """A 2-D g whose entries separate along the axes, g = diag(1, c(theta_2)),
-    as an entries hook and as a batch, with the constant h = diag(1, h11)."""
-
-    def batch(pts):
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0], out[:, 1, 1] = 1.0, c_of_theta2(pts[:, 1])
-        return out
-
-    g = MetricField(lambda t: batch(t[None])[0], 2, batch, lambda coords: (1.0, 0.0, c_of_theta2(coords[1])))
-    return g, constant_metric(np.diag([1.0, h11]), 2)
+    with the constant h = diag(1, h11)."""
+    g = MetricField(lambda coords: (1.0, 0.0, c_of_theta2(coords[1])), 2)
+    return g, constant_metric(np.diag([1.0, h11]))
 
 
 def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
@@ -627,7 +621,7 @@ def test_grid_path_retries_failing_g_plus_h_nodes_with_the_jitter(monkeypatch):
         return potf2(entries)
 
     monkeypatch.setattr(geometry, "_potf2", counting)
-    l_vals = _mismatch_batch(g.entries(mesh), h.entries(mesh), nodes)
+    l_vals = _mismatch_batch(g.entries(mesh), h.entries(mesh), mesh)
     assert rows == [102, failing, 102]  # g + h, its jitter retry, g
     expected = mismatch(g, h, pts).reshape(nodes.shape[:-1])
     np.testing.assert_array_equal(np.broadcast_to(l_vals, expected.shape), expected)

@@ -33,17 +33,17 @@ LN_2PIE = math.log(2.0 * math.pi * math.e)
 
 def test_pullback_diagonal_of_identity_metric():
     sub = diagonal_submanifold()
-    m = constant_metric(np.eye(2), 2)
+    m = constant_metric(np.eye(2))
     assert pullback_field(m, sub)(0.3)[0, 0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_pullback_linearity():
     rng = np.random.default_rng(31)
     a1, a2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-    m1 = constant_metric(a1 @ a1.T + 0.2 * np.eye(2), 2)
-    m2 = constant_metric(a2 @ a2.T + 0.2 * np.eye(2), 2)
+    m1 = constant_metric(a1 @ a1.T + 0.2 * np.eye(2))
+    m2 = constant_metric(a2 @ a2.T + 0.2 * np.eye(2))
     alpha = 1.7
-    combo = constant_metric(alpha * m1(np.zeros(2)) + m2(np.zeros(2)), 2)
+    combo = constant_metric(alpha * m1(np.zeros(2)) + m2(np.zeros(2)))
     sub = antidiagonal_submanifold()
     sigma = 0.62
     lhs = pullback_field(combo, sub)(sigma)
@@ -110,7 +110,7 @@ def test_submanifold_rejects_shapes_that_do_not_make_a_line():
 def test_pullback_field_rejects_a_direction_of_the_wrong_length():
     sub = Submanifold(np.zeros(3), np.ones(3), Domain(((0.0, 1.0),)), "three")
     with pytest.raises(InvalidConfigError, match="3 dimensions"):
-        pullback_field(constant_metric(np.eye(2), 2), sub)
+        pullback_field(constant_metric(np.eye(2)), sub)
 
 
 def test_bundled_lines_embed_the_grid_exactly():
@@ -166,7 +166,7 @@ def _stack_pullback(m, sub):
             total += a[i] * a[i] * mats[:, i, i]
         return total[:, None, None]
 
-    return MetricField(lambda sigma: batch(sigma[None])[0], 1, batch)
+    return MetricField.from_batch(batch, 1)
 
 
 @pytest.mark.parametrize("matrix", [np.eye(2), np.array([[1.0, 0.8], [0.7, 1.0]])])
@@ -176,7 +176,7 @@ def test_constant_metric_pulls_back_to_a_scalar_and_lines_keep_their_bits(matrix
     the one the stack path gives, bit for bit, over the fig4 sweep."""
     m = np.array([[2.0, 0.5], [0.5, 4.0]])
     line = Submanifold(np.array([0.25, 0.75]), np.array([0.5, -1.5]), Domain(((0.0, 1.0),)), "line")
-    (entry,) = pullback_field(constant_metric(m, 2), line).entries((np.linspace(0.0, 1.0, 5),))
+    (entry,) = pullback_field(constant_metric(m), line).entries((np.linspace(0.0, 1.0, 5),))
     assert np.shape(entry) == ()
     assert entry == line.direction @ m @ line.direction == 8.75
 

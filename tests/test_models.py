@@ -37,10 +37,16 @@ from causalgeom import (
 )
 from causalgeom import _quadrature, models
 from causalgeom.cli import MODELS, main
-from causalgeom.ei import _field_grid
+from causalgeom.ei import _field_mesh
 from reference import intervention_metric, invert_uniform_prior
 
 GRID = np.linspace(0.0, 1.0, 201)
+
+
+def _nodes(domain, nodes_per_axis):
+    """The geometric estimator's midpoint nodes (N, d), its open mesh flattened in C order."""
+    mesh = _field_mesh(domain, nodes_per_axis)[0]
+    return np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, domain.dim)
 
 
 def test_profiles_are_anchored_and_monotone():
@@ -159,7 +165,7 @@ def test_two_species_gram_is_bit_identical_to_einsum(n_points, delta_t):
     per-column Jacobian and its einsum Gram bit for bit."""
     eps = 0.02
     model = two_species_model(TwoSpeciesConfig(epsilon=eps, delta=eps, delta_t=delta_t, n_points=n_points))
-    pts, _ = _field_grid(model.theta_domain, 101)
+    pts = _nodes(model.theta_domain, 101)
     assert pts.shape == (101 * 102, 2)
     times = delta_t * np.arange(1, n_points + 1)
     jac = np.stack([-times * np.exp(-times * pts[..., k : k + 1]) for k in (0, 1)], axis=-1)
@@ -172,7 +178,7 @@ def test_two_species_g_batch_peak_memory_is_a_few_outputs():
     """g on the 101 x 102 grid builds no (n_points, N) temporaries: its traced
     peak stays within 3 times the (N, 2, 2) stack it returns."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
-    pts, _ = _field_grid(model.theta_domain, 101)
+    pts = _nodes(model.theta_domain, 101)
     model.g.batch(pts)
     tracemalloc.start()
     try:
@@ -392,18 +398,18 @@ def test_decay_confounder_config_validation():
     ],
 )
 def test_bundled_metric_stacks_equal_their_transpose(name, params):
-    """A metric field passes its stacks on as they are, so every bundled
-    model's g and h, and two-species' diagonal and antidiagonal pullbacks,
-    must come out symmetric bit for bit."""
+    """A metric field's stacks are gathered from its lower-triangle entries,
+    so every bundled model's g and h, and two-species' diagonal and
+    antidiagonal pullbacks, must come out symmetric bit for bit."""
     entry = MODELS[name]
     model = entry.build({**entry.defaults, **params})
     fields = [getattr(model, f.name) for f in dataclasses.fields(model)]
     fields = [f for f in fields if isinstance(f, MetricField)]
     domain = model.config.theta_domain if name == "decay-confounder" else model.theta_domain
-    pts = _field_grid(domain, 101 if domain.dim == 2 else 41)[0]
+    pts = _nodes(domain, 101 if domain.dim == 2 else 41)
     stacks = [f.batch(pts) for f in fields]
     if name == "two-species":
-        sigmas = _field_grid(diagonal_submanifold().sigma_domain, 101)[0]
+        sigmas = _nodes(diagonal_submanifold().sigma_domain, 101)
         for sub in (diagonal_submanifold(), antidiagonal_submanifold()):
             stacks += [pullback_field(f, sub).batch(sigmas) for f in fields]
     assert len(stacks) == (6 if name == "two-species" else 2)

@@ -54,7 +54,7 @@ def test_mismatch_matches_pencil_eigenvalues(g_vals, h_vals):
 @given(st.lists(finite, min_size=4, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_metric_symmetry(vals):
-    m = constant_metric(spd_from(vals, 2), 2)
+    m = constant_metric(spd_from(vals, 2))
     mat = m(np.zeros(2))
     assert np.max(np.abs(mat - mat.T)) < 1e-12
 
@@ -67,9 +67,9 @@ def test_metric_symmetry(vals):
 )
 @settings(max_examples=100, deadline=None)
 def test_pullback_linearity(v1, v2, alpha, sigma):
-    m1 = constant_metric(spd_from(v1, 2), 2)
-    m2 = constant_metric(spd_from(v2, 2), 2)
-    combo = constant_metric(alpha * m1(np.zeros(2)) + m2(np.zeros(2)), 2)
+    m1 = constant_metric(spd_from(v1, 2))
+    m2 = constant_metric(spd_from(v2, 2))
+    combo = constant_metric(alpha * m1(np.zeros(2)) + m2(np.zeros(2)))
     sub = antidiagonal_submanifold()
     lhs = pullback_field(combo, sub)(sigma)
     rhs = alpha * pullback_field(m1, sub)(sigma) + pullback_field(m2, sub)(sigma)
@@ -85,8 +85,8 @@ def test_pullback_linearity(v1, v2, alpha, sigma):
 )
 @settings(max_examples=100, deadline=None)
 def test_pencil_spectrum_reparameterization_invariance(g_vals, h_vals, b_vals, point):
-    g = constant_metric(spd_from(g_vals, 2), 2)
-    h = constant_metric(spd_from(h_vals, 2), 2)
+    g = constant_metric(spd_from(g_vals, 2))
+    h = constant_metric(spd_from(h_vals, 2))
     b = np.asarray(b_vals).reshape(2, 2) + 1.5 * np.eye(2)
 
     phi = SmoothMap(
