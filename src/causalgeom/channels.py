@@ -24,16 +24,6 @@ ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Elements of one temporary in a blocked evaluation (512 KB of float64): the
-# box mixture takes this many parameter rows at once, and the exact kernel
-# sizes its row blocks by it. Blocks bound the kernel's working set and keep
-# the temporaries in cache; over the whole arrays of a fig1b quadrature pass
-# the mixture ran about 20% slower. They do not stop glibc from mapping and
-# trimming the temporaries' memory afresh: a 6-point fig1b sweep still takes
-# about 35k minor page faults, about 5k with its mmap and trim thresholds
-# raised.
-_BLOCK = 65536
-
 
 # ---------------------------------------------------------------------------
 # domains and intervention sets
@@ -108,6 +98,9 @@ class UniformBox:
         not depend on the state: normal CDF differences for diagonal noise in
         any dimension, and one conditional-CDF quadrature for full covariance
         in two dimensions. Anything else raises UseMonteCarloError.
+
+        Each call evaluates all its points at once; the exact kernel hands
+        it one row block at a time (ei._BLOCK points at most).
         """
         if not channel.mean_is_identity:
             raise UseMonteCarloError(
@@ -128,11 +121,9 @@ class UniformBox:
             def log_mix(theta: np.ndarray) -> np.ndarray:
                 flat = np.reshape(theta, (-1, self.dim))
                 out = np.zeros(flat.shape[0])
-                for start in range(0, flat.shape[0], _BLOCK):
-                    rows = flat[start : start + _BLOCK]
-                    for k, (a, b, s) in enumerate(axes):
-                        probs = box_mass(rows[:, k], a, b, s)
-                        out[start : start + _BLOCK] += np.log(np.maximum(probs, 1e-300, out=probs), out=probs)
+                for k, (a, b, s) in enumerate(axes):
+                    probs = box_mass(flat[:, k], a, b, s)
+                    out += np.log(np.maximum(probs, 1e-300, out=probs), out=probs)
                 out -= log_vol
                 return out.reshape(np.shape(theta)[:-1])
 

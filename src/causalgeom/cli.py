@@ -27,7 +27,6 @@ import yaml
 
 from . import __version__
 from .ei import (
-    _LN2,
     EIReport,
     MonteCarloSpec,
     ei_exact_mc,
@@ -409,7 +408,8 @@ def _resolve_config(doc: dict) -> dict:
         raise InvalidConfigError("crossover-scan requires a sweep")
 
     if computation == "eigen":
-        _check_eigen(models[0], cfg["theta"], sweep)
+        swept = sweep is not None and sweep["variable"] == "theta"
+        _eigen_point(models[0], cfg["theta"], {"theta": sweep["from"]} if swept else {})
     else:
         needed = ESTIMATORS if computation == "ei-both" else (estimator,)
         for m, entry in zip(models, entries):
@@ -424,26 +424,18 @@ def _resolve_config(doc: dict) -> dict:
     return cfg
 
 
-def _check_eigen(model_cfg: dict, theta: list[float] | None, sweep: dict | None) -> None:
-    """Refuse an eigen computation the model lacks or a theta of the wrong length."""
+def _eigen_point(model_cfg: dict, theta: list[float] | None, overrides: dict) -> list[float]:
+    """The eigen point: the swept theta, else the config's, else the model default.
+
+    Raises InvalidConfigError when the model has no eigen computation, when
+    there is no point, or when its length is not the model's parameter count.
+    """
     name = model_cfg["name"]
     entry = MODELS[name]
     if entry.eigen is None:
         raise InvalidConfigError(
             f"model {name!r} has no eigen computation; it supports: {', '.join(entry.computations)}"
         )
-    swept = sweep is not None and sweep["variable"] == "theta"
-    _eigen_point(model_cfg, theta, {"theta": sweep["from"]} if swept else {})
-
-
-def _eigen_point(model_cfg: dict, theta: list[float] | None, overrides: dict) -> list[float]:
-    """The eigen point: the swept theta, else the config's, else the model default.
-
-    Raises InvalidConfigError when there is none or its length is not the
-    model's parameter count.
-    """
-    name = model_cfg["name"]
-    entry = MODELS[name]
     point = [overrides["theta"]] if "theta" in overrides else theta or entry.eigen_theta
     if point is None:
         raise InvalidConfigError("eigen computation needs a theta point")
@@ -485,10 +477,6 @@ def _exact_report(model: ChainModel, seed: int, in_sweep: bool) -> EIReport:
     except UseMonteCarloError as exc:
         logger.info("%s: exact quadrature falls back to Monte Carlo: %s", model.label, exc)
         return ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, MonteCarloSpec(seed=seed))
-
-
-def _to_units(nats: float, units: str) -> float:
-    return nats if units == "nats" else nats / _LN2
 
 
 def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
@@ -572,7 +560,7 @@ def _evaluate(cfg: dict, threads: int) -> tuple[list[str], list[list], list[str]
         else:
             reports = each_point(lambda overrides: [fn(overrides) for _, fn in columns])
         rows = [
-            [_to_units(rep.nats, units) if rep is not None else float("nan") for rep in point]
+            [getattr(rep, units) if rep is not None else float("nan") for rep in point]
             for point in reports
         ]
     if spec is not None and spec.variable not in header:
@@ -719,7 +707,6 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
         params[key] = yaml.safe_load(raw)
     model_cfg = _resolve_model({"name": args.model, **params})
     theta = _read(_TOP["theta"], args.theta.split(","), "--theta")
-    _check_eigen(model_cfg, theta, None)
     for name, value in _eigen_row({"models": [model_cfg], "theta": theta}, {}).items():
         print(f"{name} {value:.17g}")
     return 0

@@ -31,7 +31,6 @@ from ._quadrature import (
     midpoint_axes,
 )
 from .channels import (
-    _BLOCK,
     Domain,
     FullConstant,
     GaussianChannel,
@@ -50,6 +49,13 @@ _LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 _P_FLOOR = 1e-280
 # Half-width of each intervention's effect rule, in predicted standard deviations.
 _EFFECT_TAIL_SIGMAS = 8.0
+# Elements of one (rows x nodes) temporary of the exact kernel (512 KB of
+# float64): the conditional and the averaged density take rows in blocks of
+# this many elements. Blocks bound the kernel's working set and keep the
+# temporaries in cache. They do not stop glibc from mapping and trimming the
+# temporaries' memory afresh: a 6-point fig1b sweep still takes about 35k
+# minor page faults, about 5k with its mmap and trim thresholds raised.
+_BLOCK = 65536
 
 FLAG_NEGATIVE_GEOMETRIC = "negative-geometric-ei"
 FLAG_NOT_CONVERGED = "quadrature-not-converged"
@@ -96,12 +102,12 @@ class MonteCarloSpec:
 class EIReport:
     """One effective-information value plus how it was obtained.
 
-    ``nats`` and ``bits`` always describe the same number; for the geometric
-    method ``nats`` is exactly ``volume_term - mean_mismatch``.
+    ``bits`` is derived from ``nats``, so the two always describe the same
+    number; for the geometric method ``nats`` is exactly ``volume_term -
+    mean_mismatch``.
     """
 
     nats: float
-    bits: float
     method: str
     grid_or_samples: str
     volume_term: float | None = None
@@ -110,15 +116,9 @@ class EIReport:
     seed: int | None = None
     flags: tuple[str, ...] = ()
 
-    @classmethod
-    def build(cls, nats: float, method: str, grid_or_samples: str, **kw) -> "EIReport":
-        return cls(
-            nats=nats,
-            bits=nats / _LN2,
-            method=method,
-            grid_or_samples=grid_or_samples,
-            **kw,
-        )
+    @property
+    def bits(self) -> float:
+        return self.nats / _LN2
 
 
 def _sd(noise, mean: np.ndarray) -> np.ndarray:
@@ -345,8 +345,10 @@ class _ScalarChain:
         Without derivatives only e, (1, n). The segment terms of e times the
         effect score s = -Sigma^-1 (y - f) give de/dy, and times s^2 -
         Sigma^-1 give d2e/dy2, since Sigma depends on f(theta) and not on y.
-        The rows run in blocks of about _BLOCK terms each (455 rows of 144
-        segment nodes); each row's sums do not depend on the blocks.
+        The rows run in blocks of at most _BLOCK terms each (455 rows of 144
+        segment nodes, 409 of 160 on the Weber chain), which also bounds each
+        call of the parameter mixture; each row's sums do not depend on the
+        blocks.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         out = np.empty((3 if derivatives else 1, y.shape[0]))
@@ -750,8 +752,10 @@ def ei_exact_quadrature(
 
     The kernel's (rows x nodes) arrays, those of the conditional and of the
     averaged density, are formed in row blocks of at most _BLOCK = 65,536
-    elements (512 KB each), so beyond its blocks a pass keeps a few float
-    vectors per effect node alive; the blocks do not move any value.
+    elements (512 KB each), and the parameter mixture is evaluated on one
+    averaged-density block at a time, so beyond its blocks a pass keeps a
+    few float vectors per effect node alive; the blocks do not move any
+    value.
     """
     spec = spec or QuadratureSpec()
     chain = _ScalarChain(ch_xt, ch_ty, x_set)
@@ -765,7 +769,7 @@ def ei_exact_quadrature(
         f"gauss-legendre:{outer} outer nodes ({chain.PANEL_NODES} per graded panel on a box), "
         f"{spec.nodes_per_axis} effect nodes, tail {_EFFECT_TAIL_SIGMAS} sigma"
     )
-    return EIReport.build(nats, "exact-quadrature", grid, flags=flags)
+    return EIReport(nats, "exact-quadrature", grid, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +788,9 @@ def _log_bias_correction(log_w: np.ndarray, axis: int, lme: np.ndarray) -> np.nd
 
     E[log wbar] sits below log E[w] by roughly Var(wbar) / (2 E[w]^2); the
     sample version of that ratio is added back. Nonnegative by construction.
+    The m draws along axis number at least 2, as MonteCarloSpec requires.
     """
     m = log_w.shape[axis]
-    if m < 2:
-        return np.zeros_like(lme)
     rel_second_moment = np.exp(_logmeanexp(2.0 * log_w, axis=axis) - 2.0 * lme)
     return (rel_second_moment - 1.0) / (2.0 * (m - 1))
 
@@ -947,9 +950,7 @@ def ei_exact_mc(
     if stderr > 0.2 * abs(nats):
         flags = (FLAG_UNRELIABLE,)
     grid = f"mc:{spec.batches}x{batch_size} outer, {spec.inner_samples} inner"
-    return EIReport.build(
-        nats, "exact-mc", grid, stderr=stderr, seed=spec.seed, flags=flags
-    )
+    return EIReport(nats, "exact-mc", grid, stderr=stderr, seed=spec.seed, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1019,7 @@ def ei_geometric(
     flags: tuple[str, ...] = ()
     if nats < 0.0:
         flags = (FLAG_NEGATIVE_GEOMETRIC,)
-    return EIReport.build(
+    return EIReport(
         nats,
         "geometric",
         f"midpoint:{'x'.join(str(n) for n in shape)}",

@@ -177,10 +177,11 @@ class MetricField:
 
     @classmethod
     def from_batch(cls, batch: tp.Callable[[np.ndarray], np.ndarray], dim: int) -> MetricField:
-        """The field whose entries are views of ``batch``'s symmetric (n, dim, dim) stack at (n, dim) points.
+        """The field whose entries are views of ``batch``'s (n, dim, dim) stack at (n, dim) points.
 
-        A constructor whose arithmetic can break symmetry in the last bit
-        symmetrizes once, itself.
+        Only the stack's lower triangle is read, so every reader returns it
+        mirrored; a constructor whose arithmetic can break symmetry in the
+        last bit and wants both triangles averaged symmetrizes once, itself.
         """
 
         def entries(coords: tp.Sequence[np.ndarray]) -> Entries:
@@ -237,7 +238,7 @@ def effect_metric(channel: GaussianChannel) -> MetricField:
         mean = channel.mean(theta)
         jac = np.asarray(channel.jac(theta), dtype=float)  # (..., dy, dt)
         wj_t = channel.noise.whiten(np.swapaxes(jac, -1, -2), mean[..., None, :])  # (W J)^T
-        return _sym(wj_t @ np.swapaxes(wj_t, -1, -2))
+        return wj_t @ np.swapaxes(wj_t, -1, -2)
 
     return MetricField.from_batch(fisher, channel.dim_in)
 

@@ -361,7 +361,7 @@ def test_monte_carlo_fallback_is_logged(tmp_path, caplog, monkeypatch):
     from causalgeom import cli
     from causalgeom.ei import EIReport
 
-    monkeypatch.setattr(cli, "ei_exact_mc", lambda *args: EIReport.build(1.0, "monte-carlo", "stub"))
+    monkeypatch.setattr(cli, "ei_exact_mc", lambda *args: EIReport(1.0, "monte-carlo", "stub"))
     doc = {"schema_version": 1, "model": {"name": "two-species"}, "computation": "ei-exact"}
     with caplog.at_level("INFO", logger="causalgeom.cli"):
         code, out = run_into(tmp_path, doc)
@@ -412,6 +412,21 @@ def test_eigen_theta_must_match_the_parameter_dimension(tmp_path, capsys):
     assert code == 0
     header, row = (out / "results.csv").read_text(encoding="utf-8").splitlines()
     assert header == "lambda_1" and len(row.split(",")) == 1
+
+
+def test_eigen_on_a_model_without_one_is_refused(tmp_path, capsys):
+    """The eigen command and a run config refuse binary-switch with the same
+    message, before any output directory is made."""
+    message = (
+        "config error: model 'binary-switch' has no eigen computation; "
+        "it supports: ei-exact, crossover-scan\n"
+    )
+    assert main(["eigen", "--model", "binary-switch", "--theta", "0.4"]) == 2
+    assert capsys.readouterr() == ("", message)
+    doc = {"schema_version": 1, "model": {"name": "binary-switch"}, "computation": "eigen"}
+    code, out = run_into(tmp_path, doc)
+    assert code == 2 and capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_non_numeric_model_matrix_is_a_config_error(tmp_path, capsys):

@@ -204,6 +204,42 @@ def test_mc_is_deterministic_given_seed():
     assert c.nats != a.nats
 
 
+@pytest.mark.parametrize(
+    "matrix, nats",
+    [
+        # the diagonal box mixture
+        (np.eye(2), 4.449873010942536),
+        # the two-dimensional full-covariance box mixture
+        ([[1.0, 0.8], [0.7, 1.0]], 4.05503925837147),
+    ],
+    ids=["diagonal", "full"],
+)
+def test_mc_two_species_is_pinned(matrix, nats):
+    """The Monte Carlo estimate of the two-species chain at a fixed spec. Not
+    bitwise: numpy releases differ in the last bits of its linear algebra."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01, matrix=np.asarray(matrix)))
+    spec = MonteCarloSpec(outer_samples=800, inner_samples=64, batches=8, seed=0)
+    report = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+    assert report.nats == pytest.approx(nats, rel=1e-12, abs=0.0)
+
+
+def test_report_bits_follow_nats():
+    """bits is derived from nats on a report from each estimator, also after
+    dataclasses.replace."""
+    model = dimmer_model(linear_profile(), 0.3, 0.3)
+    spec = MonteCarloSpec(outer_samples=80, inner_samples=8, batches=8)
+    reports = [
+        quad_ei(model, check_convergence=False),
+        ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec),
+        ei_geometric(model.g, model.h, model.theta_domain),
+    ]
+    assert [r.method for r in reports] == ["exact-quadrature", "exact-mc", "geometric"]
+    for report in reports:
+        assert "bits" not in dataclasses.asdict(report)
+        assert report.bits == report.nats / LN2
+        assert dataclasses.replace(report, nats=0.75).bits == 0.75 / LN2
+
+
 def test_mc_agrees_with_quadrature():
     model = dimmer_model(linear_profile(), 0.1, 0.1)
     exact = quad_ei(model, check_convergence=False)
@@ -634,6 +670,26 @@ def test_row_blocks_never_change_the_numbers(model, monkeypatch):
     for got, want in zip(blocked, whole):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(blocked[2], blocked[1][0])
+
+
+@pytest.mark.parametrize("name", ["family-a0.25", "weber"])
+def test_kl_all_hands_the_box_mixture_one_row_block_at_a_time(name):
+    """Every call of the box mixture during kl_all, at a fig1b point and on
+    the Weber chain, gets at most _BLOCK points: the kernel's row blocks
+    alone bound it."""
+    model = BLOCK_CHAINS[name]
+    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    sizes = []
+    log_mix = chain.log_mix
+
+    def recording(theta):
+        sizes.append(np.size(theta) // np.shape(theta)[-1])
+        return log_mix(theta)
+
+    chain.log_mix = recording
+    mu, sig, _ = chain.components()
+    chain.kl_all(mu, sig, 201)
+    assert sizes and max(sizes) <= ei._BLOCK
 
 
 def traced_peak(func) -> int:

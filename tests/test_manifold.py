@@ -236,7 +236,7 @@ def test_sweep_spec_validation():
 
 
 def synthetic_curve(fn):
-    return lambda v: EIReport.build(fn(v), "synthetic", "n/a")
+    return lambda v: EIReport(fn(v), "synthetic", "n/a")
 
 
 def test_crossover_scan_finds_single_crossing():
@@ -263,7 +263,7 @@ def test_crossover_scan_evaluates_each_curve_value_once():
     def counted(label, fn):
         def call(v):
             calls.append((label, v))
-            return EIReport.build(fn(v), "synthetic", "n/a")
+            return EIReport(fn(v), "synthetic", "n/a")
 
         return label, call
 

@@ -388,6 +388,18 @@ def test_decay_confounder_config_validation():
         DecayConfounderConfig(sigma_t=0.05, sigma_x=0.0, alpha=1.0, x_hat=1.0)
 
 
+def _assert_reads_mirrored(field, points, lower):
+    """batch, __call__ and entries of field at points (n, d) all give the
+    matrices whose lower triangle is lower (n, d, d), mirrored."""
+    rows, cols = np.tril_indices(field.dim)
+    want = np.tril(lower) + np.swapaxes(np.tril(lower, -1), -1, -2)
+    np.testing.assert_array_equal(field.batch(points), want)
+    for k in (0, len(points) // 2, len(points) - 1):
+        np.testing.assert_array_equal(field(points[k]), want[k])
+    for e, i, j in zip(field.entries(tuple(points.T)), rows, cols):
+        np.testing.assert_array_equal(np.broadcast_to(e, points.shape[:1]), want[:, i, j])
+
+
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -397,22 +409,56 @@ def test_decay_confounder_config_validation():
         ("two-species", {"delta_t": 0.02, "n_points": 7}),
     ],
 )
-def test_bundled_metric_stacks_equal_their_transpose(name, params):
-    """A metric field's stacks are gathered from its lower-triangle entries,
-    so every bundled model's g and h, and two-species' diagonal and
-    antidiagonal pullbacks, must come out symmetric bit for bit."""
+def test_bundled_metric_stacks_equal_their_transpose(name, params, monkeypatch):
+    """Every reader of a metric field mirrors its lower-triangle entries, so
+    each stack a bundled model's from_batch hook computes must itself be
+    symmetric bit for bit for no upper triangle to be dropped. Each bundled
+    g and h, and two-species' diagonal and antidiagonal pullbacks, read the
+    same matrices through batch, __call__ and entries."""
+    computed = []
+    from_batch = MetricField.from_batch.__func__
+
+    def recording(cls, batch, dim):
+        def recorded(points):
+            mats = np.asarray(batch(points), dtype=float)
+            computed.append(mats)
+            return mats
+
+        return from_batch(cls, recorded, dim)
+
+    monkeypatch.setattr(MetricField, "from_batch", classmethod(recording))
     entry = MODELS[name]
     model = entry.build({**entry.defaults, **params})
     fields = [getattr(model, f.name) for f in dataclasses.fields(model)]
     fields = [f for f in fields if isinstance(f, MetricField)]
     domain = model.config.theta_domain if name == "decay-confounder" else model.theta_domain
     pts = _nodes(domain, 101 if domain.dim == 2 else 41)
-    stacks = [f.batch(pts) for f in fields]
+    cases = [(f, pts) for f in fields]
     if name == "two-species":
         sigmas = _nodes(diagonal_submanifold().sigma_domain, 101)
         for sub in (diagonal_submanifold(), antidiagonal_submanifold()):
-            stacks += [pullback_field(f, sub).batch(sigmas) for f in fields]
-    assert len(stacks) == (6 if name == "two-species" else 2)
-    for stack in stacks:
+            cases += [(pullback_field(f, sub), sigmas) for f in fields]
+    assert len(cases) == (6 if name == "two-species" else 2)
+    for field, points in cases:
+        stack = field.batch(points)
         assert stack.shape[1:] == (domain.dim,) * 2 or stack.shape[1:] == (1, 1)
         np.testing.assert_array_equal(stack, np.swapaxes(stack, -1, -2))
+        _assert_reads_mirrored(field, points, stack)
+    assert computed or name == "two-species"
+    for mats in computed:
+        np.testing.assert_array_equal(mats, np.swapaxes(mats, -1, -2))
+
+
+def test_from_batch_reads_only_the_lower_triangle():
+    """A batch whose upper triangle differs is read, by batch, __call__ and
+    entries alike, as its lower triangle mirrored."""
+    rng = np.random.default_rng(7)
+    points = rng.random((9, 3))
+
+    def batch(p):
+        lower = np.einsum("ni,nj->nij", p + 1.0, p + 2.0)
+        return lower + np.triu(np.ones((3, 3)), 1)  # the upper triangle is off by one
+
+    field = MetricField.from_batch(batch, 3)
+    _assert_reads_mirrored(field, points, batch(points))
+    assert not np.array_equal(batch(points), np.swapaxes(batch(points), -1, -2))
