@@ -3,11 +3,8 @@
 
 Usage: python3 scripts/run_all_figures.py [--plot]
 
-With --plot each run also writes plot.svg (requires matplotlib). The full
-set took 2.9 s (median of three runs, interpreter start-up included) on a
-2-core x86-64 host with two worker threads and BLAS pinned to one thread
-(Python 3.11, numpy 2.4): 1.5 s for fig1b, whose 41 grid points are exact
-quadratures, 0.9 s for fig1c, and 0.1 s or less for each geometric config.
+With --plot each run also writes plot.svg (requires matplotlib). Each
+run's exit code and wall time are printed to standard error.
 """
 
 from __future__ import annotations

@@ -29,9 +29,7 @@ from .errors import (
     UseMonteCarloError,
 )
 from .geometry import (
-    EigenReport,
     MetricField,
-    SmoothMap,
     causal_eigenvalues,
     constant_metric,
     effect_metric,

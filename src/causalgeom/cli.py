@@ -73,7 +73,7 @@ ESTIMATORS = ("exact", "geometric")
 
 def _pencil_eigenvalues(model: ChainModel, theta: np.ndarray) -> dict[str, float]:
     """Eigenvalues of the pencil (g, h) at theta, one column per parameter axis."""
-    values = causal_eigenvalues(model.g, model.h, theta).eigenvalues
+    values = causal_eigenvalues(model.g, model.h, theta)
     return {f"lambda_{i + 1}": float(v) for i, v in enumerate(values)}
 
 
@@ -223,9 +223,8 @@ class Key(tp.NamedTuple):
     ``(-1,)`` a list of any length), ``bool``, ``name``, ``names`` (a list of
     names), or a mapping read by its own table: ``sweep``, ``model`` or
     ``models`` (a list of models). ``choices`` limits a value or each name;
-    ``minimum`` bounds a number below; ``positive_when`` names a boolean key
-    beside it that, when true, needs the number above 0. An absent or null
-    key takes ``default``, unless it is ``required``.
+    ``minimum`` bounds a number below. An absent or null key takes
+    ``default``, unless it is ``required``.
     """
 
     kind: str
@@ -234,7 +233,6 @@ class Key(tp.NamedTuple):
     choices: tuple = ()
     minimum: int | None = None
     shape: tuple[int, ...] = ()
-    positive_when: str | None = None
 
 
 _WORDS = {
@@ -323,18 +321,13 @@ def _walk(table: dict[str, Key], doc, where: str) -> dict:
     unknown = [str(k) for k in doc if k not in table]
     if unknown:
         raise InvalidConfigError(f"unknown {where} {', '.join(unknown)}; known: {', '.join(table)}")
-    for name, key in table.items():
-        if key.positive_when and out[key.positive_when] and out[name] <= 0:
-            raise InvalidConfigError(
-                f"{where} {name} must be above 0 when {where} {key.positive_when} is true, got {out[name]}"
-            )
     return out
 
 
 _MODEL_NAME = Key("name", required=True, choices=tuple(MODELS))
 _PARAMS = {  # every other model parameter is a finite float
     "profile": Key("name", choices=("linear", "power")),
-    "n_points": Key("int", minimum=1),
+    "n_points": Key("int", minimum=2),
     "matrix": Key("float", shape=(2, 2)),
 }
 
@@ -357,8 +350,8 @@ def _resolve_model(entry) -> dict:
 
 _SWEEP = {
     "variable": Key("name", required=True),
-    "from": Key("float", required=True, positive_when="log"),
-    "to": Key("float", required=True, positive_when="log"),
+    "from": Key("float", required=True),
+    "to": Key("float", required=True),
     "steps": Key("int", required=True, minimum=2),
     "log": Key("bool", False),
     "tie": Key("names", []),
@@ -383,11 +376,17 @@ _TOP = {
 def _resolve_config(doc: dict) -> dict:
     """Every key read through the table, then the rules that span several keys."""
     cfg = _walk(_TOP, doc, "config key")
+    computation, sweep = cfg["computation"], cfg["sweep"]
+    if sweep is not None and sweep["log"]:
+        for end in ("from", "to"):
+            if sweep[end] <= 0:
+                raise InvalidConfigError(
+                    f"sweep {end} must be above 0 when sweep log is true, got {sweep[end]}"
+                )
     model = cfg.pop("model")
     if (model is None) == (cfg["models"] is None):
         raise InvalidConfigError("config needs exactly one of 'model' or 'models'")
     models = cfg["models"] = cfg["models"] or [model]
-    computation, sweep = cfg["computation"], cfg["sweep"]
     if len(models) > 1 and computation != "crossover-scan":
         raise InvalidConfigError("multiple models are only supported for crossover-scan")
 
@@ -447,12 +446,9 @@ def _eigen_point(model_cfg: dict, theta: list[float] | None, overrides: dict) ->
 
 
 def _thread_count(flag: int | None, cfg: dict) -> int:
-    """--threads, else CG_THREADS, else the config key, else the CPU count."""
-    env = os.environ.get("CG_THREADS")
+    """--threads, else the config key, else the CPU count."""
     if flag is not None:
         return _read(_TOP["threads"], flag, "--threads")
-    if env is not None:
-        return _read(_TOP["threads"], env, "CG_THREADS")
     return cfg["threads"] or os.cpu_count() or 1
 
 
@@ -598,15 +594,9 @@ def _parallel(fn: tp.Callable[[float], list], values: np.ndarray, threads: int) 
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
-
-
 def _write_results(path: pathlib.Path, header: list[str], rows: list[list], comments: list[str]) -> None:
     lines = [",".join(header)]
-    lines += [",".join(_format_cell(c) for c in row) for row in rows]
+    lines += [",".join(f"{float(c):.17g}" for c in row) for row in rows]
     lines += comments
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -723,7 +713,7 @@ def main(argv: tp.Sequence[str] | None = None) -> int:
     p_run.add_argument("config", help="YAML config or a previously written manifest.json")
     p_run.add_argument("--output", help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, help="Monte Carlo seed (overrides config)")
-    p_run.add_argument("--threads", type=int, help="worker threads (overrides CG_THREADS and config)")
+    p_run.add_argument("--threads", type=int, help="worker threads (overrides config)")
     p_run.add_argument("--units", choices=("bits", "nats"), help="report units (overrides config)")
     p_run.add_argument("--estimator", choices=("exact", "geometric"), help="EI estimator for curves")
     p_run.add_argument("--plot", action="store_true", help="also write plot.svg (needs matplotlib)")

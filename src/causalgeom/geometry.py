@@ -201,28 +201,6 @@ class MetricField:
         return _gather(self.entries(tuple(points.T)), points.shape[:1])
 
 
-@dataclasses.dataclass(frozen=True)
-class SmoothMap:
-    """A differentiable change of parameters with an explicit Jacobian."""
-
-    func: tp.Callable[[np.ndarray], np.ndarray]
-    jacobian: tp.Callable[[np.ndarray], np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
-class EigenReport:
-    """Eigenvalues of the pencil (g, h), i.e. of h^-1 g, at one point.
-
-    ``basis`` holds the eigenvector columns in the coordinates where h is the
-    identity (the h-whitened frame), ordered like ``eigenvalues``
-    (descending).
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    theta: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # metric constructors
 # ---------------------------------------------------------------------------
@@ -297,8 +275,8 @@ def _mismatch_batch(g: Entries, h: Entries, coords: tp.Sequence[np.ndarray] | No
 # ---------------------------------------------------------------------------
 
 
-def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> EigenReport:
-    """Eigen-decomposition of h^-1 g at theta, via Cholesky whitening of h.
+def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> np.ndarray:
+    """The eigenvalues of h^-1 g at theta, descending, via Cholesky whitening of h.
 
     The whitened matrix L^-1 g L^-T (h = L L^T) is symmetric, so the solve is
     stable and the eigenvalues are exactly those of h^-1 g. h is factored by
@@ -315,20 +293,24 @@ def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> Eige
     half = np.linalg.solve(chol, g_mat)
     whitened = np.linalg.solve(chol, half.T)
     whitened = _sym(whitened)
-    vals, vecs = np.linalg.eigh(whitened)
-    order = np.argsort(vals)[::-1]
-    return EigenReport(eigenvalues=vals[order], basis=vecs[:, order], theta=theta)
+    vals, _ = np.linalg.eigh(whitened)
+    return vals[np.argsort(vals)[::-1]]
 
 
-def reparameterize(m: MetricField, phi: SmoothMap) -> MetricField:
-    """Pull a metric field back through a change of parameters.
+def reparameterize(
+    m: MetricField,
+    func: tp.Callable[[np.ndarray], np.ndarray],
+    jacobian: tp.Callable[[np.ndarray], np.ndarray],
+) -> MetricField:
+    """Pull a metric field back through the change of parameters theta = func(theta').
 
-    With theta = phi(theta'), the new field is J_phi^T m(phi(theta')) J_phi,
-    which is the unique transformation keeping lengths of curves unchanged.
+    ``jacobian(theta')`` is d func / d theta'. The new field is
+    J^T m(func(theta')) J, the unique transformation keeping lengths of
+    curves unchanged.
     """
 
     def single(theta_new: np.ndarray) -> np.ndarray:
-        jac = np.atleast_2d(np.asarray(phi.jacobian(theta_new), dtype=float))
-        return _sym(jac.T @ m(np.atleast_1d(np.asarray(phi.func(theta_new), dtype=float))) @ jac)
+        jac = np.atleast_2d(np.asarray(jacobian(theta_new), dtype=float))
+        return _sym(jac.T @ m(np.atleast_1d(np.asarray(func(theta_new), dtype=float))) @ jac)
 
     return MetricField.from_batch(lambda points: np.stack([single(p) for p in points]), m.dim)

@@ -255,12 +255,17 @@ class TwoSpeciesConfig:
     matrix: np.ndarray = dataclasses.field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0 or self.delta <= 0.0:
-            raise InvalidConfigError("noise scales must be positive")
+        for name in ("epsilon", "delta"):
+            scale = getattr(self, name)
+            # the metrics divide by the square, which must neither overflow nor underflow
+            if not (scale > 0.0 and 0.0 < scale * scale < math.inf):
+                raise InvalidConfigError(
+                    f"{name} must be positive with a finite, nonzero square, got {scale}"
+                )
         if self.delta_t <= 0.0:
             raise InvalidConfigError("sampling interval must be positive")
-        if self.n_points < 1:
-            raise InvalidConfigError("need at least one time point")
+        if self.n_points < 2:
+            raise InvalidConfigError(f"n_points must be at least 2, one per parameter, got {self.n_points}")
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise InvalidConfigError("coupling matrix must be 2x2")
@@ -375,7 +380,6 @@ class DecayConfounderConfig:
     sigma_x: float = 1.0
     alpha: float = 1.0
     x_hat: float = 1.0
-    theta_domain: Domain = dataclasses.field(default_factory=lambda: Domain(((0.0, 1.0),)))
 
     def __post_init__(self) -> None:
         if self.sigma_t <= 0.0 or self.sigma_x <= 0.0 or self.alpha <= 0.0:
@@ -394,23 +398,16 @@ class DecayConfounderMetrics:
     config: DecayConfounderConfig
 
 
-def _confounder_root(mu: tp.Callable[[float], float], dmu: tp.Callable[[float], float], theta: float) -> float:
+def _confounder_root(mu: tp.Callable[[float], float], theta: float) -> float:
     """The level x with mu(x) = theta, on Python floats.
 
-    Sixteen Newton steps from x = theta; where they do not land on a root
-    (mu is not monotone for every config, so Newton can overshoot), bisection
-    on a bracket grown around theta by doubling. mu(x) grows like x in both
-    tails, so a bracket exists; one not found within 2^63 of theta raises
-    NumericalFailureError naming theta.
+    Bisection, down to adjacent floats, on the first bracket
+    [theta - w, theta + w], w = 1, 2, 4, ..., whose ends have mu below and
+    above theta; of its two ends the one nearer in mu is returned. mu need
+    not be monotone, but it grows like x in both tails, so a bracket exists;
+    one not found within 2^63 of theta raises NumericalFailureError naming
+    theta.
     """
-    x0 = theta
-    try:
-        for _ in range(16):
-            x0 -= (mu(x0) - theta) / dmu(x0)
-    except ZeroDivisionError:
-        x0 = math.nan
-    if abs(mu(x0) - theta) <= 1e-12 * (1.0 + abs(theta)):
-        return x0
     width = 1.0
     for _ in range(64):
         lo, hi = theta - width, theta + width
@@ -461,7 +458,7 @@ def _confounder_moments(cfg: DecayConfounderConfig, theta: float) -> tuple[float
         return 1.0 + c + x * cfg.x_hat * ds2 / (cfg.alpha * cfg.sigma_x**2)
 
     theta = float(theta)
-    x0 = _confounder_root(mu, dmu, theta)
+    x0 = _confounder_root(mu, theta)
     width = 14.0 * math.sqrt(s2(x0)) / abs(dmu(x0))
     nodes, w = composite_gauss_legendre(np.linspace(x0 - width, x0 + width, 9), 50)
     var = s2(nodes)

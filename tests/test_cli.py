@@ -136,6 +136,27 @@ def test_eigen_skewed_two_species_has_one_zero_eigenvalue(capsys):
     assert abs(out["lambda_2"]) <= 1e-12 * out["lambda_1"]
 
 
+@pytest.mark.parametrize("param", ["delta=1e300", "epsilon=1e-200"])
+def test_two_species_noise_whose_square_leaves_the_floats_exits_2(capsys, param):
+    """delta=1e300 squares to inf and epsilon=1e-200 to 0, and the metrics
+    divide by those squares: a config error naming the key, not a traceback
+    or a NaN eigenvalue."""
+    code = main(["eigen", "--model", "two-species", "--theta", "0.3,0.7", "--param", param])
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert code == 2 and out == ""
+    assert line.startswith("config error:") and param.split("=")[0] in line
+
+
+def test_two_species_with_fewer_time_points_than_parameters_exits_2(tmp_path, capsys):
+    """One time point for two parameters makes g singular at every node."""
+    doc = dict(MINI, model={"name": "two-species", "n_points": 1}, computation="ei-geom")
+    code, out = run_into(tmp_path, doc)
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2 and line == "config error: model two-species n_points must be at least 2, got 1"
+    assert not out.exists()
+
+
 def test_run_writes_results_and_manifest(tmp_path):
     code, out = run_into(tmp_path, MINI)
     assert code == 0
@@ -175,26 +196,23 @@ def test_units_flag_converts_values(tmp_path):
     assert nats == pytest.approx(bits * math.log(2.0), rel=1e-12)
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_bytes(tmp_path):
     doc = dict(SCAN, computation="ei-geom", submanifolds=[])
     _, out1 = run_into(tmp_path, doc, "one", extra=("--threads", "1"))
-    monkeypatch.setenv("CG_THREADS", "3")
-    _, out2 = run_into(tmp_path, doc, "three")
+    _, out2 = run_into(tmp_path, doc, "three", extra=("--threads", "3"))
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
-def test_thread_count_does_not_change_bytes_when_columns_share_a_model(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_bytes_when_columns_share_a_model(tmp_path):
     """ei-both evaluates its exact and geometric columns on one model per
     sweep value; the pool's threads must not mix those models up, even when
     they switch far more often than by default."""
-    monkeypatch.delenv("CG_THREADS", raising=False)
     doc = dict(MINI, sweep={"variable": "epsilon", "tie": ["delta"], "from": 0.1, "to": 0.5, "steps": 6})
     _, out1 = run_into(tmp_path, doc, "one", extra=("--threads", "1"))
-    monkeypatch.setenv("CG_THREADS", "3")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _, out2 = run_into(tmp_path, doc, "three")
+        _, out2 = run_into(tmp_path, doc, "three", extra=("--threads", "3"))
     finally:
         sys.setswitchinterval(interval)
     rows = (out1 / "results.csv").read_text(encoding="utf-8").splitlines()
@@ -591,25 +609,17 @@ def test_a_bare_string_for_a_name_list_exits_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
-    "threads, extra, env, source",
+    "threads, extra, source",
     [
-        (-3, (), None, "config key threads"),
-        (0, (), None, "config key threads"),
-        (None, ("--threads", "0"), None, "--threads"),
-        (None, ("--threads", "-2"), None, "--threads"),
-        (None, (), "0", "CG_THREADS"),
-        (None, (), "-4", "CG_THREADS"),
+        (-3, (), "config key threads"),
+        (0, (), "config key threads"),
+        (None, ("--threads", "0"), "--threads"),
+        (None, ("--threads", "-2"), "--threads"),
     ],
-    ids=["config-negative", "config-zero", "flag-zero", "flag-negative", "env-zero", "env-negative"],
+    ids=["config-negative", "config-zero", "flag-zero", "flag-negative"],
 )
-def test_thread_count_below_one_exits_2_naming_its_source(
-    tmp_path, capsys, monkeypatch, threads, extra, env, source
-):
+def test_thread_count_below_one_exits_2_naming_its_source(tmp_path, capsys, threads, extra, source):
     doc = MINI if threads is None else dict(MINI, threads=threads)
-    if env is None:
-        monkeypatch.delenv("CG_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("CG_THREADS", env)
     code, out = run_into(tmp_path, doc, extra=extra)
     err = capsys.readouterr().err
     assert code == 2 and f"{source} must be at least 1" in err and "Traceback" not in err

@@ -37,7 +37,7 @@ PARAMS = {
         "epsilon": NOISE,
         "delta": NOISE,
         "delta_t": [1.0, 0.2],
-        "n_points": [1, 3],
+        "n_points": [2, 3],
         "matrix": [[[1, 0], [0, 1]], [[1, 0.5], [0, 1]]],
     },
 }
@@ -126,9 +126,9 @@ PUBLIC_NAMES = [
     "CausalGeomError", "ChainModel", "ConstantIsotropic", "Crossing", "CrossoverScan",
     "DecayConfounderConfig", "DecayConfounderMetrics", "DegenerateDistributionError",
     "DegenerateEmbeddingError", "DegenerateModelError", "DiagonalStateDependent", "DimmerProfile",
-    "DiscretePoints", "Domain", "EIReport", "EigenReport", "FullConstant", "GaussianChannel",
+    "DiscretePoints", "Domain", "EIReport", "FullConstant", "GaussianChannel",
     "IllPosedInterventionsError", "InvalidConfigError", "MetricField", "MonteCarloSpec",
-    "NumericalFailureError", "QuadratureSpec", "RegimeError", "SmoothMap", "Submanifold",
+    "NumericalFailureError", "QuadratureSpec", "RegimeError", "Submanifold",
     "SweepSpec", "TwoSpeciesConfig", "UniformBox", "UseMonteCarloError",
     "antidiagonal_submanifold", "binary_switch_model", "causal_eigenvalues", "coarse_grained_ei",
     "constant_metric", "crossover_scan", "decay_confounder_metrics", "diagonal_submanifold",

@@ -13,7 +13,6 @@ from causalgeom import (
     EIReport,
     InvalidConfigError,
     MetricField,
-    SmoothMap,
     Submanifold,
     SweepSpec,
     TwoSpeciesConfig,
@@ -217,9 +216,8 @@ def test_coarse_grained_ei_reparameterization_invariance():
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
     sub = diagonal_submanifold()
     a = coarse_grained_ei(model, sub)
-    square = SmoothMap(lambda s: s**2, lambda s: 2.0 * s)
-    g_sq = reparameterize(pullback_field(model.g, sub), square)
-    h_sq = reparameterize(pullback_field(model.h, sub), square)
+    g_sq = reparameterize(pullback_field(model.g, sub), lambda s: s**2, lambda s: 2.0 * s)
+    h_sq = reparameterize(pullback_field(model.h, sub), lambda s: s**2, lambda s: 2.0 * s)
     b = ei_geometric(g_sq, h_sq, sub.sigma_domain)
     assert abs(a.nats - b.nats) < 1e-3
 

@@ -158,7 +158,7 @@ def test_two_species_mean_map_and_metrics():
     np.testing.assert_allclose(model.g(theta), g_fd(theta), rtol=1e-4)
 
 
-@pytest.mark.parametrize("n_points", [1, 3, 7])
+@pytest.mark.parametrize("n_points", [2, 3, 7])
 @pytest.mark.parametrize("delta_t", [0.02, 1.0, 50.0])
 def test_two_species_gram_is_bit_identical_to_einsum(n_points, delta_t):
     """The Jacobian and the effect metric on the ei_geometric grid equal the
@@ -220,6 +220,13 @@ def test_two_species_config_validation():
         TwoSpeciesConfig(epsilon=-0.01, delta=0.01)
     with pytest.raises(InvalidConfigError):
         TwoSpeciesConfig(epsilon=0.01, delta=0.01, n_points=0)
+    with pytest.raises(InvalidConfigError, match="n_points"):
+        TwoSpeciesConfig(epsilon=0.01, delta=0.01, n_points=1)
+    # squares that overflow to inf or underflow to 0
+    with pytest.raises(InvalidConfigError, match="delta"):
+        TwoSpeciesConfig(epsilon=0.01, delta=1e300)
+    with pytest.raises(InvalidConfigError, match="epsilon"):
+        TwoSpeciesConfig(epsilon=1e-200, delta=0.01)
     with pytest.raises(InvalidConfigError):
         TwoSpeciesConfig(epsilon=0.01, delta=0.01, matrix=np.array([[1.0, 1.0], [1.0, 1.0]]))
 
@@ -291,7 +298,7 @@ def _observational_mean(cfg: DecayConfounderConfig):
 
 @pytest.mark.parametrize("theta", [0.365, 0.37, 0.4])
 def test_decay_confounder_root_is_bracketed_where_newton_overshoots(theta):
-    """Newton from x = theta misses the root, so the bisection fallback finds
+    """Newton from x = theta misses the root here, while the bisection finds
     it: it is the one sign change of mu(x) - theta on a dense scan, and the
     statistical metric over the window around it matches a dense trapezoid
     integral of the observational density over all levels."""
@@ -304,7 +311,7 @@ def test_decay_confounder_root_is_bracketed_where_newton_overshoots(theta):
     xs = np.linspace(-30.0, 30.0, 600_001)
     f = mu(xs) - theta
     (crossing,) = np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1]))
-    root = models._confounder_root(mu, dmu, theta)
+    root = models._confounder_root(mu, theta)
     assert xs[crossing] <= root <= xs[crossing + 1]
     assert abs(mu(root) - theta) <= 1e-15
 
@@ -343,7 +350,7 @@ def test_confounder_window_rule_matches_a_dense_trapezoid(params):
     s2, mu, dmu = _observational_mean(cfg)
     tol = 1e-13 if cfg.ratio <= 0.1 else 5e-6
     for theta in (0.1, 0.5, 0.9):
-        x0 = models._confounder_root(mu, dmu, theta)
+        x0 = models._confounder_root(mu, theta)
         width = 14.0 * math.sqrt(s2(x0)) / abs(dmu(x0))
         xs = np.linspace(x0 - width, x0 + width, 200_001)
         var = s2(xs)
@@ -375,10 +382,9 @@ def test_appendix_a_builds_no_large_gauss_legendre_rule(tmp_path, monkeypatch):
 
 
 def test_decay_confounder_root_without_a_bracket_names_theta():
-    """A mean that never reaches theta and stalls Newton (zero slope) raises a
-    numerical failure naming theta, instead of dividing by zero."""
+    """A mean that never reaches theta raises a numerical failure naming theta."""
     with pytest.raises(NumericalFailureError, match="theta=0.5"):
-        models._confounder_root(lambda x: -abs(x) - 1.0, lambda x: 0.0, 0.5)
+        models._confounder_root(lambda x: -abs(x) - 1.0, 0.5)
 
 
 def test_decay_confounder_config_validation():
@@ -431,7 +437,7 @@ def test_bundled_metric_stacks_equal_their_transpose(name, params, monkeypatch):
     model = entry.build({**entry.defaults, **params})
     fields = [getattr(model, f.name) for f in dataclasses.fields(model)]
     fields = [f for f in fields if isinstance(f, MetricField)]
-    domain = model.config.theta_domain if name == "decay-confounder" else model.theta_domain
+    domain = models.UNIT_INTERVAL if name == "decay-confounder" else model.theta_domain
     pts = _nodes(domain, 101 if domain.dim == 2 else 41)
     cases = [(f, pts) for f in fields]
     if name == "two-species":
