@@ -30,6 +30,7 @@ from ._quadrature import (
     gauss_legendre,
     midpoint_axes,
 )
+from ._special import logsumexp
 from .channels import (
     Domain,
     FullConstant,
@@ -778,9 +779,7 @@ def ei_exact_quadrature(
 
 
 def _logmeanexp(a: np.ndarray, axis: int) -> np.ndarray:
-    shift = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.mean(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
-    return out
+    return logsumexp(a, axis=axis) - math.log(a.shape[axis])
 
 
 def _log_bias_correction(log_w: np.ndarray, axis: int, lme: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ evaluate them a few noise widths beyond the nominal parameter interval.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing as tp
 
@@ -32,6 +33,12 @@ from .geometry import MetricField, constant_metric, effect_metric
 from .manifold import Submanifold
 
 WEBER_FLOOR = 1e-3
+
+
+def _check_scale(name: str, value: float) -> None:
+    """Refuse a scale unless it is positive with a finite, nonzero square: the metrics divide by it."""
+    if not (value > 0.0 and 0.0 < value * value < math.inf):
+        raise InvalidConfigError(f"{name} must be positive with a finite, nonzero square, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +213,11 @@ def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -
     output. g is the Fisher metric of the effect channel, (f'/sigma(f))^2,
     and h the constant 1/delta^2 of the intervention channel.
     """
-    if delta <= 0.0:
-        raise InvalidConfigError("intervention noise delta must be positive")
-    ch_ty = _profile_channel(profile, ConstantIsotropic(float(eps)) if np.isscalar(eps) else eps)
+    _check_scale("delta", delta)
+    if np.isscalar(eps):
+        _check_scale("epsilon", eps)
+        eps = ConstantIsotropic(float(eps))
+    ch_ty = _profile_channel(profile, eps)
     return ChainModel(
         label=f"dimmer[{profile.label}]",
         x_set=UniformBox(UNIT_INTERVAL),
@@ -255,13 +264,8 @@ class TwoSpeciesConfig:
     matrix: np.ndarray = dataclasses.field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "delta"):
-            scale = getattr(self, name)
-            # the metrics divide by the square, which must neither overflow nor underflow
-            if not (scale > 0.0 and 0.0 < scale * scale < math.inf):
-                raise InvalidConfigError(
-                    f"{name} must be positive with a finite, nonzero square, got {scale}"
-                )
+        _check_scale("epsilon", self.epsilon)
+        _check_scale("delta", self.delta)
         if self.delta_t <= 0.0:
             raise InvalidConfigError("sampling interval must be positive")
         if self.n_points < 2:
@@ -382,8 +386,8 @@ class DecayConfounderConfig:
     x_hat: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma_t <= 0.0 or self.sigma_x <= 0.0 or self.alpha <= 0.0:
-            raise InvalidConfigError("sigma_t, sigma_x and alpha must be positive")
+        for name in ("sigma_t", "sigma_x", "alpha"):
+            _check_scale(name, getattr(self, name))
 
     @property
     def ratio(self) -> float:
@@ -484,8 +488,13 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
     h_caus_val = 1.0 / (cfg.sigma_t**2 * cfg.alpha**2)
     h_caus = constant_metric(np.array([[h_caus_val]]))
 
+    # one entry: an eigen row reads h_stat and h_stat_series at the same theta
+    @functools.lru_cache(maxsize=1)
+    def moments(theta: float) -> tuple[float, float]:
+        return _confounder_moments(cfg, theta)
+
     def stat_batch(points: np.ndarray) -> np.ndarray:
-        return np.array([[[_confounder_moments(cfg, float(theta))[0]]] for theta in points[:, 0]])
+        return np.array([[[moments(float(theta))[0]]] for theta in points[:, 0]])
 
     h_stat = MetricField.from_batch(stat_batch, 1)
 
@@ -494,7 +503,7 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
             raise RegimeError(
                 f"series expansion valid for sigma_t/sigma_x <= 0.1, got {cfg.ratio:g}"
             )
-        _, mean_inv_var = _confounder_moments(cfg, float(theta))
+        _, mean_inv_var = moments(float(theta))
         corr = 3.0 * (cfg.alpha * cfg.x_hat + theta**2) * cfg.ratio**4
         return mean_inv_var - corr
 

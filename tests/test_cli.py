@@ -148,6 +148,43 @@ def test_two_species_noise_whose_square_leaves_the_floats_exits_2(capsys, param)
     assert line.startswith("config error:") and param.split("=")[0] in line
 
 
+_SCALES = [  # (model, key) of every noise scale, and the confounder's alpha
+    (name, key)
+    for name, keys in (
+        ("dimmer", ("epsilon", "delta")),
+        ("dimmer-family", ("epsilon", "delta")),
+        ("dimmer-weber", ("delta",)),
+        ("binary-switch", ("epsilon", "delta")),
+        ("two-species", ("epsilon", "delta")),
+        ("decay-confounder", ("sigma_t", "sigma_x", "alpha")),
+    )
+    for key in keys
+]
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-300", "1e300"])
+@pytest.mark.parametrize("name, key", _SCALES)
+def test_a_scale_whose_square_leaves_the_floats_exits_2(tmp_path, capsys, name, key, value):
+    """One rule refuses every scale: positive with a finite, nonzero square.
+    A run exits 2 naming the key before it makes its output directory, and
+    so does eigen, with no traceback and no output."""
+    entry = MODELS[name]
+    doc = {"schema_version": 1, "model": {"name": name, key: float(value)}, "computation": entry.computations[0]}
+    code, out = run_into(tmp_path, doc)
+    err = capsys.readouterr().err
+    want = f"{key} must be positive with a finite, nonzero square, got {float(value)}"
+    assert code == 2 and not out.exists()
+    assert err.startswith("config error:") and want in err and "Traceback" not in err
+    if entry.eigen is None:
+        return
+    theta = ",".join(["0.5"] * entry.dim)
+    code = main(["eigen", "--model", name, "--theta", theta, "--param", f"{key}={value}"])
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert code == 2 and out == ""
+    assert line.startswith("config error:") and want in line
+
+
 def test_two_species_with_fewer_time_points_than_parameters_exits_2(tmp_path, capsys):
     """One time point for two parameters makes g singular at every node."""
     doc = dict(MINI, model={"name": "two-species", "n_points": 1}, computation="ei-geom")

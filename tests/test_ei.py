@@ -352,6 +352,29 @@ def test_one_by_one_full_effect_noise_matches_isotropic():
     assert got.nats == pytest.approx(iso.nats, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [dimmer_family(2.0, 0.03, 0.03), dimmer_family(-4.0, 0.01, 0.01), binary_switch_model(0.01, 0.01)],
+    ids=["family-2", "family-minus-4", "switch"],
+)
+def test_a_mirrored_effect_map_gives_the_same_ei(model):
+    """EI is invariant under y -> -y. The kernel turns a decreasing effect
+    map (sign -1) into an increasing one, and the checked value must match
+    the unmirrored chain's within 4 ulp (at most 2 ulp measured)."""
+    ch = model.ch_ty
+    mirrored = dataclasses.replace(
+        ch,
+        mean_map=lambda t: -ch.mean(t),
+        jacobian=lambda t: -ch.jac(t),
+        output_domain=Domain(((-1.0, 0.0),)),
+    )
+    assert _ScalarChain(model.ch_xt, mirrored, model.x_set).sign == -1.0
+    want = quad_ei(model)
+    got = ei_exact_quadrature(model.x_set, model.ch_xt, mirrored)
+    assert got.flags == want.flags == ()
+    assert got.nats == pytest.approx(want.nats, rel=0.0, abs=4 * math.ulp(want.nats))
+
+
 def test_discrete_averaged_density_is_the_mean_of_the_conditionals():
     model = binary_switch_model(0.05, 0.05)
     chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)

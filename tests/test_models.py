@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,49 @@ def test_appendix_a_builds_no_large_gauss_legendre_rule(tmp_path, monkeypatch):
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "appendixA.yaml"
     assert main(["run", str(config), "--output", str(tmp_path / "out")]) == 0
     assert asked and max(asked) <= 64
+
+
+def test_appendix_a_integrates_each_rows_confounder_window_once(tmp_path, monkeypatch):
+    """h_stat and h_stat_series of an eigen row share one moments pass: the
+    19 thetas of appendixA call _confounder_moments 19 times, once each."""
+    thetas = []
+    moments = models._confounder_moments
+
+    def counting(cfg, theta):
+        thetas.append(theta)
+        return moments(cfg, theta)
+
+    monkeypatch.setattr(models, "_confounder_moments", counting)
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "appendixA.yaml"
+    assert main(["run", str(config), "--output", str(tmp_path / "out")]) == 0
+    assert len(thetas) == 19 and len(set(thetas)) == 19
+
+
+_SCALED = {  # a build from the one scale it is handed, by model and the name its refusal gives
+    "dimmer-epsilon": lambda v: dimmer_model(linear_profile(), v, 0.03),
+    "dimmer-delta": lambda v: dimmer_model(linear_profile(), 0.03, v),
+    "family-epsilon": lambda v: dimmer_family(-2.0, v, 0.03),
+    "family-delta": lambda v: dimmer_family(-2.0, 0.03, v),
+    "switch-epsilon": lambda v: binary_switch_model(v, 1e-4),
+    "switch-delta": lambda v: binary_switch_model(1e-4, v),
+    "two-species-epsilon": lambda v: TwoSpeciesConfig(epsilon=v, delta=0.01),
+    "two-species-delta": lambda v: TwoSpeciesConfig(epsilon=0.01, delta=v),
+    **{
+        f"confounder-{k}": lambda v, k=k: DecayConfounderConfig(**{"sigma_t": 0.05, k: v})
+        for k in ("sigma_t", "sigma_x", "alpha")
+    },
+}
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e-300, 1e300])
+@pytest.mark.parametrize("case", _SCALED)
+def test_a_scale_whose_square_is_not_finite_and_positive_is_refused_by_name(case, value):
+    """Subnormal, underflowing and overflowing scales: the square the metrics
+    divide by is 0 or inf, so every model refuses them with one message."""
+    name = case.split("-")[-1]
+    want = f"{name} must be positive with a finite, nonzero square, got {value}"
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(want)}$"):
+        _SCALED[case](value)
 
 
 def test_decay_confounder_root_without_a_bracket_names_theta():
