@@ -2,9 +2,10 @@
 
 A channel maps an input point to a Gaussian distribution over an output
 space: the mean comes from a smooth map, the covariance from a noise
-specification evaluated at that mean. Interventions are modelled as either a
-uniform box or a finite set of points with equal weights; each set supplies
-the parameter mixture that the exact estimators average over.
+specification evaluated at that mean. An intervention sets the parameter
+itself, blurred by a noise spec; interventions are modelled as either a
+uniform box or a finite set of points with equal weights, and each set
+supplies the parameter mixture that the exact estimators average over.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ class Domain:
         return float(np.prod(self.spans))
 
 
-# Every intervention set answers the same questions about the parameter law
-# it induces through an intervention channel, the mixture mean_x q(theta|do(x)):
-# its log density at parameter points (..., d), the range of its component
-# means, and the component means and weights of an outer average over the
-# set. The exact estimators average over a set only through these. An outer
-# rule may be graded into layers of the integrand: their centres and widths,
-# two arrays (n,) in parameter units.
+# An intervention sets the parameter itself, blurred by the intervention
+# noise: q(theta | do(x)) = N(theta; x, Sigma(x)). Every intervention set
+# answers the same questions about the mixture mean_x q(theta|do(x)) it
+# induces: its log density at parameter points (..., d) under a noise spec,
+# the range of the interventions, and the interventions and weights of an
+# outer average over the set. The exact estimators average over a set only
+# through these. An outer rule may be graded into layers of the integrand:
+# their centres and widths, two arrays (n,) in parameter units.
 
 Layers = tuple[np.ndarray, np.ndarray]
 
@@ -91,29 +93,24 @@ class UniformBox:
         lo, hi = self.domain.lower, self.domain.upper
         return lo + (hi - lo) * rng.random((n, self.dim))
 
-    def log_mixture(self, channel: GaussianChannel) -> tp.Callable[[np.ndarray], np.ndarray]:
+    def log_mixture(self, noise: NoiseSpec) -> tp.Callable[[np.ndarray], np.ndarray]:
         """log of the box average of q(theta | do(x)), for theta (..., d).
 
-        Closed forms need an identity intervention mean and noise that does
-        not depend on the state: normal CDF differences for diagonal noise in
-        any dimension, and one conditional-CDF quadrature for full covariance
-        in two dimensions. Anything else raises UseMonteCarloError.
+        Closed forms need intervention noise that does not depend on the
+        state: normal CDF differences for diagonal noise in any dimension,
+        and one conditional-CDF quadrature for full covariance in two
+        dimensions. Anything else raises UseMonteCarloError.
 
         Each call evaluates all its points at once; the exact kernel hands
         it one row block at a time (ei._BLOCK points at most).
         """
-        if not channel.mean_is_identity:
-            raise UseMonteCarloError(
-                "a box-averaged parameter density needs an identity intervention mean "
-                "(reparameterize the interventions so the mean map is the identity)"
-            )
-        if isinstance(channel.noise, DiagonalStateDependent):
+        if isinstance(noise, DiagonalStateDependent):
             raise UseMonteCarloError(
                 "a box-averaged parameter density needs constant intervention noise"
             )
         lo, hi = self.domain.lower, self.domain.upper
         log_vol = math.log(self.domain.volume)
-        cov = channel.noise.covariance(lo)
+        cov = noise.covariance(lo)
 
         if np.allclose(cov, np.diag(np.diag(cov)), atol=0.0):
             axes = tuple(zip(lo.tolist(), hi.tolist(), np.sqrt(np.diag(cov)).tolist()))
@@ -153,24 +150,21 @@ class UniformBox:
             "or full covariance in two dimensions"
         )
 
-    def mean_range(self, channel: GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
-        """The box edges: log_mixture admits only identity intervention means."""
+    def mean_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box edges."""
         return self.domain.lower, self.domain.upper
 
-    def components(
-        self, channel: GaussianChannel, nodes: int, layers: Layers
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Means (m, d) and weights (m,), summing to one, of the outer rule on a scalar box.
+    def components(self, nodes: int, layers: Layers) -> tuple[np.ndarray, np.ndarray]:
+        """Interventions (m, d) and weights (m,), summing to one, of the outer rule on a scalar box.
 
         Composite Gauss-Legendre with ``nodes`` nodes on each panel, graded
-        into ``layers`` (log_mixture admits only an identity intervention
-        mean, so parameter values are intervention values here).
+        into ``layers``.
         """
         if self.dim != 1:
             raise UseMonteCarloError("an outer rule over a box needs scalar interventions")
         lo, hi = self.domain.axes[0]
         x, w = graded_gauss_legendre(lo, hi, *layers, nodes)
-        return channel.mean(x[:, None]), w / self.domain.volume
+        return x[:, None], w / self.domain.volume
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,28 +191,24 @@ class DiscretePoints:
         idx = rng.integers(0, self.points.shape[0], size=n)
         return self.points[idx]
 
-    def log_mixture(self, channel: GaussianChannel) -> tp.Callable[[np.ndarray], np.ndarray]:
+    def log_mixture(self, noise: NoiseSpec) -> tp.Callable[[np.ndarray], np.ndarray]:
         """log of the mean of q(theta | do(x)) over the points, for theta (..., d)."""
-        mus = channel.mean(self.points)  # (k, d)
-        log_k = math.log(mus.shape[0])
+        log_k = math.log(self.points.shape[0])
 
         def log_mix(theta: np.ndarray) -> np.ndarray:
-            log_q = gaussian_log_density(channel.noise, theta[..., None, :], mus)
+            log_q = gaussian_log_density(noise, theta[..., None, :], self.points)
             return logsumexp(log_q, axis=-1) - log_k
 
         return log_mix
 
-    def mean_range(self, channel: GaussianChannel) -> tuple[np.ndarray, np.ndarray]:
-        """The extreme point means on each axis."""
-        mus = channel.mean(self.points)
-        return np.min(mus, axis=0), np.max(mus, axis=0)
+    def mean_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """The extreme points on each axis."""
+        return np.min(self.points, axis=0), np.max(self.points, axis=0)
 
-    def components(
-        self, channel: GaussianChannel, nodes: int, layers: Layers
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def components(self, nodes: int, layers: Layers) -> tuple[np.ndarray, np.ndarray]:
         """Every point with equal weight; the node count and layers do not apply."""
         k = self.points.shape[0]
-        return channel.mean(self.points), np.full(k, 1.0 / k)
+        return self.points, np.full(k, 1.0 / k)
 
 
 InterventionSet = tp.Union[UniformBox, DiscretePoints]
@@ -230,7 +220,8 @@ InterventionSet = tp.Union[UniformBox, DiscretePoints]
 
 
 # Every noise spec answers the same questions about its covariance Sigma(mean)
-# at a batch of channel means (..., d): the matrix itself, a whitened residual
+# at a batch of means (..., d), an effect channel's means or, for intervention
+# noise, the interventions themselves: the matrix itself, a whitened residual
 # (a symmetric W with W W = Sigma^-1 applied along the last axis, so whitening
 # twice applies the precision), half its log-determinant, a draw, and a bound
 # on its largest standard deviation over a set of means. Each also names the
@@ -395,9 +386,6 @@ class GaussianChannel:
     input_domain: Domain
     output_domain: Domain
     jacobian: tp.Callable[[np.ndarray], np.ndarray] | None = None
-    # True when mean_map is the identity; lets downstream integrals use the
-    # closed-form box-averaged density instead of a numeric inverse.
-    mean_is_identity: bool = False
 
     @property
     def dim_in(self) -> int:

@@ -468,11 +468,11 @@ def _instantiate(model_cfg: dict, overrides: dict) -> tp.Any:
 def _exact_report(model: ChainModel, seed: int, in_sweep: bool) -> EIReport:
     try:
         return ei_exact_quadrature(
-            model.x_set, model.ch_xt, model.ch_ty, check_convergence=not in_sweep
+            model.x_set, model.noise_xt, model.ch_ty, check_convergence=not in_sweep
         )
     except UseMonteCarloError as exc:
         logger.info("%s: exact quadrature falls back to Monte Carlo: %s", model.label, exc)
-        return ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, MonteCarloSpec(seed=seed))
+        return ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, MonteCarloSpec(seed=seed))
 
 
 def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:

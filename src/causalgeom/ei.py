@@ -36,6 +36,7 @@ from .channels import (
     FullConstant,
     GaussianChannel,
     InterventionSet,
+    NoiseSpec,
     gaussian_log_density,
 )
 from .errors import (
@@ -156,19 +157,18 @@ class _ScalarChain:
     INVERSE_TABLE = 1025
     NEWTON_STEPS = 3
 
-    def __init__(self, ch_xt: GaussianChannel, ch_ty: GaussianChannel, x_set: InterventionSet):
-        if ch_xt.dim_out != 1:
+    def __init__(self, noise_xt: NoiseSpec, ch_ty: GaussianChannel, x_set: InterventionSet):
+        if x_set.dim != 1:
             raise UseMonteCarloError("exact quadrature requires a scalar parameter")
         if ch_ty.dim_out != 1:
             raise UseMonteCarloError("exact quadrature requires a scalar effect")
-        self.ch_xt = ch_xt
+        self.noise_xt = noise_xt
         self.ch_ty = ch_ty
         self.x_set = x_set
-        lo, hi = ch_xt.input_domain.lower, ch_xt.input_domain.upper
-        probe = lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[:, None]
-        self.sigma_q = ch_xt.noise.scale_bound(ch_xt.mean(probe))
-        self.log_mix = x_set.log_mixture(ch_xt)
-        lo, hi = (float(v[0]) for v in x_set.mean_range(ch_xt))
+        lo, hi = x_set.mean_range()
+        self.sigma_q = noise_xt.scale_bound(lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[:, None])
+        self.log_mix = x_set.log_mixture(noise_xt)
+        lo, hi = float(lo[0]), float(hi[0])
         pad = 8.0 * self.sigma_q + 1e-12
         self.mix_lo = lo  # where the parameter mixture has its shoulders
         self.mix_hi = hi
@@ -205,7 +205,7 @@ class _ScalarChain:
         where f' = 0.
         """
         theta = np.asarray(theta, dtype=float)
-        sig_q = _sd(self.ch_xt.noise, theta[:, None])
+        sig_q = _sd(self.noise_xt, theta[:, None])
         eps = _sd(self.ch_ty.noise, self.f(theta))
         with np.errstate(divide="ignore"):
             return np.hypot(sig_q, eps / np.abs(self.slope(theta)[:, 0]))
@@ -223,7 +223,7 @@ class _ScalarChain:
         widths = self.edge_noise(centres)
         layers = [(c, w) for c, w in zip(centres, widths) if np.isfinite(w)]
         for c in centres[~np.isfinite(widths)]:
-            w = float(_sd(self.ch_xt.noise, np.array([[c]]))[0])
+            w = float(_sd(self.noise_xt, np.array([[c]]))[0])
             while w < self.mix_hi - self.mix_lo:
                 layers.append((c, w))
                 w *= GRADING[-1]
@@ -235,8 +235,8 @@ class _ScalarChain:
         On a box, Gauss-Legendre takes refine * PANEL_NODES nodes per panel
         graded into outer_layers. A discrete set takes every point.
         """
-        mus, weights = self.x_set.components(self.ch_xt, refine * self.PANEL_NODES, self.outer_layers)
-        return mus[:, 0], _sd(self.ch_xt.noise, mus), weights
+        mus, weights = self.x_set.components(refine * self.PANEL_NODES, self.outer_layers)
+        return mus[:, 0], _sd(self.noise_xt, mus), weights
 
     # -- conditional effect density ------------------------------------------
 
@@ -289,7 +289,7 @@ class _ScalarChain:
 
     def _log_joint(self, nodes: np.ndarray, y: np.ndarray, mu_q: np.ndarray) -> np.ndarray:
         """log[q(theta|x) p(y|theta)] at nodes (n, k) for paired rows y (n, 1)."""
-        log_q = gaussian_log_density(self.ch_xt.noise, nodes[..., None], mu_q[:, None, None])
+        log_q = gaussian_log_density(self.noise_xt, nodes[..., None], mu_q[:, None, None])
         log_q += gaussian_log_density(self.ch_ty.noise, y[:, None, :], self.f(nodes))
         return log_q
 
@@ -707,16 +707,17 @@ def _quadrature_pass(chain: _ScalarChain, spec: QuadratureSpec, refine: int) -> 
 
 def ei_exact_quadrature(
     x_set: InterventionSet,
-    ch_xt: GaussianChannel,
+    noise_xt: NoiseSpec,
     ch_ty: GaussianChannel,
     spec: QuadratureSpec | None = None,
     check_convergence: bool = True,
 ) -> EIReport:
     """Effective information by nested quadrature.
 
-    The domain is a scalar parameter and a scalar effect, interventions on a
-    scalar box (with an identity intervention mean) or a discrete set, and
-    isotropic, diagonal or 1x1 full effect noise. Anything else raises
+    Each intervention sets the parameter, blurred by ``noise_xt``. The
+    domain is a scalar parameter and a scalar effect, interventions on a
+    scalar box (with noise that does not depend on the state) or a discrete
+    set, and isotropic, diagonal or 1x1 full effect noise. Anything else raises
     UseMonteCarloError; the CLI then falls back to ``ei_exact_mc``.
 
     The parameter is marginalized per intervention and the effect integral
@@ -759,7 +760,7 @@ def ei_exact_quadrature(
     value.
     """
     spec = spec or QuadratureSpec()
-    chain = _ScalarChain(ch_xt, ch_ty, x_set)
+    chain = _ScalarChain(noise_xt, ch_ty, x_set)
     nats, outer = _quadrature_pass(chain, spec, 1)
     flags: tuple[str, ...] = ()
     if check_convergence:
@@ -860,13 +861,15 @@ def _defensive_log_mean(
 
 def ei_exact_mc(
     x_set: InterventionSet,
-    ch_xt: GaussianChannel,
+    noise_xt: NoiseSpec,
     ch_ty: GaussianChannel,
     spec: MonteCarloSpec | None = None,
 ) -> EIReport:
     """Effective information by nested Monte Carlo.
 
-    Outer samples follow the generative chain. Both inner integrals (the
+    Outer samples follow the generative chain: an intervention drawn from
+    the set, the parameter drawn around it from ``noise_xt``, the effect
+    from ``ch_ty``. Both inner integrals (the
     conditional effect density and the intervention-averaged one) are
     importance-sampled from defensive mixtures: half the draws come from a
     Laplace proposal (a short Gauss-Newton run locates where the integrand
@@ -883,20 +886,18 @@ def ei_exact_mc(
     """
     spec = spec or MonteCarloSpec()
     batch_size = -(-spec.outer_samples // spec.batches)  # ceil
-    d_t = ch_xt.dim_out
+    d_t = x_set.dim
     inflate_cond = 1.4**2
     inflate_avg = 1.6**2
 
-    noise_xt = ch_xt.noise
-    log_mix = x_set.log_mixture(ch_xt)
-    clip_lo, clip_hi = x_set.mean_range(ch_xt)
+    log_mix = x_set.log_mixture(noise_xt)
+    clip_lo, clip_hi = x_set.mean_range()
 
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.batches)
     batch_means = np.empty(spec.batches)
     for b, ss in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(ss))
-        x = x_set.sample(rng, batch_size)
-        mu = ch_xt.mean(x)
+        mu = x_set.sample(rng, batch_size)
         theta = noise_xt.draw(rng, mu)
         y = ch_ty.noise.draw(rng, ch_ty.mean(theta))
 
@@ -907,10 +908,10 @@ def ei_exact_mc(
 
         def draw_mix(gen: np.random.Generator) -> np.ndarray:
             x_mix = x_set.sample(gen, batch_size * spec.inner_samples)
-            return noise_xt.draw(gen, ch_xt.mean(x_mix).reshape(mu_in.shape))
+            return noise_xt.draw(gen, x_mix.reshape(mu_in.shape))
 
         # conditional density: Laplace proposal at the per-intervention
-        # posterior mode, defended by the intervention channel itself
+        # posterior mode, defended by the intervention noise itself
         th_c, lam_c = _gauss_newton_mode(ch_ty, y, theta, prec_q, mu)
         log_cond = _defensive_log_mean(
             rng,

@@ -1,10 +1,11 @@
 """Built-in causal models.
 
 Each constructor returns a frozen bundle holding the intervention set, the
-two Gaussian channels of the chain, and (where closed forms exist) the two
-metric fields over the parameter box. Response profiles are defined on the
-whole real line and strictly increasing there, because exact estimators must
-evaluate them a few noise widths beyond the nominal parameter interval.
+intervention noise, the Gaussian effect channel, and (where closed forms
+exist) the two metric fields over the parameter box. Response profiles are
+defined on the whole real line and strictly increasing there, because exact
+estimators must evaluate them a few noise widths beyond the nominal
+parameter interval.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import typing as tp
 
 import numpy as np
@@ -33,11 +35,17 @@ from .geometry import MetricField, constant_metric, effect_metric
 from .manifold import Submanifold
 
 WEBER_FLOOR = 1e-3
+# ln of the largest float: e^a overflows for a above it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_scale(name: str, value: float) -> None:
-    """Refuse a scale unless it is positive with a finite, nonzero square: the metrics divide by it."""
-    if not (value > 0.0 and 0.0 < value * value < math.inf):
+    """Refuse a scale unless it is positive with a finite, nonzero square of finite reciprocal.
+
+    The metrics divide by the square; a subnormal square (a scale below
+    about 7.5e-155) is nonzero but its reciprocal overflows.
+    """
+    if not (value > 0.0 and 0.0 < value * value < math.inf and 1.0 / (value * value) < math.inf):
         raise InvalidConfigError(f"{name} must be positive with a finite, nonzero square, got {value}")
 
 
@@ -122,10 +130,15 @@ def weber_optimal_profile(r: float) -> DimmerProfile:
 
     With effect noise proportional to the output, equal steps of the
     parameter should produce equal *relative* steps of the response, which
-    gives f(theta) = (e^{theta/r} - 1) / (e^{1/r} - 1).
+    gives f(theta) = (e^{theta/r} - 1) / (e^{1/r} - 1). e^{1/r} overflows
+    for r below 1/ln(DBL_MAX), about 1.409e-3, which is refused.
     """
     if r <= 0.0:
         raise InvalidConfigError("rate parameter r must be positive")
+    if not 1.0 / r <= _LOG_FLOAT_MAX:
+        raise InvalidConfigError(
+            f"rate parameter r must be at least {1.0 / _LOG_FLOAT_MAX:.4g}, as e^(1/r) overflows below it, got {r}"
+        )
     return _exp_profile(1.0 / r, f"weber-optimal(r={r:g})")
 
 
@@ -135,10 +148,11 @@ def weber_noise(eps0: float, floor: float = WEBER_FLOOR) -> DiagonalStateDepende
     The floor keeps the noise positive near (and below) zero output, where a
     literal proportional law would make the channel deterministic. The spec
     names that output among its ``kinks``, so exact quadrature can put a
-    breakpoint there.
+    breakpoint there. Both scales pass the one scale rule, under the
+    config keys ``epsilon0`` and ``floor``.
     """
-    if eps0 <= 0.0 or floor <= 0.0:
-        raise InvalidConfigError("weber noise needs eps0 > 0 and floor > 0")
+    _check_scale("epsilon0", eps0)
+    _check_scale("floor", floor)
 
     def sigma(y: np.ndarray) -> np.ndarray:
         return eps0 * np.maximum(np.asarray(y, dtype=float), floor)
@@ -155,36 +169,20 @@ UNIT_INTERVAL = Domain(((0.0, 1.0),))
 
 @dataclasses.dataclass(frozen=True)
 class ChainModel:
-    """An intervention set, the two channels, and the metric closed forms."""
+    """An intervention set, its noise, the effect channel and the metric closed forms.
+
+    An intervention x sets the parameter itself: theta ~ N(x, Sigma) with
+    Sigma the ``noise_xt`` covariance at x, so interventions are parameter
+    coordinates and h is the Fisher metric of that noise.
+    """
 
     label: str
     x_set: InterventionSet
-    ch_xt: GaussianChannel
+    noise_xt: NoiseSpec
     ch_ty: GaussianChannel
     theta_domain: Domain
     g: MetricField
     h: MetricField
-
-
-def _identity_channel(noise: NoiseSpec, domain: Domain) -> GaussianChannel:
-    dim = domain.dim
-
-    def identity(x):
-        return np.asarray(x, dtype=float)
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(dim)
-        return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
-    return GaussianChannel(
-        mean_map=identity,
-        noise=noise,
-        input_domain=domain,
-        output_domain=domain,
-        jacobian=jac,
-        mean_is_identity=True,
-    )
 
 
 def _profile_channel(profile: DimmerProfile, noise: NoiseSpec) -> GaussianChannel:
@@ -211,7 +209,7 @@ def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -
     ``eps`` is the effect noise: a float for constant noise of that sigma, or
     a noise spec such as :func:`weber_noise` for noise that depends on the
     output. g is the Fisher metric of the effect channel, (f'/sigma(f))^2,
-    and h the constant 1/delta^2 of the intervention channel.
+    and h the constant 1/delta^2 of the intervention noise.
     """
     _check_scale("delta", delta)
     if np.isscalar(eps):
@@ -221,7 +219,7 @@ def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -
     return ChainModel(
         label=f"dimmer[{profile.label}]",
         x_set=UniformBox(UNIT_INTERVAL),
-        ch_xt=_identity_channel(ConstantIsotropic(delta), UNIT_INTERVAL),
+        noise_xt=ConstantIsotropic(delta),
         ch_ty=ch_ty,
         theta_domain=UNIT_INTERVAL,
         g=effect_metric(ch_ty),
@@ -307,7 +305,6 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         return np.stack([-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)], axis=-1)
 
     a = cfg.matrix
-    ch_xt = _identity_channel(FullConstant(a @ a.T * cfg.delta**2), UNIT_SQUARE)
     y_domain = Domain(tuple((0.0, 2.0) for _ in range(n)))
     ch_ty = GaussianChannel(
         mean_map=mean,
@@ -346,7 +343,7 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
     return ChainModel(
         label="two-species",
         x_set=UniformBox(UNIT_SQUARE),
-        ch_xt=ch_xt,
+        noise_xt=FullConstant(a @ a.T * cfg.delta**2),
         ch_ty=ch_ty,
         theta_domain=UNIT_SQUARE,
         g=g,

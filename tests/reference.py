@@ -1,10 +1,11 @@
 """The paper's definition of the intervention metric h, as a test reference.
 
-h is the Fisher metric of the channel inverted against the uniform
-intervention prior. Inverting a channel against that prior gives, for each
-output value theta, a normalized density over the interventions that could
-have produced it. The normalization integral runs over the intervention box
-only; output-side densities are never truncated.
+h is the Fisher metric of the intervention noise inverted against the
+uniform intervention prior. An intervention x sets the parameter to
+theta ~ N(x, Sigma(x)); inverting that against the prior gives, for each
+parameter value theta, a normalized density over the interventions that
+could have produced it. The normalization integral runs over the
+intervention box only; parameter-side densities are never truncated.
 
 Every bundled model gives h in closed form, so the package carries no
 numerical inversion; the tests check each closed-form h against this one.
@@ -17,9 +18,9 @@ import typing as tp
 
 import numpy as np
 
-from causalgeom import CausalGeomError, DiscretePoints, Domain, GaussianChannel, InvalidConfigError, MetricField
+from causalgeom import CausalGeomError, DiscretePoints, Domain, InvalidConfigError, MetricField
 from causalgeom._quadrature import gauss_legendre
-from causalgeom.channels import InterventionSet, gaussian_log_density
+from causalgeom.channels import InterventionSet, NoiseSpec, gaussian_log_density
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 
@@ -48,23 +49,21 @@ def _contains(box: Domain, point: ArrayLike, rtol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# conditional density of the output given the input, vectorized over inputs
+# density of the parameter given the intervention, vectorized over interventions
 # ---------------------------------------------------------------------------
 
 
-def _log_gauss_given_inputs(channel: GaussianChannel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log q(theta | do(x_i)) for a batch of inputs x (n, d_in), fixed theta."""
-    return gaussian_log_density(channel.noise, theta, channel.mean(x))
+def _log_gauss_given_inputs(noise: NoiseSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log q(theta | do(x_i)) for a batch of interventions x (n, d), fixed theta."""
+    return gaussian_log_density(noise, theta, x)
 
 
-def _score_given_inputs(channel: GaussianChannel, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d/dtheta log q(theta | do(x_i)) = -Sigma(x_i)^-1 (theta - mean(x_i)).
+def _score_given_inputs(noise: NoiseSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d/dtheta log q(theta | do(x_i)) = -Sigma(x_i)^-1 (theta - x_i).
 
-    Exact: the covariance never depends on theta, only on the input.
+    Exact: the covariance never depends on theta, only on the intervention.
     """
-    mean = channel.mean(x)
-    noise = channel.noise
-    return -noise.whiten(noise.whiten(theta - mean, mean), mean)
+    return -noise.whiten(noise.whiten(theta - x, x), x)
 
 
 # ---------------------------------------------------------------------------
@@ -73,28 +72,27 @@ def _score_given_inputs(channel: GaussianChannel, theta: np.ndarray, x: np.ndarr
 
 
 class InvertedChannel:
-    """Posterior over interventions given a channel output, uniform prior.
+    """Posterior over interventions given a parameter value, uniform prior.
 
-    For a fixed output theta the density over interventions x in the box is
-    q(theta|do(x)) / Z(theta) with Z the integral of the numerator over the
-    box. Outputs are unbounded; only this normalization is box-truncated.
+    For a fixed parameter theta the density over interventions x in the box
+    is q(theta|do(x)) / Z(theta) with Z the integral of the numerator over
+    the box. Parameters are unbounded; only this normalization is
+    box-truncated.
     """
 
-    def __init__(self, channel: GaussianChannel, box: Domain):
-        if box.dim != channel.dim_in:
-            raise InvalidConfigError("intervention box dimension must match channel input")
-        self.channel = channel
+    def __init__(self, noise: NoiseSpec, box: Domain):
+        self.noise = noise
         self.box = box
         self._norm_cache: dict[bytes, float] = {}
 
     # -- peak location and integration windows ------------------------------
 
     def _peak(self, theta: np.ndarray) -> np.ndarray:
-        """Intervention in the box whose output mean is closest to theta (ish)."""
+        """Intervention in the box closest to theta (ish)."""
         lo, hi = self.box.lower, self.box.upper
         grids = [np.linspace(lo[k], hi[k], 33) for k in range(self.box.dim)]
         mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, self.box.dim)
-        logq = _log_gauss_given_inputs(self.channel, theta, mesh)
+        logq = _log_gauss_given_inputs(self.noise, theta, mesh)
         x0 = mesh[int(np.argmax(logq))]
         # local refinement by coordinate-wise golden section
         width = (hi - lo) / 16.0
@@ -105,7 +103,7 @@ class InvertedChannel:
                 ts = np.linspace(a, b, 17)
                 cand = np.tile(x0, (17, 1))
                 cand[:, k] = ts
-                vals = _log_gauss_given_inputs(self.channel, theta, cand)
+                vals = _log_gauss_given_inputs(self.noise, theta, cand)
                 x0 = cand[int(np.argmax(vals))]
             width /= 8.0
         return x0
@@ -116,23 +114,14 @@ class InvertedChannel:
 
         The window reaches 12 of the widest noise sds either side of the
         peak. Its node count resolves the narrowest direction of the noise
-        ridge, at least sig_min / s_max wide in the interventions: two nodes
-        per such width, and never fewer than 160. On a scalar box, and for
-        isotropic noise through the identity, that is at most 48, so the
-        window keeps 160 nodes; the skewed two-species noise of
+        ridge, sig_min wide: two nodes per such width, and never fewer than
+        160. On a scalar box, and for isotropic noise, that is at most 48,
+        so the window keeps 160 nodes; the skewed two-species noise of
         [[1, .8], [.7, 1]] (sds 7 to 1) gets 335 at the box centre.
         """
-        mean = self.channel.mean(x_star)
-        sig_max = self.channel.noise.scale_bound(mean)
-        sig_min = math.sqrt(float(np.min(np.linalg.eigvalsh(self.channel.noise.covariance(mean)))))
-        jac = self.channel.jac(x_star)
-        svals = np.linalg.svd(jac, compute_uv=False)
-        s_min = float(svals.min()) if svals.size else 0.0
-        s_max = float(svals.max()) if svals.size else 0.0
-        if s_min <= 1e-12:
-            half = np.inf
-        else:
-            half = 12.0 * sig_max / s_min
+        sig_max = self.noise.scale_bound(x_star)
+        sig_min = math.sqrt(float(np.min(np.linalg.eigvalsh(self.noise.covariance(x_star)))))
+        half = 12.0 * sig_max
         segments: list[list[tuple[float, float, int]]] = []
         for k in range(self.box.dim):
             lo, hi = self.box.axes[k]
@@ -141,7 +130,7 @@ class InvertedChannel:
             segs = []
             if a > lo:
                 segs.append((lo, a, 48))
-            segs.append((a, b, max(160, math.ceil(2.0 * (b - a) * s_max / sig_min))))
+            segs.append((a, b, max(160, math.ceil(2.0 * (b - a) / sig_min))))
             if b < hi:
                 segs.append((b, hi, 48))
             segments.append(segs)
@@ -171,7 +160,7 @@ class InvertedChannel:
         if key in self._norm_cache:
             return self._norm_cache[key]
         nodes, weights = self._box_nodes(theta)
-        z = float(np.sum(weights * np.exp(_log_gauss_given_inputs(self.channel, theta, nodes))))
+        z = float(np.sum(weights * np.exp(_log_gauss_given_inputs(self.noise, theta, nodes))))
         if not (z > _NORMALIZER_FLOOR):
             raise UnreachableParameterError(
                 f"no intervention in the box reaches theta={theta}: normalizer {z:g}"
@@ -186,7 +175,7 @@ class InvertedChannel:
         for row in x_arr:
             if not _contains(self.box, row):
                 raise DomainViolationError(f"intervention {row} lies outside the box")
-        logq = _log_gauss_given_inputs(self.channel, theta, x_arr)
+        logq = _log_gauss_given_inputs(self.noise, theta, x_arr)
         out = logq - math.log(self.normalizer(theta))
         return float(out[0]) if np.ndim(x) <= 1 else out
 
@@ -202,10 +191,10 @@ class InvertedChannel:
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         nodes, weights = self._box_nodes(theta)
-        logq = _log_gauss_given_inputs(self.channel, theta, nodes)
+        logq = _log_gauss_given_inputs(self.noise, theta, nodes)
         shift = float(np.max(logq))
         q = np.exp(logq - shift)
-        sc = _score_given_inputs(self.channel, theta, nodes)
+        sc = _score_given_inputs(self.noise, theta, nodes)
         wq = weights * q
         m0 = float(np.sum(wq))
         if not (m0 * math.exp(shift) > _NORMALIZER_FLOOR):
@@ -218,17 +207,17 @@ class InvertedChannel:
         return 0.5 * (cov + cov.T)
 
 
-def invert_uniform_prior(channel: GaussianChannel, x_set: InterventionSet) -> InvertedChannel:
-    """Invert a channel against the uniform prior over a box of interventions."""
+def invert_uniform_prior(noise: NoiseSpec, x_set: InterventionSet) -> InvertedChannel:
+    """Invert the intervention noise against the uniform prior over a box of interventions."""
     if isinstance(x_set, DiscretePoints):
         raise InvalidConfigError(
             "uniform-prior inversion needs a continuous intervention box"
         )
-    return InvertedChannel(channel, x_set.domain)
+    return InvertedChannel(noise, x_set.domain)
 
 
 def intervention_metric(inverted: InvertedChannel) -> MetricField:
-    """Fisher metric of the uniform-prior inverted channel."""
+    """Fisher metric of the uniform-prior inverted intervention noise."""
     return MetricField.from_batch(
-        lambda points: np.stack([inverted.fisher(p) for p in points]), inverted.channel.dim_out
+        lambda points: np.stack([inverted.fisher(p) for p in points]), inverted.box.dim
     )

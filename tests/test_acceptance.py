@@ -48,7 +48,7 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 
 
 def quad(model, **kw):
-    return ei_exact_quadrature(model.x_set, model.ch_xt, model.ch_ty, **kw)
+    return ei_exact_quadrature(model.x_set, model.noise_xt, model.ch_ty, **kw)
 
 
 def two_species_curves(fixed: dict, sweep_to: dict):
@@ -237,7 +237,7 @@ def test_criterion_10_sampling_estimate_matches_geometric_route():
     start = time.perf_counter()
     model = two_species_model(TwoSpeciesConfig(epsilon=1e-2, delta=1e-2))
     geom = ei_geometric(model.g, model.h, model.theta_domain)
-    mc = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, MonteCarloSpec())
+    mc = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, MonteCarloSpec())
     elapsed = time.perf_counter() - start
     gap = abs(mc.nats - geom.nats)
     allowed = max(3.0 * mc.stderr, 0.05 * abs(geom.nats))
@@ -335,8 +335,8 @@ def test_criterion_13_property_contracts():
 
     spec = MonteCarloSpec(outer_samples=160, inner_samples=8, seed=5, batches=8)
     results.append(
-        ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
-        == ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+        ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
+        == ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     )
 
     geom = ei_geometric(model.g, model.h, model.theta_domain)

@@ -1,6 +1,5 @@
 """Channel construction, Gaussian log densities, and uniform-prior inversion."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -101,8 +100,7 @@ def test_finite_difference_jacobian_matches_analytic():
 
 def test_inversion_normalizes_to_one():
     """The inverted density must integrate to 1 over the intervention box."""
-    ch = scalar_channel(0.05)
-    inv = invert_uniform_prior(ch, UniformBox(UNIT))
+    inv = invert_uniform_prior(ConstantIsotropic(0.05), UniformBox(UNIT))
     for theta in (0.03, 0.31, 0.5, 0.97):
         total, err = integrate.quad(lambda x: inv.density(x, theta), 0.0, 1.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -110,10 +108,9 @@ def test_inversion_normalizes_to_one():
 
 
 def test_inversion_matches_gaussian_in_the_interior():
-    """Far from the box edges the inverted identity channel is N(theta, delta^2)."""
+    """Far from the box edges the inverted intervention noise is N(theta, delta^2)."""
     delta = 0.01
-    ch = scalar_channel(delta)
-    inv = invert_uniform_prior(ch, UniformBox(UNIT))
+    inv = invert_uniform_prior(ConstantIsotropic(delta), UniformBox(UNIT))
     theta = 0.42
     for x in (theta - 2 * delta, theta, theta + 2.5 * delta):
         ref = math.exp(-0.5 * ((x - theta) / delta) ** 2) / (delta * math.sqrt(2 * math.pi))
@@ -124,24 +121,21 @@ def test_inversion_truncates_at_the_boundary():
     # Half of the Gaussian mass is cut off at theta = 0, so the density at the
     # peak doubles relative to the interior value.
     delta = 0.01
-    ch = scalar_channel(delta)
-    inv = invert_uniform_prior(ch, UniformBox(UNIT))
+    inv = invert_uniform_prior(ConstantIsotropic(delta), UniformBox(UNIT))
     interior = inv.density(0.5, 0.5)
     edge = inv.density(0.0, 0.0)
     assert edge == pytest.approx(2.0 * interior, rel=1e-4)
 
 
 def test_unreachable_parameter_raises():
-    ch = scalar_channel(1e-3)
-    inv = invert_uniform_prior(ch, UniformBox(UNIT))
+    inv = invert_uniform_prior(ConstantIsotropic(1e-3), UniformBox(UNIT))
     with pytest.raises(UnreachableParameterError):
         inv.normalizer(50.0)
 
 
 def test_fisher_of_identity_inversion_is_one_over_delta_squared():
     delta = 0.02
-    ch = scalar_channel(delta)
-    inv = invert_uniform_prior(ch, UniformBox(UNIT))
+    inv = invert_uniform_prior(ConstantIsotropic(delta), UniformBox(UNIT))
     info = inv.fisher(0.5)
     assert info[0, 0] == pytest.approx(1.0 / delta**2, rel=1e-6)
 
@@ -151,10 +145,10 @@ def test_fisher_of_identity_inversion_is_one_over_delta_squared():
 # ---------------------------------------------------------------------------
 
 
-def dense_box_log_mixture(channel, box, theta, nodes=200, reach=12.0):
+def dense_box_log_mixture(noise, box, theta, nodes=200, reach=12.0):
     """log of (1 / vol) * integral over the box of q(theta | do(x)), by a tensor
     Gauss-Legendre rule on the part of the box within reach sds of theta."""
-    sds = np.sqrt(np.diag(channel.noise.covariance(box.lower)))
+    sds = np.sqrt(np.diag(noise.covariance(box.lower)))
     out = []
     for t in theta:
         lo = np.maximum(box.lower, t - reach * sds)
@@ -162,19 +156,9 @@ def dense_box_log_mixture(channel, box, theta, nodes=200, reach=12.0):
         axes = [gauss_legendre(a, b, nodes) for a, b in zip(lo, hi)]
         x = np.stack(np.meshgrid(*(n for n, _ in axes), indexing="ij"), axis=-1).reshape(-1, box.dim)
         w = np.prod(np.stack(np.meshgrid(*(v for _, v in axes), indexing="ij"), axis=-1), axis=-1).reshape(-1)
-        q = np.exp(gaussian_log_density(channel.noise, t, channel.mean(x)))
+        q = np.exp(gaussian_log_density(noise, t, x))
         out.append(math.log(np.sum(w * q) / box.volume))
     return np.array(out)
-
-
-def identity_channel(box, noise):
-    return GaussianChannel(
-        mean_map=lambda x: np.asarray(x, dtype=float),
-        noise=noise,
-        input_domain=box,
-        output_domain=box,
-        mean_is_identity=True,
-    )
 
 
 def near_the_edges(box, sds, rng, n=12):
@@ -189,53 +173,49 @@ SQUARE = Domain(((0.0, 1.0), (0.0, 1.0)))
 
 
 @pytest.mark.parametrize(
-    "channel",
+    "domain, noise",
     [
-        identity_channel(UNIT, ConstantIsotropic(0.05)),
-        identity_channel(SQUARE, FullConstant(np.diag([0.03, 0.08]) ** 2)),
-        two_species_model(TwoSpeciesConfig(0.01, 0.01, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))).ch_xt,
+        (UNIT, ConstantIsotropic(0.05)),
+        (SQUARE, FullConstant(np.diag([0.03, 0.08]) ** 2)),
+        (SQUARE, two_species_model(TwoSpeciesConfig(0.01, 0.01, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))).noise_xt),
     ],
     ids=["1d-isotropic", "2d-diagonal", "2d-full"],
 )
-def test_box_log_mixture_matches_a_dense_tensor_rule(channel):
+def test_box_log_mixture_matches_a_dense_tensor_rule(domain, noise):
     """The closed forms (CDF differences; one conditional-CDF rule for the
     correlated square) against a dense average, in log: measured worst
     7e-14, 1.2e-13 and 1.7e-13."""
-    box = UniformBox(channel.input_domain)
-    sds = np.sqrt(np.diag(channel.noise.covariance(box.domain.lower)))
+    box = UniformBox(domain)
+    sds = np.sqrt(np.diag(noise.covariance(box.domain.lower)))
     theta = near_the_edges(box.domain, sds, np.random.default_rng(3))
-    got = box.log_mixture(channel)(theta)
-    ref = dense_box_log_mixture(channel, box.domain, theta)
+    got = box.log_mixture(noise)(theta)
+    ref = dense_box_log_mixture(noise, box.domain, theta)
     assert np.max(np.abs(got - ref)) <= 1e-12
     # any leading shape: one value per parameter point
-    assert np.array_equal(box.log_mixture(channel)(theta.reshape(2, -1, box.dim)).reshape(-1), got)
+    assert np.array_equal(box.log_mixture(noise)(theta.reshape(2, -1, box.dim)).reshape(-1), got)
 
 
 def test_box_log_mixture_refuses_what_has_no_closed_form():
-    iso = identity_channel(UNIT, ConstantIsotropic(0.05))
     refused = [
-        dataclasses.replace(iso, mean_is_identity=False),
-        dataclasses.replace(iso, noise=DiagonalStateDependent(lambda t: 0.02 + 0.1 * t)),
-        identity_channel(CUBE, FullConstant(np.full((3, 3), 0.5) + 0.5 * np.eye(3))),
+        (UNIT, DiagonalStateDependent(lambda t: 0.02 + 0.1 * t)),
+        (CUBE, FullConstant(np.full((3, 3), 0.5) + 0.5 * np.eye(3))),
     ]
-    for channel in refused:
+    for domain, noise in refused:
         with pytest.raises(UseMonteCarloError):
-            UniformBox(channel.input_domain).log_mixture(channel)
+            UniformBox(domain).log_mixture(noise)
 
 
 def test_point_log_mixture_is_the_mean_over_the_points():
+    """Interventions are parameter coordinates, so points given in some other
+    coordinates are mapped into the parameter's before the set is built."""
     cov = np.array([[0.04, 0.01], [0.01, 0.02]])
-    channel = GaussianChannel(
-        mean_map=lambda x: np.concatenate([x[..., :1] + x[..., 1:], x[..., :1] - 0.5 * x[..., 1:]], axis=-1),
-        noise=FullConstant(cov),
-        input_domain=SQUARE,
-        output_domain=Domain(((-1.0, 2.0), (-1.0, 2.0))),
-    )
-    points = DiscretePoints(np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]]))
+    noise = FullConstant(cov)
+    raw = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]])
+    means = np.concatenate([raw[..., :1] + raw[..., 1:], raw[..., :1] - 0.5 * raw[..., 1:]], axis=-1)
+    points = DiscretePoints(means)
     theta = np.random.default_rng(5).uniform(-0.5, 1.5, (40, 2))
-    got = points.log_mixture(channel)(theta)
-    means = channel.mean(points.points)
+    got = points.log_mixture(noise)(theta)
     ref = np.mean([stats.multivariate_normal(m, cov).pdf(theta) for m in means], axis=0)
     np.testing.assert_allclose(np.exp(got), ref, rtol=1e-12)
-    lo, hi = points.mean_range(channel)
+    lo, hi = points.mean_range()
     assert np.array_equal(lo, means.min(axis=0)) and np.array_equal(hi, means.max(axis=0))

@@ -153,7 +153,7 @@ _SCALES = [  # (model, key) of every noise scale, and the confounder's alpha
     for name, keys in (
         ("dimmer", ("epsilon", "delta")),
         ("dimmer-family", ("epsilon", "delta")),
-        ("dimmer-weber", ("delta",)),
+        ("dimmer-weber", ("epsilon0", "delta", "floor")),
         ("binary-switch", ("epsilon", "delta")),
         ("two-species", ("epsilon", "delta")),
         ("decay-confounder", ("sigma_t", "sigma_x", "alpha")),
@@ -162,10 +162,11 @@ _SCALES = [  # (model, key) of every noise scale, and the confounder's alpha
 ]
 
 
-@pytest.mark.parametrize("value", ["5e-324", "1e-300", "1e300"])
+@pytest.mark.parametrize("value", ["5e-324", "1e-300", "1e-160", "1e300"])
 @pytest.mark.parametrize("name, key", _SCALES)
 def test_a_scale_whose_square_leaves_the_floats_exits_2(tmp_path, capsys, name, key, value):
-    """One rule refuses every scale: positive with a finite, nonzero square.
+    """One rule refuses every scale: positive with a finite, nonzero square
+    whose reciprocal is finite too (1e-160 squares to a subnormal).
     A run exits 2 naming the key before it makes its output directory, and
     so does eigen, with no traceback and no output."""
     entry = MODELS[name]
@@ -179,6 +180,24 @@ def test_a_scale_whose_square_leaves_the_floats_exits_2(tmp_path, capsys, name, 
         return
     theta = ",".join(["0.5"] * entry.dim)
     code = main(["eigen", "--model", name, "--theta", theta, "--param", f"{key}={value}"])
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert code == 2 and out == ""
+    assert line.startswith("config error:") and want in line
+
+
+@pytest.mark.parametrize("value", ["1e-12", "5e-324"])
+def test_a_weber_rate_whose_exponential_overflows_exits_2(tmp_path, capsys, value):
+    """The Weber profile divides by e^(1/r) - 1, which overflows for r below
+    1/ln(DBL_MAX), about 1.409e-3. A run exits 2 naming r before it makes its
+    output directory, and so does eigen, with no traceback and no output."""
+    want = f"rate parameter r must be at least 0.001409, as e^(1/r) overflows below it, got {float(value)}"
+    doc = {"schema_version": 1, "model": {"name": "dimmer-weber", "r": float(value)}, "computation": "ei-exact"}
+    code, out = run_into(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("config error:") and want in err and "Traceback" not in err
+    code = main(["eigen", "--model", "dimmer-weber", "--theta", "0.4", "--param", f"r={value}"])
     out, err = capsys.readouterr()
     [line] = err.splitlines()
     assert code == 2 and out == ""

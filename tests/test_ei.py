@@ -55,7 +55,7 @@ LN2 = math.log(2.0)
 
 
 def quad_ei(model, **kw):
-    return ei_exact_quadrature(model.x_set, model.ch_xt, model.ch_ty, **kw)
+    return ei_exact_quadrature(model.x_set, model.noise_xt, model.ch_ty, **kw)
 
 
 def test_spec_validation():
@@ -167,7 +167,7 @@ def test_oracle_equivalence_exact_vs_geometric_small_noise():
 def test_effect_distribution_normalizes():
     eps, delta = 0.08, 0.05
     model = dimmer_model(linear_profile(), eps, delta)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     # the unit box's effects, 8 combined sds beyond each edge
     reach = 8.0 * math.hypot(eps, delta)
     y, w = gauss_legendre(-reach, 1.0 + reach, 1001)
@@ -177,7 +177,7 @@ def test_effect_distribution_normalizes():
 def test_effect_distribution_discrete_mixture_closed_form():
     eps = delta = 0.05
     model = binary_switch_model(eps, delta)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     s2 = eps**2 + delta**2
     for y in (-0.1, 0.2, 0.5, 1.05):
         ref = 0.5 * sum(
@@ -197,10 +197,10 @@ def test_quadrature_refuses_high_dimensional_chains():
 def test_mc_is_deterministic_given_seed():
     model = dimmer_model(linear_profile(), 0.3, 0.3)
     spec = MonteCarloSpec(outer_samples=400, inner_samples=16, seed=9, batches=8)
-    a = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
-    b = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+    a = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
+    b = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     assert a == b
-    c = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, dataclasses.replace(spec, seed=10))
+    c = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, dataclasses.replace(spec, seed=10))
     assert c.nats != a.nats
 
 
@@ -219,7 +219,7 @@ def test_mc_two_species_is_pinned(matrix, nats):
     bitwise: numpy releases differ in the last bits of its linear algebra."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01, matrix=np.asarray(matrix)))
     spec = MonteCarloSpec(outer_samples=800, inner_samples=64, batches=8, seed=0)
-    report = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+    report = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     assert report.nats == pytest.approx(nats, rel=1e-12, abs=0.0)
 
 
@@ -230,7 +230,7 @@ def test_report_bits_follow_nats():
     spec = MonteCarloSpec(outer_samples=80, inner_samples=8, batches=8)
     reports = [
         quad_ei(model, check_convergence=False),
-        ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec),
+        ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec),
         ei_geometric(model.g, model.h, model.theta_domain),
     ]
     assert [r.method for r in reports] == ["exact-quadrature", "exact-mc", "geometric"]
@@ -244,7 +244,7 @@ def test_mc_agrees_with_quadrature():
     model = dimmer_model(linear_profile(), 0.1, 0.1)
     exact = quad_ei(model, check_convergence=False)
     spec = MonteCarloSpec(outer_samples=4000, inner_samples=64, seed=0, batches=16)
-    mc = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+    mc = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(mc.nats - exact.nats) <= 3.5 * mc.stderr + 1e-3
 
@@ -253,7 +253,7 @@ def test_mc_on_discrete_interventions():
     model = binary_switch_model(0.2, 0.2)
     exact = quad_ei(model, check_convergence=False)
     spec = MonteCarloSpec(outer_samples=4000, inner_samples=64, seed=1, batches=16)
-    mc = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+    mc = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     assert abs(mc.nats - exact.nats) <= 3.5 * mc.stderr + 1e-3
 
 
@@ -323,13 +323,7 @@ def test_geometric_rejects_indefinite_intervention_metric_with_positive_determin
 
 def test_quadrature_refuses_curve_valued_effects_and_mc_takes_them():
     unit = Domain(((0.0, 1.0),))
-    ch_xt = GaussianChannel(
-        mean_map=lambda x: np.asarray(x, dtype=float),
-        noise=ConstantIsotropic(0.1),
-        input_domain=unit,
-        output_domain=unit,
-        mean_is_identity=True,
-    )
+    noise_xt = ConstantIsotropic(0.1)
     ch_ty = GaussianChannel(
         mean_map=lambda t: np.concatenate([t, t**2], axis=-1),
         noise=ConstantIsotropic(0.1),
@@ -338,9 +332,9 @@ def test_quadrature_refuses_curve_valued_effects_and_mc_takes_them():
     )
     x_set = UniformBox(unit)
     with pytest.raises(UseMonteCarloError):
-        ei_exact_quadrature(x_set, ch_xt, ch_ty)
+        ei_exact_quadrature(x_set, noise_xt, ch_ty)
     spec = MonteCarloSpec(outer_samples=400, inner_samples=16, seed=0, batches=8)
-    report = ei_exact_mc(x_set, ch_xt, ch_ty, spec)
+    report = ei_exact_mc(x_set, noise_xt, ch_ty, spec)
     assert math.isfinite(report.nats) and report.nats > 0.0
 
 
@@ -348,7 +342,7 @@ def test_one_by_one_full_effect_noise_matches_isotropic():
     model = dimmer_model(linear_profile(), 0.1, 0.1)
     full = dataclasses.replace(model.ch_ty, noise=FullConstant(np.array([[0.1**2]])))
     iso = quad_ei(model, check_convergence=False)
-    got = ei_exact_quadrature(model.x_set, model.ch_xt, full, check_convergence=False)
+    got = ei_exact_quadrature(model.x_set, model.noise_xt, full, check_convergence=False)
     assert got.nats == pytest.approx(iso.nats, abs=1e-12)
 
 
@@ -368,16 +362,16 @@ def test_a_mirrored_effect_map_gives_the_same_ei(model):
         jacobian=lambda t: -ch.jac(t),
         output_domain=Domain(((-1.0, 0.0),)),
     )
-    assert _ScalarChain(model.ch_xt, mirrored, model.x_set).sign == -1.0
+    assert _ScalarChain(model.noise_xt, mirrored, model.x_set).sign == -1.0
     want = quad_ei(model)
-    got = ei_exact_quadrature(model.x_set, model.ch_xt, mirrored)
+    got = ei_exact_quadrature(model.x_set, model.noise_xt, mirrored)
     assert got.flags == want.flags == ()
     assert got.nats == pytest.approx(want.nats, rel=0.0, abs=4 * math.ulp(want.nats))
 
 
 def test_discrete_averaged_density_is_the_mean_of_the_conditionals():
     model = binary_switch_model(0.05, 0.05)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y = np.array([[-0.1], [0.2], [0.5], [1.05]])
     mus, sigs, _ = chain.components()
     per_point = [chain.conditional_density(y, mu, sig) for mu, sig in zip(mus, sigs)]
@@ -389,13 +383,13 @@ def test_box_quadrature_refuses_state_dependent_intervention_noise():
     intervention sigma that varies with the state has no closed form there.
     A discrete set still uses each point's own sigma."""
     model = dimmer_model(linear_profile(), 0.03, 0.03)
-    ch_xt = dataclasses.replace(model.ch_xt, noise=DiagonalStateDependent(lambda t: 0.02 + 0.1 * t))
+    noise_xt = DiagonalStateDependent(lambda t: 0.02 + 0.1 * t)
     with pytest.raises(UseMonteCarloError):
-        ei_exact_quadrature(model.x_set, ch_xt, model.ch_ty)
+        ei_exact_quadrature(model.x_set, noise_xt, model.ch_ty)
     with pytest.raises(UseMonteCarloError):
-        ei_exact_mc(model.x_set, ch_xt, model.ch_ty)
+        ei_exact_mc(model.x_set, noise_xt, model.ch_ty)
     points = DiscretePoints(np.array([[0.0], [1.0]]))
-    report = ei_exact_quadrature(points, ch_xt, model.ch_ty, check_convergence=False)
+    report = ei_exact_quadrature(points, noise_xt, model.ch_ty, check_convergence=False)
     assert 0.0 < report.nats <= math.log(2.0)
 
 
@@ -426,7 +420,7 @@ def test_effect_windows_merge_overlapping_envelopes():
     assert lo.tolist() == [0.0, 3.0, 10.0] and hi.tolist() == [2.5, 4.0, 11.0]
     # the switch's two effect clusters stay apart at small noise
     model = binary_switch_model(1e-3, 1e-3)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y, _, _ = kernel_nodes(chain, QuadratureSpec())
     lo, hi = _effect_windows(y)
     assert lo.size == 2 and hi[0] < 0.5 < lo[1]
@@ -462,7 +456,7 @@ GRID_CASES = {
     ids=[*GRID_CASES, "weber", "power2-1e-3", "family-a1-0.2"],
 )
 def test_shared_grid_log_density_matches_direct_evaluation(model, spec, rule, monkeypatch):
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y, weight, w = kernel_nodes(chain, spec, rule=rule)
     direct = np.log(chain.averaged_density(y.reshape(-1, 1))).reshape(y.shape)
     rows = []
@@ -481,7 +475,7 @@ def test_averaged_density_slope_matches_central_difference(model, spec, rule):
     """A difference of quadrature values also carries the motion of the
     y-dependent breakpoints; on family a=-5 that differs from de/dy by 5e-6
     of e/sigma, while de/dy and e both match a dense integral to 6e-8."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, spec, rule=rule)
     y = y[weight >= 1e-3][:, None]
     sigma = _sd(chain.ch_ty.noise, y)
@@ -496,7 +490,7 @@ def test_averaged_density_curvature_matches_central_difference(model, spec, rule
     """d2e/dy2 against a central difference of de/dy; as for the slope, the
     difference also carries the motion of the breakpoints (worst measured
     1.6e-5 of e/sigma^2, on family a = +-5)."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, spec, rule=rule)
     y = y[weight >= 1e-3][:, None]
     sigma = _sd(chain.ch_ty.noise, y)
@@ -549,7 +543,7 @@ def test_effect_grids_double_while_doubling_pays(model, refine):
     nodes do not outnumber what its two quarter points would cost, or when
     it is no wider than 1/8 of the smallest effect-noise sd at its points;
     the failing nodes are exactly the direct ones."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
     x, grid, cells, direct = chain.effect_grids(y, weight)
     (a, m, b), failing, fails = cell_failures(chain, y, weight, x, grid, cells)
@@ -576,7 +570,7 @@ def test_every_effect_grid_point_is_evaluated_once(model, refine, monkeypatch):
     the starting grids first, then the two quarter points of every
     splitting cell; then one for the nodes left to direct evaluation. The
     rows evaluated are the final grid points plus the direct nodes."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y, weight, _ = kernel_nodes(chain, QuadratureSpec(), refine)
     calls, averaged = [], chain._averaged
     monkeypatch.setattr(chain, "_averaged", lambda ys, *args: calls.append(ys[:, 0]) or averaged(ys, *args))
@@ -599,7 +593,7 @@ def test_window_with_no_more_nodes_than_its_starting_grid_goes_direct():
     window of its own; with up to 33 effect nodes those windows get no grid,
     while the edge windows (61 rows each) refine theirs."""
     model = dimmer_model(linear_profile(), 1e-3, 1e-3)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     for nodes in (31, 33, 35):
         y, weight, _ = kernel_nodes(chain, QuadratureSpec(nodes_per_axis=nodes))
         rows = np.bincount(window_of_each_row(y))
@@ -623,7 +617,7 @@ def test_fragmented_rows_take_the_grid_path_within_effect_grid(monkeypatch):
     local refinement takes 2,532 and 930 (920 grid points, 10 nodes
     direct)."""
     model = dimmer_model(linear_profile(), 1e-3, 1e-3)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     evaluated = []
     for refine in (1, 2):
         y, weight, w = kernel_nodes(chain, QuadratureSpec(), refine)
@@ -679,7 +673,7 @@ def effect_rows(chain, n):
 def test_row_blocks_never_change_the_numbers(model, monkeypatch):
     """conditional_density and _averaged over three full row blocks and a
     ragged last one equal one block over the same rows, bit for bit."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     cond_rows = ei._BLOCK // chain.KERNEL_NODES
     avg_rows = ei._BLOCK // chain.segment_nodes
     y, mu, sig = effect_rows(chain, 3 * cond_rows + 357)
@@ -701,7 +695,7 @@ def test_kl_all_hands_the_box_mixture_one_row_block_at_a_time(name):
     the Weber chain, gets at most _BLOCK points: the kernel's row blocks
     alone bound it."""
     model = BLOCK_CHAINS[name]
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     sizes = []
     log_mix = chain.log_mix
 
@@ -733,7 +727,7 @@ def test_exact_kernel_working_set_is_bounded():
     less 16 float vectors of its rows (about 11 measured), does not grow
     when its rows grow 4 times: those arrays live one row block at a time."""
     model = dimmer_family(0.25, 0.03, 0.03)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     mu, sig, _ = chain.components()
     assert mu.size == 120
     assert traced_peak(lambda: chain.kl_all(mu, sig, 201)) <= 12e6
@@ -756,7 +750,7 @@ GRID_CHAINS = {
 
 def grid_inputs(model):
     """The chain, its components and the f0, sd, mu, sig and rule (u, w) of one kl_all pass."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     mu, sig, _ = chain.components()
     f0, cov = chain.predicted_moments_batch(mu, sig)
     return chain, f0, np.sqrt(cov[:, 0, 0]), mu, sig, gauss_legendre(-_EFFECT_TAIL_SIGMAS, _EFFECT_TAIL_SIGMAS, 201)
@@ -833,7 +827,7 @@ def test_a_doubled_conditional_grid_evaluates_only_its_new_points(monkeypatch):
     counts = {}
     for name in ("family-a-5", "weber"):
         model = GRID_CHAINS[name]
-        chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+        chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
         mu, sig, _ = chain.components()
         density = chain.conditional_density
         for i in range(mu.size):
@@ -918,8 +912,7 @@ def uniform_outer_ei(chain, nodes, spec=QuadratureSpec()):
     """EI with a uniform Gauss-Legendre outer rule and the production effect axis."""
     (lo, hi), = chain.x_set.domain.axes
     x, wx = gauss_legendre(lo, hi, nodes)
-    mus = chain.ch_xt.mean(x[:, None])
-    kl = chain.kl_all(mus[:, 0], _sd(chain.ch_xt.noise, mus), spec.nodes_per_axis)
+    kl = chain.kl_all(x, _sd(chain.noise_xt, x[:, None]), spec.nodes_per_axis)
     return (wx / chain.x_set.domain.volume) @ kl
 
 
@@ -928,7 +921,7 @@ def test_graded_outer_panels_match_a_uniform_401_node_rule(model):
     """12 nodes per graded panel (84-132 nodes) against uniform G401: measured
     worst 1.7e-12 nats, on a = +-5, where uniform G201 is itself 2e-12 off;
     8 nodes per panel miss by 2.9e-9 there."""
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     mu, sig, w = chain.components()
     assert mu.size <= 132
     graded = w @ chain.kl_all(mu, sig, 201)
@@ -945,7 +938,7 @@ def test_graded_outer_panels_match_a_uniform_401_node_rule(model):
     ids=[*OUTER_CASES, "square-1e-3", "weber"],
 )
 def test_graded_panels_tile_the_box(model):
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     (lo, hi), = model.x_set.domain.axes
     for n in (12, 24):
         x, w = graded_gauss_legendre(lo, hi, *chain.outer_layers, n)
@@ -958,7 +951,7 @@ def test_weber_kink_is_an_outer_layer():
     floor; graded around that kink the outer rule matches uniform G1601 to
     1.1e-9 nats (edge layers alone: 2.5e-5, uniform G201: 4.6e-7)."""
     model = dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     kink = chain.invert_effect(np.asarray(model.ch_ty.noise.kinks))
     assert kink[0] in chain.outer_layers[0]
     mu, sig, w = chain.components()
@@ -974,7 +967,7 @@ def test_flat_edge_is_graded_from_the_intervention_noise():
     uniform G401 misses by 8e-10."""
     model = dimmer_model(power_profile(2.0), 1e-3, 1e-3)
     with np.errstate(all="raise"):
-        chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+        chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     assert chain.edge_noise(np.array([0.0]))[0] == np.inf
     centres, widths = chain.outer_layers
     flat = widths[centres == 0.0]
@@ -1014,7 +1007,7 @@ def test_doubled_pass_doubles_the_panel_and_effect_nodes(monkeypatch):
     ids=["family-a-5", "family-a5", "linear", "weber"],
 )
 def test_tabulated_inverse_matches_bisection(model):
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     f_lo, f_hi = chain.f(np.array([chain.ext_lo, chain.ext_hi]))[:, 0]
     reach = f_hi - f_lo
     targets = np.linspace(f_lo - 0.1 * reach, f_hi + 0.1 * reach, 20001)
@@ -1039,7 +1032,7 @@ def test_weber_kink_is_a_breakpoint():
     y = -9e-5 what is left is the mixture shoulder at theta = 0 under a flat
     likelihood, which the segment rule does not resolve."""
     model = dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 0.003)
-    chain = _ScalarChain(model.ch_xt, model.ch_ty, model.x_set)
+    chain = _ScalarChain(model.noise_xt, model.ch_ty, model.x_set)
     y = np.array([[1e-3], [-9e-5]])
     theta = np.linspace(chain.ext_lo, chain.ext_hi, 2_000_001)
     mix = np.exp(chain.log_mix(theta[:, None]))

@@ -102,14 +102,7 @@ def test_effect_metric_finite_difference_consistency():
 
 def test_intervention_metric_identity_channel():
     delta = 0.02
-    ch = GaussianChannel(
-        mean_map=lambda x: np.asarray(x, dtype=float),
-        noise=ConstantIsotropic(delta),
-        input_domain=UNIT,
-        output_domain=UNIT,
-        mean_is_identity=True,
-    )
-    h = intervention_metric(invert_uniform_prior(ch, UniformBox(UNIT)))
+    h = intervention_metric(invert_uniform_prior(ConstantIsotropic(delta), UniformBox(UNIT)))
     assert h(0.5)[0, 0] == pytest.approx(1.0 / delta**2, rel=1e-6)
 
 

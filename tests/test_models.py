@@ -115,7 +115,7 @@ def test_dimmer_model_metrics_match_numerical_routes():
 
     fd_channel = dataclasses.replace(model.ch_ty, jacobian=None)
     g_fd = effect_metric(fd_channel)
-    inv = invert_uniform_prior(model.ch_xt, UniformBox(model.ch_xt.input_domain))
+    inv = invert_uniform_prior(model.noise_xt, UniformBox(model.theta_domain))
     h_num = intervention_metric(inv)
     for theta in (0.25, 0.5, 0.75):
         assert model.g(theta)[0, 0] == pytest.approx(g_fd(theta)[0, 0], rel=1e-4)
@@ -130,7 +130,7 @@ def test_two_species_h_matches_the_uniform_prior_inversion(matrix, theta):
     noise ridge stays far from the edges at these points, so box truncation
     does not enter; the reference is within 7e-15 of the closed form here."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01, matrix=matrix))
-    h_ref = intervention_metric(invert_uniform_prior(model.ch_xt, model.x_set))
+    h_ref = intervention_metric(invert_uniform_prior(model.noise_xt, model.x_set))
     h = model.h(np.array(theta))
     assert np.max(np.abs(h_ref(theta) - h)) <= 1e-12 * np.max(np.abs(h))
 
@@ -405,6 +405,8 @@ _SCALED = {  # a build from the one scale it is handed, by model and the name it
     "family-delta": lambda v: dimmer_family(-2.0, 0.03, v),
     "switch-epsilon": lambda v: binary_switch_model(v, 1e-4),
     "switch-delta": lambda v: binary_switch_model(1e-4, v),
+    "weber-epsilon0": lambda v: weber_noise(v),
+    "weber-floor": lambda v: weber_noise(0.03, floor=v),
     "two-species-epsilon": lambda v: TwoSpeciesConfig(epsilon=v, delta=0.01),
     "two-species-delta": lambda v: TwoSpeciesConfig(epsilon=0.01, delta=v),
     **{
@@ -414,11 +416,12 @@ _SCALED = {  # a build from the one scale it is handed, by model and the name it
 }
 
 
-@pytest.mark.parametrize("value", [5e-324, 1e-300, 1e300])
+@pytest.mark.parametrize("value", [5e-324, 1e-300, 1e-160, 1e300])
 @pytest.mark.parametrize("case", _SCALED)
 def test_a_scale_whose_square_is_not_finite_and_positive_is_refused_by_name(case, value):
     """Subnormal, underflowing and overflowing scales: the square the metrics
-    divide by is 0 or inf, so every model refuses them with one message."""
+    divide by is 0, inf or (at 1e-160) a subnormal whose reciprocal is inf,
+    so every model refuses them with one message."""
     name = case.split("-")[-1]
     want = f"{name} must be positive with a finite, nonzero square, got {value}"
     with pytest.raises(InvalidConfigError, match=f"^{re.escape(want)}$"):

@@ -10,7 +10,6 @@ from scipy import integrate, linalg
 from causalgeom import (
     ConstantIsotropic,
     Domain,
-    GaussianChannel,
     MonteCarloSpec,
     UniformBox,
     causal_eigenvalues,
@@ -115,7 +114,7 @@ def test_grid_doubling_convergence(scale):
     """The built-in convergence check (a doubled-node second pass) stays
     below 1e-3 nats on the dimmer across its noise range."""
     model = dimmer_model(linear_profile(), scale, scale)
-    report = ei_exact_quadrature(model.x_set, model.ch_xt, model.ch_ty)
+    report = ei_exact_quadrature(model.x_set, model.noise_xt, model.ch_ty)
     assert FLAG_NOT_CONVERGED not in report.flags
 
 
@@ -124,21 +123,14 @@ def test_grid_doubling_convergence(scale):
 def test_mc_byte_determinism(seed):
     model = dimmer_model(linear_profile(), 0.4, 0.4)
     spec = MonteCarloSpec(outer_samples=160, inner_samples=8, seed=seed, batches=8)
-    a = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
-    b = ei_exact_mc(model.x_set, model.ch_xt, model.ch_ty, spec)
+    a = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
+    b = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     assert a == b
 
 
 @given(st.floats(0.02, 0.3), st.floats(0.1, 0.9))
 @settings(max_examples=10, deadline=None)
 def test_inverted_channel_normalization(delta, theta):
-    ch = GaussianChannel(
-        mean_map=lambda x: np.asarray(x, dtype=float),
-        noise=ConstantIsotropic(delta),
-        input_domain=UNIT,
-        output_domain=UNIT,
-        mean_is_identity=True,
-    )
-    inv = invert_uniform_prior(ch, UniformBox(UNIT))
+    inv = invert_uniform_prior(ConstantIsotropic(delta), UniformBox(UNIT))
     total, _ = integrate.quad(lambda x: inv.density(x, theta), 0.0, 1.0, limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
