@@ -25,7 +25,7 @@ def run() -> int:
         start = time.perf_counter()
         code = main(["run", str(config), *extra])
         elapsed = time.perf_counter() - start
-        print(f"{config.name}: exit {code} in {elapsed:.1f}s", file=sys.stderr)
+        print(f"{config.name}: exit {code} in {elapsed * 1e3:.0f} ms", file=sys.stderr)
         worst = max(worst, code)
     return worst
 

@@ -482,7 +482,8 @@ def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
     evaluate alike. Columns on the same model share its build at a sweep
     value: each thread keeps the models of the overrides it evaluated last,
     so a point's columns, and a crossover scan's curves at one value, build
-    each model once. No model crosses threads or outlives the run.
+    each model once. No model crosses threads or outlives the run. A
+    submanifold column builds its line once, here, for every evaluation.
     """
     seed, in_sweep = cfg["seed"], cfg["sweep"] is not None
     estimate = {
@@ -509,7 +510,7 @@ def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
     columns = [(MODELS[m["name"]].label if multi else "", column(i, fn)) for i, m in enumerate(models)]
     for name in cfg["submanifolds"]:
         factory, label = _SUBMANIFOLDS[name]
-        columns.append((label, column(0, lambda model, f=factory: coarse_grained_ei(model, f()))))
+        columns.append((label, column(0, lambda model, sub=factory(): coarse_grained_ei(model, sub))))
     return columns
 
 

@@ -70,17 +70,21 @@ def _potf2(entries: Entries) -> tuple[list[np.ndarray], np.ndarray]:
     are the diagonal of the gufunc behind ``np.linalg.cholesky`` bit for bit,
     without its per-matrix copy and LAPACK call; the one exception is a +inf
     a over an infinite or NaN b, where OpenBLAS scales by 1 / sqrt(a) = 0 by
-    writing zeros and IEEE arithmetic gives NaN. FP flags are ignored.
+    writing zeros and IEEE arithmetic gives NaN. FP flags are ignored. The
+    first pivot is tested on a's own entry, which on a tensor grid is a
+    vector, and joins the grid's failures only where it fails.
     """
+    a = entries[0]
+    a_failed = np.less_equal(a, 0.0)
+    if len(entries) == 1:
+        return [a], a_failed
     with np.errstate(all="ignore"):
-        a = entries[0]
-        if len(entries) == 1:
-            return [a], np.less_equal(a, 0.0)
         l10 = entries[1] * (1.0 / np.sqrt(a))
         l10 *= l10
         pivot = entries[2] - l10
         failed = pivot <= 0.0  # in the broadcast shape of all three entries
-        failed |= np.less_equal(a, 0.0)
+    if a_failed.any():
+        failed |= a_failed
     return [a, pivot], failed
 
 
@@ -119,25 +123,31 @@ def _logdet(entries: Entries, jitter: bool = False) -> np.ndarray:
     :func:`_lapack_cholesky`, and it is 2 * the in-order sum of the logs of
     the factor's diagonal. With ``jitter`` the failing matrices alone are
     retried once, on their entries through :func:`_jittered`.
+
+    The factorization is the one step that raises FP flags, under its own
+    ``errstate``. The logs raise none: a factor that fails is all NaN, and
+    the pivots of a failing matrix, <= 0 where they fail, are made NaN
+    before their logs are taken. Every other pivot is positive or NaN.
     """
-    with np.errstate(all="ignore"):
-        if len(entries) > 3:
-            chol = _lapack_cholesky(_gather(entries))
-            logdet = np.asarray(2.0 * sum(np.log(chol[..., j, j]) for j in range(chol.shape[-1])))
-            failed = np.isnan(chol[..., 0, -1])
-        else:
-            pivots, failed = _potf2(entries)
-            # The last pivot has the broadcast shape; IEEE addition commutes,
-            # so adding the first log to it in place is log p0 + log p1.
-            logdet = np.asarray(np.log(pivots[-1]))
-            if len(pivots) == 2:
-                logdet += np.log(pivots[0])
-    if failed.any():
-        np.copyto(logdet, np.nan, where=failed)
-        if jitter:
-            shape = np.shape(failed)
-            retry = tuple(np.broadcast_to(e, shape)[failed] for e in entries)
-            logdet[failed] = _logdet(_jittered(retry))
+    if len(entries) > 3:
+        chol = _lapack_cholesky(_gather(entries))
+        logdet = np.asarray(2.0 * sum(np.log(chol[..., j, j]) for j in range(chol.shape[-1])))
+        failed = np.isnan(chol[..., 0, -1])
+        failing = failed.any()
+    else:
+        pivots, failed = _potf2(entries)
+        failing = failed.any()
+        if failing:
+            pivots = [np.where(p > 0.0, p, np.nan) for p in pivots]
+        # The last pivot has the broadcast shape; IEEE addition commutes,
+        # so adding the first log to it in place is log p0 + log p1.
+        logdet = np.asarray(np.log(pivots[-1]))
+        if len(pivots) == 2:
+            logdet += np.log(pivots[0])
+    if failing and jitter:
+        shape = np.shape(failed)
+        retry = tuple(np.broadcast_to(e, shape)[failed] for e in entries)
+        logdet[failed] = _logdet(_jittered(retry))
     return logdet
 
 

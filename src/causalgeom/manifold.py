@@ -71,18 +71,19 @@ def pullback_field(m: MetricField, sub: Submanifold) -> MetricField:
     a scalar. Raises InvalidConfigError when the direction's length is not
     m's dimension.
     """
-    a, offset = sub.direction, sub.offset
-    if a.size != m.dim:
+    a, offset = sub.direction.tolist(), sub.offset.tolist()
+    if len(a) != m.dim:
         raise InvalidConfigError(
-            f"submanifold {sub.label!r} lies in {a.size} dimensions, the metric in {m.dim}"
+            f"submanifold {sub.label!r} lies in {len(a)} dimensions, the metric in {m.dim}"
         )
-    pairs = [(i, k) for i in range(m.dim) for k in range(i + 1)]
+    # The weight a_i a_k of each entry, doubled off the diagonal, formed once.
+    weights = [(2.0 if k < i else 1.0) * a[i] * a[k] for i in range(m.dim) for k in range(i + 1)]
 
     def entries(coords: tp.Sequence[np.ndarray]) -> tuple[np.ndarray]:
         parent = m.entries(tuple(offset[k] + coords[0] * a[k] for k in range(m.dim)))
-        total = a[0] * a[0] * parent[0]
-        for (i, k), entry in zip(pairs[1:], parent[1:]):
-            total = total + (2.0 if k < i else 1.0) * a[i] * a[k] * entry
+        total = weights[0] * parent[0]
+        for weight, entry in zip(weights[1:], parent[1:]):
+            total = total + weight * entry
         return (total,)
 
     return MetricField(entries, 1)

@@ -84,13 +84,18 @@ def linear_profile() -> DimmerProfile:
 
 
 def _exp_profile(a: float, label: str) -> DimmerProfile:
+    """f(t) = (e^{a t} - 1) / (e^a - 1), a != 0, with the slope formed as the
+    one exponential e^{a t + log(a / (e^a - 1))}: unlike the product
+    a e^{a t}, which overflows for a near ln(DBL_MAX), it is finite wherever
+    the slope is."""
     denom = math.expm1(a)
+    log_scale = math.log(a / denom)
 
     def f(t):
         return np.expm1(a * np.asarray(t, dtype=float)) / denom
 
     def df(t):
-        return a * np.exp(a * np.asarray(t, dtype=float)) / denom
+        return np.exp(a * np.asarray(t, dtype=float) + log_scale)
 
     return DimmerProfile(f=f, df=df, label=label)
 
@@ -314,28 +319,42 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         jacobian=jac,
     )
 
+    def column(coord: np.ndarray) -> np.ndarray:
+        """Column k of `jac` at coordinate k, for every time point at once: (n,) + coord's shape."""
+        neg_t = -times.reshape((n,) + (1,) * np.ndim(coord))
+        col = neg_t * coord
+        np.exp(col, out=col)
+        col *= neg_t
+        return col
+
+    def in_order_sum(rows: np.ndarray) -> np.ndarray:
+        """The rows summed first to last, which numpy's reductions do not promise."""
+        total = rows[0] + rows[1]  # a new array, so += adds to it in place
+        for row in rows[2:]:
+            total += row
+        return total
+
     def g_entries(coords: tp.Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         # J^T J entry by entry, each an in-order sum over the time points: the
-        # einsum's value, at a fraction of its cost on these short axes. One
-        # time point at a time, summed in place, so no (n, N) temporary is
-        # built; the products are those of `jac`. On the open mesh of a
-        # tensor grid g00 varies along theta_1 alone and g11 along theta_2
-        # alone; only g01 fills the grid. The sums start as arrays, which 0-d
-        # coordinates' scalars are not, so that += adds in place.
-        sums = None
-        for neg_t in -times:
-            j0 = neg_t * np.exp(neg_t * coords[0])
-            j1 = neg_t * np.exp(neg_t * coords[1])
-            terms = (j0 * j0, j0 * j1, j1 * j1)
-            if sums is None:
-                sums = tuple(np.asarray(term) for term in terms)
-            else:
-                for total, term in zip(sums, terms):
-                    total += term
+        # einsum's value, at a fraction of its cost on these short axes. The
+        # Jacobian's columns are formed once for all time points. On the open
+        # mesh of a tensor grid column 0 varies along theta_1 alone and
+        # column 1 along theta_2 alone, so g00 and g11 stay vectors; only
+        # g01 fills the grid, and it is accumulated in place one time point
+        # at a time, not from an (n, N) stack of products. The columns are
+        # then squared in place for the diagonal entries.
+        j0, j1 = column(coords[0]), column(coords[1])
+        g01 = j0[0] * j1[0]
+        for k in range(1, n):
+            g01 += j0[k] * j1[k]
+        j0 *= j0
+        j1 *= j1
+        g00, g11 = in_order_sum(j0), in_order_sum(j1)
         scale = cfg.epsilon**2
-        for total in sums:
-            total /= scale
-        return sums
+        g00 /= scale
+        g01 /= scale
+        g11 /= scale
+        return g00, g01, g11
 
     g = MetricField(g_entries, 2)
     a_inv = np.linalg.inv(a)

@@ -497,6 +497,25 @@ def test_two_species_ei_geometric_factors_the_constant_h_once(monkeypatch, cfg):
     assert report == expected
 
 
+@pytest.mark.parametrize("delta_t", [0.914, 50.0])
+def test_two_species_constant_h_weighs_as_the_same_h_per_node(delta_t):
+    """At fig4a settings the two-species constant h, whose sqrt(det h) is one
+    0-d value broadcast to the grid, gives the estimate that the same h given
+    at every node (MetricField.from_batch) gives, within 1e-13 nats in each
+    term; at delta_t = 50, where g does not factor at some nodes, both are
+    -inf."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t))
+    per_node = MetricField.from_batch(model.h.batch, 2)
+    assert [np.shape(e) for e in per_node.entries(_field_mesh(model.theta_domain, 101)[0])] == [(101, 102)] * 3
+    constant = ei_geometric(model.g, model.h, model.theta_domain)
+    batch = ei_geometric(model.g, per_node, model.theta_domain)
+    if delta_t == 50.0:
+        assert constant.nats == batch.nats == -math.inf
+    else:
+        for name in ("nats", "volume_term", "mean_mismatch"):
+            assert abs(getattr(constant, name) - getattr(batch, name)) <= 1e-13, name
+
+
 SKEWED = np.array([[1.0, 0.8], [0.7, 1.0]])
 
 

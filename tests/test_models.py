@@ -65,6 +65,18 @@ def test_profiles_are_anchored_and_monotone():
         assert np.all(np.asarray(profile.df(GRID[1:-1]), dtype=float) > 0)
 
 
+def test_steepest_weber_profile_has_a_finite_positive_slope():
+    """At r = 1.41e-3, just above the refusal bound, a = 1/r puts a * e^(a t)
+    above DBL_MAX near t = 1 while the slope itself stays below 700 on
+    [0, 1]: it is finite and positive there, with no FP warning raised."""
+    profile = weber_optimal_profile(1.41e-3)
+    with np.errstate(all="raise"):
+        df = np.asarray(profile.df(GRID), dtype=float)
+    assert np.all(np.isfinite(df)) and np.all(df > 0.0)
+    a = 1.0 / 1.41e-3
+    assert df[-1] == pytest.approx(a / -math.expm1(-a), rel=1e-12)
+
+
 def test_family_profile_is_linear_at_zero_and_continuous_there():
     lin = linear_profile()
     f0 = np.asarray(family_profile(0.0).f(GRID))
@@ -173,6 +185,22 @@ def test_two_species_gram_is_bit_identical_to_einsum(n_points, delta_t):
     np.testing.assert_array_equal(model.ch_ty.jac(pts), jac)
     gram = np.einsum("nki,nkj->nij", jac, jac) / eps**2
     np.testing.assert_array_equal(model.g.batch(pts), 0.5 * (gram + np.swapaxes(gram, -1, -2)))
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 7])
+@pytest.mark.parametrize("delta_t", [0.02, 1.0, 50.0])
+def test_two_species_open_mesh_entries_are_the_batch_bit_for_bit(n_points, delta_t):
+    """On the open mesh of the 101 x 102 grid, g00 is a (101, 1) vector, g11
+    a (1, 102) vector and g01 the (101, 102) grid, and each, broadcast to
+    the grid, equals the entry of g.batch at the same 10,302 nodes bit for
+    bit."""
+    model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, n_points=n_points))
+    mesh = _field_mesh(model.theta_domain, 101)[0]
+    entries = model.g.entries(mesh)
+    assert [np.shape(e) for e in entries] == [(101, 1), (101, 102), (1, 102)]
+    stack = model.g.batch(_nodes(model.theta_domain, 101)).reshape(101, 102, 2, 2)
+    for entry, (i, j) in zip(entries, [(0, 0), (1, 0), (1, 1)]):
+        np.testing.assert_array_equal(np.broadcast_to(entry, (101, 102)), stack[..., i, j])
 
 
 def test_two_species_g_batch_peak_memory_is_a_few_outputs():
