@@ -19,13 +19,8 @@ from .ei import (
 )
 from .errors import (
     CausalGeomError,
-    DegenerateDistributionError,
-    DegenerateEmbeddingError,
-    DegenerateModelError,
-    IllPosedInterventionsError,
     InvalidConfigError,
     NumericalFailureError,
-    RegimeError,
     UseMonteCarloError,
 )
 from .geometry import (

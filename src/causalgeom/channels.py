@@ -19,7 +19,7 @@ import numpy as np
 
 from ._quadrature import gauss_legendre, graded_gauss_legendre
 from ._special import box_mass, logsumexp, ndtr
-from .errors import DegenerateDistributionError, InvalidConfigError, UseMonteCarloError
+from .errors import InvalidConfigError, NumericalFailureError, UseMonteCarloError
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 
@@ -274,7 +274,7 @@ class DiagonalStateDependent:
         sig = np.asarray(self.sigma_fn(np.asarray(mean, dtype=float)), dtype=float)
         sig = np.broadcast_to(sig, np.shape(mean))
         if not np.all(sig > 0.0):
-            raise DegenerateDistributionError("state-dependent sigma must stay positive")
+            raise NumericalFailureError("state-dependent sigma must stay positive")
         return sig
 
     def covariance(self, mean: np.ndarray) -> np.ndarray:
@@ -317,7 +317,7 @@ class FullConstant:
         try:
             chol = np.linalg.cholesky(c)
         except np.linalg.LinAlgError as exc:
-            raise DegenerateDistributionError("covariance is not positive definite") from exc
+            raise NumericalFailureError("covariance is not positive definite") from exc
         object.__setattr__(self, "cov", c)
         object.__setattr__(self, "_chol", chol)
 
@@ -384,16 +384,11 @@ class GaussianChannel:
     mean_map: tp.Callable[[np.ndarray], np.ndarray]
     noise: NoiseSpec
     input_domain: Domain
-    output_domain: Domain
     jacobian: tp.Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def dim_in(self) -> int:
         return self.input_domain.dim
-
-    @property
-    def dim_out(self) -> int:
-        return self.output_domain.dim
 
     def mean(self, x: ArrayLike) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -160,8 +160,6 @@ class _ScalarChain:
     def __init__(self, noise_xt: NoiseSpec, ch_ty: GaussianChannel, x_set: InterventionSet):
         if x_set.dim != 1:
             raise UseMonteCarloError("exact quadrature requires a scalar parameter")
-        if ch_ty.dim_out != 1:
-            raise UseMonteCarloError("exact quadrature requires a scalar effect")
         self.noise_xt = noise_xt
         self.ch_ty = ch_ty
         self.x_set = x_set
@@ -175,7 +173,10 @@ class _ScalarChain:
         self.ext_lo = lo - pad
         self.ext_hi = hi + pad
         self.theta_table = np.linspace(self.ext_lo, self.ext_hi, self.INVERSE_TABLE)
-        f_table = self.f(self.theta_table)[:, 0]
+        f_table = self.f(self.theta_table)
+        if f_table.shape[-1] != 1:
+            raise UseMonteCarloError("exact quadrature requires a scalar effect")
+        f_table = f_table[:, 0]
         self.sign = 1.0 if f_table[-1] >= f_table[0] else -1.0
         self.f_table = self.sign * f_table  # increasing
         # the effect noise names effect values where it has a kink (Weber

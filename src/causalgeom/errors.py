@@ -2,7 +2,13 @@
 
 Everything raised on purpose derives from :class:`CausalGeomError`, so callers
 (and the command line driver) can distinguish "the model/config is bad" from
-genuine bugs.
+genuine bugs. It has three subclasses, one per outcome a caller acts on:
+
+- :class:`InvalidConfigError`: a value is refused; the CLI exits 2;
+- :class:`UseMonteCarloError`: exact quadrature does not apply; the CLI falls
+  back to Monte Carlo;
+- :class:`NumericalFailureError`: a computation on valid values failed; the
+  CLI exits 3, or leaves a gap in a crossover scan.
 """
 
 from __future__ import annotations
@@ -16,33 +22,14 @@ class InvalidConfigError(CausalGeomError):
     """A configuration value is malformed or out of its allowed range."""
 
 
-class DegenerateDistributionError(CausalGeomError):
-    """A covariance matrix is not positive definite."""
-
-
-class IllPosedInterventionsError(CausalGeomError):
-    """The intervention metric is singular where it must be invertible."""
-
-
-class DegenerateModelError(CausalGeomError):
-    """A model quantity that must be finite/invertible is not.
-
-    Used e.g. when g + h is singular at a quadrature node, which makes the
-    mismatch field undefined rather than +inf.
-    """
-
-
-class DegenerateEmbeddingError(CausalGeomError):
-    """A submanifold line has a zero direction."""
-
-
 class UseMonteCarloError(CausalGeomError):
     """The requested exact quadrature is not feasible at this dimension."""
 
 
-class RegimeError(CausalGeomError):
-    """Model parameters are outside the regime a formula is valid in."""
-
-
 class NumericalFailureError(CausalGeomError):
-    """A numerical routine failed to produce a trustworthy result."""
+    """A numerical routine failed to produce a trustworthy result.
+
+    Raised, e.g., for a covariance that is not positive definite, an
+    intervention metric that is singular where it must be invertible, or a
+    formula asked for outside the regime it is valid in.
+    """

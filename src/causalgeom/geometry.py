@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .channels import GaussianChannel
-from .errors import DegenerateModelError, IllPosedInterventionsError
+from .errors import NumericalFailureError
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 
@@ -152,7 +152,7 @@ def _logdet(entries: Entries, jitter: bool = False) -> np.ndarray:
 
 
 def _require_factored(logdet: np.ndarray, coords: tp.Sequence[np.ndarray] | None, what: str) -> None:
-    """Raise DegenerateModelError naming the first node whose log det is NaN.
+    """Raise NumericalFailureError naming the first node whose log det is NaN.
 
     ``coords`` holds one array per parameter (as ``MetricField.entries``
     takes them), broadcasting to the shape ``logdet`` broadcasts to.
@@ -164,7 +164,7 @@ def _require_factored(logdet: np.ndarray, coords: tp.Sequence[np.ndarray] | None
             shape = np.broadcast_shapes(failed.shape, *(np.shape(c) for c in coords))
             first = np.unravel_index(int(np.argmax(np.broadcast_to(failed, shape))), shape)
             where = f" at {np.array([np.broadcast_to(c, shape)[first] for c in coords])}"
-        raise DegenerateModelError(f"{what} is not positive definite{where}")
+        raise NumericalFailureError(f"{what} is not positive definite{where}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -291,7 +291,7 @@ def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> np.n
     The whitened matrix L^-1 g L^-T (h = L L^T) is symmetric, so the solve is
     stable and the eigenvalues are exactly those of h^-1 g. h is factored by
     the gufunc with :func:`_logdet`'s one jitter retry; an h whose factor is
-    then still not finite raises IllPosedInterventionsError.
+    then still not finite raises NumericalFailureError.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g_mat, h_mat = g(theta), h(theta)
@@ -299,7 +299,7 @@ def causal_eigenvalues(g: MetricField, h: MetricField, theta: ArrayLike) -> np.n
     if not np.isfinite(chol).all():
         chol = _lapack_cholesky(_gather(_jittered(_entries(h_mat))))
     if not np.isfinite(chol).all():
-        raise IllPosedInterventionsError(f"intervention metric is singular at theta={theta}")
+        raise NumericalFailureError(f"intervention metric is singular at theta={theta}")
     half = np.linalg.solve(chol, g_mat)
     whitened = np.linalg.solve(chol, half.T)
     whitened = _sym(whitened)

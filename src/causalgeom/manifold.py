@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Domain
 from .ei import EIReport, ei_geometric
-from .errors import CausalGeomError, DegenerateEmbeddingError, InvalidConfigError
+from .errors import CausalGeomError, InvalidConfigError
 from .geometry import MetricField
 
 logger = logging.getLogger(__name__)
@@ -31,8 +31,8 @@ class Submanifold:
 
     ``offset`` and ``direction`` are finite 1-D arrays of the parameter
     dimension d, and ``sigma_domain`` is the one-dimensional box sigma ranges
-    over. They are checked once, here: InvalidConfigError for values that do
-    not make a line, DegenerateEmbeddingError for a zero direction.
+    over. They are checked once, here: InvalidConfigError for any value that
+    does not make a line, a zero direction included.
     """
 
     offset: np.ndarray
@@ -52,7 +52,7 @@ class Submanifold:
         if not np.isfinite([offset, direction]).all():
             raise InvalidConfigError(f"submanifold {self.label!r} has a non-finite offset or direction")
         if not direction.any():
-            raise DegenerateEmbeddingError(f"submanifold {self.label!r} has a zero direction")
+            raise InvalidConfigError(f"submanifold {self.label!r} has a zero direction")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "direction", direction)
 

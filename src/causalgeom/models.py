@@ -30,7 +30,7 @@ from .channels import (
     NoiseSpec,
     UniformBox,
 )
-from .errors import InvalidConfigError, NumericalFailureError, RegimeError
+from .errors import InvalidConfigError, NumericalFailureError
 from .geometry import MetricField, constant_metric, effect_metric
 from .manifold import Submanifold
 
@@ -203,7 +203,6 @@ def _profile_channel(profile: DimmerProfile, noise: NoiseSpec) -> GaussianChanne
         mean_map=mean,
         noise=noise,
         input_domain=UNIT_INTERVAL,
-        output_domain=UNIT_INTERVAL,
         jacobian=jac,
     )
 
@@ -310,12 +309,10 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         return np.stack([-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)], axis=-1)
 
     a = cfg.matrix
-    y_domain = Domain(tuple((0.0, 2.0) for _ in range(n)))
     ch_ty = GaussianChannel(
         mean_map=mean,
         noise=ConstantIsotropic(cfg.epsilon),
         input_domain=UNIT_SQUARE,
-        output_domain=y_domain,
         jacobian=jac,
     )
 
@@ -499,7 +496,8 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
 
     ``h_stat_series`` is the small-(sigma_t/sigma_x) expansion
     <1/sigma_net^2> - 3 (alpha x_hat + theta^2) (sigma_t/sigma_x)^4 and is
-    only served inside its validity regime (ratio <= 0.1).
+    only served inside its validity regime (ratio <= 0.1); outside it raises
+    NumericalFailureError.
     """
     h_caus_val = 1.0 / (cfg.sigma_t**2 * cfg.alpha**2)
     h_caus = constant_metric(np.array([[h_caus_val]]))
@@ -516,7 +514,7 @@ def decay_confounder_metrics(cfg: DecayConfounderConfig) -> DecayConfounderMetri
 
     def series(theta: float) -> float:
         if cfg.ratio > 0.1:
-            raise RegimeError(
+            raise NumericalFailureError(
                 f"series expansion valid for sigma_t/sigma_x <= 0.1, got {cfg.ratio:g}"
             )
         _, mean_inv_var = moments(float(theta))

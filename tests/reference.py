@@ -18,7 +18,7 @@ import typing as tp
 
 import numpy as np
 
-from causalgeom import CausalGeomError, DiscretePoints, Domain, InvalidConfigError, MetricField
+from causalgeom import DiscretePoints, Domain, InvalidConfigError, MetricField, NumericalFailureError
 from causalgeom._quadrature import gauss_legendre
 from causalgeom.channels import InterventionSet, NoiseSpec, gaussian_log_density
 
@@ -29,11 +29,11 @@ ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 _NORMALIZER_FLOOR = 1e-300
 
 
-class DomainViolationError(CausalGeomError):
+class DomainViolationError(InvalidConfigError):
     """A point lies outside the domain it is required to be in."""
 
 
-class UnreachableParameterError(CausalGeomError):
+class UnreachableParameterError(NumericalFailureError):
     """No intervention in the box reaches this parameter value.
 
     Raised when the normalization integral of the inverted channel underflows

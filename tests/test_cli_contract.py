@@ -124,12 +124,11 @@ def test_any_config_keeps_the_cli_contract(doc):
 
 PUBLIC_NAMES = [
     "CausalGeomError", "ChainModel", "ConstantIsotropic", "Crossing", "CrossoverScan",
-    "DecayConfounderConfig", "DecayConfounderMetrics", "DegenerateDistributionError",
-    "DegenerateEmbeddingError", "DegenerateModelError", "DiagonalStateDependent", "DimmerProfile",
+    "DecayConfounderConfig", "DecayConfounderMetrics", "DiagonalStateDependent", "DimmerProfile",
     "DiscretePoints", "Domain", "EIReport", "FullConstant", "GaussianChannel",
-    "IllPosedInterventionsError", "InvalidConfigError", "MetricField", "MonteCarloSpec",
-    "NumericalFailureError", "QuadratureSpec", "RegimeError", "Submanifold",
-    "SweepSpec", "TwoSpeciesConfig", "UniformBox", "UseMonteCarloError",
+    "InvalidConfigError", "MetricField", "MonteCarloSpec", "NumericalFailureError",
+    "QuadratureSpec", "Submanifold", "SweepSpec", "TwoSpeciesConfig", "UniformBox",
+    "UseMonteCarloError",
     "antidiagonal_submanifold", "binary_switch_model", "causal_eigenvalues", "coarse_grained_ei",
     "constant_metric", "crossover_scan", "decay_confounder_metrics", "diagonal_submanifold",
     "dimmer_family", "dimmer_model", "effect_metric", "ei_exact_mc", "ei_exact_quadrature",
@@ -141,10 +140,21 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     """The names ``causalgeom`` binds that do not start with an underscore,
     less its submodules (bound once anything imports them, so they depend
-    on test order): the 54 names its ``__init__`` imports."""
+    on test order): the 47 names its ``__init__`` imports."""
     names = sorted(
         name
         for name, value in vars(causalgeom).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_error_hierarchy_is_the_three_outcomes_callers_act_on():
+    """One class per outcome: a refused value (exit 2), exact quadrature
+    out of its domain (the Monte Carlo fallback), and a failed computation
+    (exit 3, or a gap in a crossover scan)."""
+    assert set(causalgeom.CausalGeomError.__subclasses__()) == {
+        causalgeom.InvalidConfigError,
+        causalgeom.UseMonteCarloError,
+        causalgeom.NumericalFailureError,
+    }

@@ -18,7 +18,6 @@ from causalgeom import (
     InvalidConfigError,
     MetricField,
     NumericalFailureError,
-    RegimeError,
     TwoSpeciesConfig,
     UniformBox,
     binary_switch_model,
@@ -300,7 +299,7 @@ def test_decay_confounder_limit_recovers_causal_metric():
 def test_decay_confounder_series_regime_guard():
     cfg = DecayConfounderConfig(sigma_t=0.5, sigma_x=1.0, alpha=1.0, x_hat=1.0)
     mets = decay_confounder_metrics(cfg)
-    with pytest.raises(RegimeError):
+    with pytest.raises(NumericalFailureError, match=r"series expansion valid for sigma_t/sigma_x <= 0\.1"):
         mets.h_stat_series(0.5)
 
 
