@@ -376,34 +376,16 @@ class GaussianChannel:
     """Input -> Gaussian(mean_map(input), noise at that mean).
 
     ``mean_map`` must accept arrays shaped (..., d_in) and return
-    (..., d_out). ``jacobian``, when given, must return (..., d_out, d_in);
-    otherwise a central finite difference with step 1e-5 of the input axis
-    span is used.
+    (..., d_out); ``jacobian`` must return its derivative, (..., d_out, d_in).
     """
 
     mean_map: tp.Callable[[np.ndarray], np.ndarray]
     noise: NoiseSpec
-    input_domain: Domain
-    jacobian: tp.Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def dim_in(self) -> int:
-        return self.input_domain.dim
+    jacobian: tp.Callable[[np.ndarray], np.ndarray]
 
     def mean(self, x: ArrayLike) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.mean_map(x), dtype=float)
-        return out
+        return np.asarray(self.mean_map(np.asarray(x, dtype=float)), dtype=float)
 
     def jac(self, x: ArrayLike) -> np.ndarray:
-        """Jacobian of the mean map, analytic if available else central FD."""
-        x = np.asarray(x, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        steps = 1e-5 * self.input_domain.spans
-        cols = []
-        for k in range(self.dim_in):
-            e = np.zeros(self.dim_in)
-            e[k] = steps[k]
-            cols.append((self.mean(x + e) - self.mean(x - e)) / (2.0 * steps[k]))
-        return np.stack(cols, axis=-1)
+        """Jacobian of the mean map."""
+        return np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)

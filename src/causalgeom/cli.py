@@ -202,9 +202,10 @@ _IMPLIED_ESTIMATOR = {"ei-exact": "exact", "ei-geom": "geometric"}
 
 def _load_config(path: str) -> dict:
     p = pathlib.Path(path)
-    if not p.is_file():
-        raise InvalidConfigError(f"config file not found: {path}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:  # absent, a directory, or a path the file system refuses
+        raise InvalidConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
     if p.suffix == ".json":
         doc = json.loads(text)
         if isinstance(doc, dict) and "config" in doc:  # a manifest round-trip
@@ -488,7 +489,7 @@ def _columns(cfg: dict) -> list[tuple[str, tp.Callable[[dict], EIReport]]]:
     seed, in_sweep = cfg["seed"], cfg["sweep"] is not None
     estimate = {
         "exact": lambda model: _exact_report(model, seed, in_sweep),
-        "geometric": lambda model: ei_geometric(model.g, model.h, model.theta_domain),
+        "geometric": lambda model: ei_geometric(model.g, model.h, model.x_set.domain),
     }
     models = cfg["models"]
     last = threading.local()
@@ -655,13 +656,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not cfg["output"]:
         raise InvalidConfigError("no output directory (config key 'output' or --output)")
     out_dir = pathlib.Path(cfg["output"])
-    blocking = next((p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()), None)
+    try:
+        blocking = next((p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()), None)
+    except OSError as exc:  # e.g. a path component too long for the file system
+        raise InvalidConfigError(f"output directory {out_dir} cannot be made: {exc.strerror}") from exc
     if blocking is not None:
         raise InvalidConfigError(f"output directory {out_dir} cannot be made: {blocking} is a file")
     threads = _thread_count(args.threads, cfg)
 
     header, rows, comments = _evaluate(cfg, threads)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"output directory {out_dir} cannot be made: {exc.strerror}") from exc
     _write_results(out_dir / "results.csv", header, rows, comments)
     _write_manifest(out_dir / "manifest.json", cfg)
     if cfg["plot"]:

@@ -43,6 +43,7 @@ from .errors import (
     InvalidConfigError,
     NumericalFailureError,
     UseMonteCarloError,
+    _require_integer,
 )
 from .geometry import MetricField, _logdet, _mismatch_batch, _require_factored, _sym
 
@@ -76,6 +77,7 @@ class QuadratureSpec:
     nodes_per_axis: int = 201
 
     def __post_init__(self) -> None:
+        _require_integer("nodes_per_axis", self.nodes_per_axis)
         if self.nodes_per_axis < 21:
             raise InvalidConfigError("nodes_per_axis must be at least 21")
 
@@ -90,6 +92,8 @@ class MonteCarloSpec:
     batches: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("outer_samples", "inner_samples", "seed", "batches"):
+            _require_integer(name, getattr(self, name))
         if self.outer_samples < self.batches:
             raise InvalidConfigError("outer_samples must be at least the batch count")
         if self.inner_samples < 2:
@@ -173,10 +177,14 @@ class _ScalarChain:
         self.ext_lo = lo - pad
         self.ext_hi = hi + pad
         self.theta_table = np.linspace(self.ext_lo, self.ext_hi, self.INVERSE_TABLE)
-        f_table = self.f(self.theta_table)
+        with np.errstate(over="ignore", invalid="ignore"):  # a wide pad can carry f past the floats
+            f_table = self.f(self.theta_table)
         if f_table.shape[-1] != 1:
             raise UseMonteCarloError("exact quadrature requires a scalar effect")
         f_table = f_table[:, 0]
+        if not np.all(np.isfinite(f_table)):
+            ext = f"[{self.ext_lo:g}, {self.ext_hi:g}]"
+            raise NumericalFailureError(f"the effect map is not finite on the padded parameter range {ext}")
         self.sign = 1.0 if f_table[-1] >= f_table[0] else -1.0
         self.f_table = self.sign * f_table  # increasing
         # the effect noise names effect values where it has a kink (Weber
@@ -195,7 +203,7 @@ class _ScalarChain:
 
     def slope(self, theta: np.ndarray) -> np.ndarray:
         """df/dtheta at theta (...,), returning (..., 1)."""
-        return np.asarray(self.ch_ty.jac(theta[..., None]), dtype=float)[..., 0]
+        return self.ch_ty.jac(theta[..., None])[..., 0]
 
     def edge_noise(self, theta: np.ndarray) -> np.ndarray:
         """The noise at parameter values theta (n,), in parameter units.
@@ -801,7 +809,7 @@ def _likelihood_curvature(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton pieces (J' Sy^-1 J, J' Sy^-1 r) of log p(y|theta) per row."""
     f_val = ch_ty.mean(theta)
-    jac = np.asarray(ch_ty.jac(theta), dtype=float)
+    jac = ch_ty.jac(theta)
     wj_t = ch_ty.noise.whiten(np.swapaxes(jac, -1, -2), f_val[:, None, :])  # (W J)^T
     wr = ch_ty.noise.whiten(y - f_val, f_val)
     return wj_t @ np.swapaxes(wj_t, -1, -2), np.einsum("bdk,bk->bd", wj_t, wr)
@@ -999,9 +1007,7 @@ def ei_geometric(
     those entries; for d <= 2 no g + h or factor stack is built.
     ``nodes_per_axis`` must be an integer >= 1 (a bool is not one).
     """
-    n = nodes_per_axis
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidConfigError(f"nodes_per_axis must be an integer >= 1, got {n!r}")
+    _require_integer("nodes_per_axis", nodes_per_axis, minimum=1)
     if g.dim != h.dim or g.dim != domain.dim:
         raise InvalidConfigError("metric fields and domain must share a dimension")
     d = domain.dim

@@ -9,9 +9,15 @@ genuine bugs. It has three subclasses, one per outcome a caller acts on:
   back to Monte Carlo;
 - :class:`NumericalFailureError`: a computation on valid values failed; the
   CLI exits 3, or leaves a gap in a crossover scan.
+
+It also holds the one rule for what counts as an integer count.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class CausalGeomError(Exception):
@@ -33,3 +39,10 @@ class NumericalFailureError(CausalGeomError):
     intervention metric that is singular where it must be invertible, or a
     formula asked for outside the regime it is valid in.
     """
+
+
+def _require_integer(name: str, value: object, minimum: float = -math.inf) -> None:
+    """Refuse a count that is not an int or numpy integer (a bool is not one), or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        at_least = "" if minimum == -math.inf else f" >= {minimum}"
+        raise InvalidConfigError(f"{name} must be an integer{at_least}, got {value!r}")

@@ -216,19 +216,20 @@ class MetricField:
 # ---------------------------------------------------------------------------
 
 
-def effect_metric(channel: GaussianChannel) -> MetricField:
+def effect_metric(channel: GaussianChannel, dim: int) -> MetricField:
     """Fisher metric of the effect channel: J^T Sigma^-1 J at the channel mean.
 
-    Computed on a stack of points (n, d) at once (:meth:`MetricField.from_batch`).
+    ``dim`` is the dimension of the channel's input, the parameter space.
+    Computed on a stack of points (n, dim) at once (:meth:`MetricField.from_batch`).
     """
 
     def fisher(theta: np.ndarray) -> np.ndarray:
         mean = channel.mean(theta)
-        jac = np.asarray(channel.jac(theta), dtype=float)  # (..., dy, dt)
+        jac = channel.jac(theta)  # (..., dy, dt)
         wj_t = channel.noise.whiten(np.swapaxes(jac, -1, -2), mean[..., None, :])  # (W J)^T
         return wj_t @ np.swapaxes(wj_t, -1, -2)
 
-    return MetricField.from_batch(fisher, channel.dim_in)
+    return MetricField.from_batch(fisher, dim)
 
 
 def constant_metric(matrix: np.ndarray) -> MetricField:

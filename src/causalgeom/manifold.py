@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Domain
 from .ei import EIReport, ei_geometric
-from .errors import CausalGeomError, InvalidConfigError
+from .errors import CausalGeomError, InvalidConfigError, _require_integer
 from .geometry import MetricField
 
 logger = logging.getLogger(__name__)
@@ -127,6 +127,7 @@ class SweepSpec:
     def from_range(
         cls, variable: str, start: float, stop: float, steps: int, log: bool
     ) -> "SweepSpec":
+        _require_integer("steps", steps)
         if steps < 2:
             raise InvalidConfigError("sweep needs at least two steps")
         if log:

@@ -30,7 +30,7 @@ from .channels import (
     NoiseSpec,
     UniformBox,
 )
-from .errors import InvalidConfigError, NumericalFailureError
+from .errors import InvalidConfigError, NumericalFailureError, _require_integer
 from .geometry import MetricField, constant_metric, effect_metric
 from .manifold import Submanifold
 
@@ -178,14 +178,14 @@ class ChainModel:
 
     An intervention x sets the parameter itself: theta ~ N(x, Sigma) with
     Sigma the ``noise_xt`` covariance at x, so interventions are parameter
-    coordinates and h is the Fisher metric of that noise.
+    coordinates and h is the Fisher metric of that noise. The parameter box
+    is the box of ``x_set``; a finite set of points has none.
     """
 
     label: str
     x_set: InterventionSet
     noise_xt: NoiseSpec
     ch_ty: GaussianChannel
-    theta_domain: Domain
     g: MetricField
     h: MetricField
 
@@ -199,12 +199,7 @@ def _profile_channel(profile: DimmerProfile, noise: NoiseSpec) -> GaussianChanne
         theta = np.asarray(theta, dtype=float)
         return np.asarray(profile.df(theta[..., 0]), dtype=float)[..., None, None]
 
-    return GaussianChannel(
-        mean_map=mean,
-        noise=noise,
-        input_domain=UNIT_INTERVAL,
-        jacobian=jac,
-    )
+    return GaussianChannel(mean_map=mean, noise=noise, jacobian=jac)
 
 
 def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -> ChainModel:
@@ -225,8 +220,7 @@ def dimmer_model(profile: DimmerProfile, eps: float | NoiseSpec, delta: float) -
         x_set=UniformBox(UNIT_INTERVAL),
         noise_xt=ConstantIsotropic(delta),
         ch_ty=ch_ty,
-        theta_domain=UNIT_INTERVAL,
-        g=effect_metric(ch_ty),
+        g=effect_metric(ch_ty, UNIT_INTERVAL.dim),
         h=constant_metric(np.array([[1.0 / delta**2]])),
     )
 
@@ -270,6 +264,7 @@ class TwoSpeciesConfig:
         _check_scale("delta", self.delta)
         if self.delta_t <= 0.0:
             raise InvalidConfigError("sampling interval must be positive")
+        _require_integer("n_points", self.n_points)
         if self.n_points < 2:
             raise InvalidConfigError(f"n_points must be at least 2, one per parameter, got {self.n_points}")
         m = np.asarray(self.matrix, dtype=float)
@@ -309,12 +304,7 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         return np.stack([-times * np.exp(-times * theta[..., k : k + 1]) for k in (0, 1)], axis=-1)
 
     a = cfg.matrix
-    ch_ty = GaussianChannel(
-        mean_map=mean,
-        noise=ConstantIsotropic(cfg.epsilon),
-        input_domain=UNIT_SQUARE,
-        jacobian=jac,
-    )
+    ch_ty = GaussianChannel(mean_map=mean, noise=ConstantIsotropic(cfg.epsilon), jacobian=jac)
 
     def column(coord: np.ndarray) -> np.ndarray:
         """Column k of `jac` at coordinate k, for every time point at once: (n,) + coord's shape."""
@@ -361,7 +351,6 @@ def two_species_model(cfg: TwoSpeciesConfig) -> ChainModel:
         x_set=UniformBox(UNIT_SQUARE),
         noise_xt=FullConstant(a @ a.T * cfg.delta**2),
         ch_ty=ch_ty,
-        theta_domain=UNIT_SQUARE,
         g=g,
         h=h,
     )

@@ -9,10 +9,13 @@ intervention box only; parameter-side densities are never truncated.
 
 Every bundled model gives h in closed form, so the package carries no
 numerical inversion; the tests check each closed-form h against this one.
+Likewise every channel carries its analytic Jacobian, and the tests check
+each against the central difference of its mean map built here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import typing as tp
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from causalgeom import DiscretePoints, Domain, InvalidConfigError, MetricField, NumericalFailureError
 from causalgeom._quadrature import gauss_legendre
-from causalgeom.channels import InterventionSet, NoiseSpec, gaussian_log_density
+from causalgeom.channels import GaussianChannel, InterventionSet, NoiseSpec, gaussian_log_density
 
 ArrayLike = tp.Union[float, tp.Sequence[float], np.ndarray]
 
@@ -221,3 +224,26 @@ def intervention_metric(inverted: InvertedChannel) -> MetricField:
     return MetricField.from_batch(
         lambda points: np.stack([inverted.fisher(p) for p in points]), inverted.box.dim
     )
+
+
+# ---------------------------------------------------------------------------
+# finite-difference Jacobian
+# ---------------------------------------------------------------------------
+
+
+def finite_difference_channel(channel: GaussianChannel, box: Domain) -> GaussianChannel:
+    """The channel with its Jacobian replaced by the central difference of its mean map.
+
+    The step on each input axis is 1e-5 of the box's span on that axis.
+    """
+    steps = 1e-5 * box.spans
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        cols = []
+        for k in range(box.dim):
+            e = np.zeros(box.dim)
+            e[k] = steps[k]
+            cols.append((channel.mean(x + e) - channel.mean(x - e)) / (2.0 * steps[k]))
+        return np.stack(cols, axis=-1)
+
+    return dataclasses.replace(channel, jacobian=jacobian)

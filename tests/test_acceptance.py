@@ -63,7 +63,7 @@ def two_species_curves(fixed: dict, sweep_to: dict):
 
     def full(value):
         m = build(value)
-        return ei_geometric(m.g, m.h, m.theta_domain)
+        return ei_geometric(m.g, m.h, m.x_set.domain)
 
     def part(value):
         return coarse_grained_ei(build(value), diagonal_submanifold())
@@ -84,7 +84,7 @@ def test_criterion_02_small_noise_approximation_matches_quadrature():
     start = time.perf_counter()
     eps = delta = 0.03
     model = dimmer_model(linear_profile(), eps, delta)
-    approx = ei_geometric(model.g, model.h, model.theta_domain)
+    approx = ei_geometric(model.g, model.h, model.x_set.domain)
     exact = quad(model)
     elapsed = time.perf_counter() - start
     anchor = 1.741
@@ -156,7 +156,7 @@ def test_criterion_06_volume_scaling_slopes():
     full_vals, part_vals = [], []
     for d in deltas:
         model = two_species_model(TwoSpeciesConfig(epsilon=d, delta=d))
-        full_vals.append(ei_geometric(model.g, model.h, model.theta_domain).nats)
+        full_vals.append(ei_geometric(model.g, model.h, model.x_set.domain).nats)
         part_vals.append(coarse_grained_ei(model, diagonal_submanifold()).nats)
     x = np.log(deltas)
     slope_full = float(np.polyfit(x, full_vals, 1)[0])
@@ -201,7 +201,7 @@ def regime_sequence(matrix) -> list[str]:
         )
 
     curves = [
-        ("full", lambda v: (lambda m: ei_geometric(m.g, m.h, m.theta_domain))(build(v))),
+        ("full", lambda v: (lambda m: ei_geometric(m.g, m.h, m.x_set.domain))(build(v))),
         ("A", lambda v: coarse_grained_ei(build(v), diagonal_submanifold())),
         ("B", lambda v: coarse_grained_ei(build(v), antidiagonal_submanifold())),
     ]
@@ -236,7 +236,7 @@ def test_criterion_09_skewed_mixing_never_favors_the_full_model():
 def test_criterion_10_sampling_estimate_matches_geometric_route():
     start = time.perf_counter()
     model = two_species_model(TwoSpeciesConfig(epsilon=1e-2, delta=1e-2))
-    geom = ei_geometric(model.g, model.h, model.theta_domain)
+    geom = ei_geometric(model.g, model.h, model.x_set.domain)
     mc = ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, MonteCarloSpec())
     elapsed = time.perf_counter() - start
     gap = abs(mc.nats - geom.nats)
@@ -339,7 +339,7 @@ def test_criterion_13_property_contracts():
         == ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec)
     )
 
-    geom = ei_geometric(model.g, model.h, model.theta_domain)
+    geom = ei_geometric(model.g, model.h, model.x_set.domain)
     results.append(geom.nats == geom.volume_term - geom.mean_mismatch)
 
     names = [

@@ -204,6 +204,34 @@ def test_a_weber_rate_whose_exponential_overflows_exits_2(tmp_path, capsys, valu
     assert line.startswith("config error:") and want in line
 
 
+@pytest.mark.parametrize("computation", ["ei-exact", "ei-both"])
+def test_a_weber_intervention_noise_past_the_float_range_exits_3(tmp_path, capsys, computation):
+    """dimmer-weber at delta 1e12: the exact kernel's padded box carries the
+    profile past the float range. One line on stderr names that range, with
+    no RuntimeWarning (an error under the repo's filters) and no output."""
+    doc = {"schema_version": 1, "model": {"name": "dimmer-weber", "delta": 1.0e12}, "computation": computation}
+    code, out = run_into(tmp_path, doc)
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 3 and not out.exists()
+    assert line == "numeric error: the effect map is not finite on the padded parameter range [-8e+12, 8e+12]"
+
+
+@pytest.mark.parametrize("where", ["config", "output"])
+def test_a_path_component_too_long_for_the_file_system_exits_2(tmp_path, capsys, where):
+    """A 300-character component as the config path or the --output path is
+    refused by the file system; the run exits 2 naming the path, with no
+    traceback."""
+    long = tmp_path / ("a" * 300)
+    config = str(long) + ".yaml" if where == "config" else write_config(tmp_path, MINI)
+    output = tmp_path / "out" if where == "config" else long / "out"
+    code = main(["run", config, "--output", str(output)])
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert code == 2 and out == ""
+    assert line.startswith("config error:") and str(long) in line and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if where == "config" else ["config.yaml"])
+
+
 def test_two_species_with_fewer_time_points_than_parameters_exits_2(tmp_path, capsys):
     """One time point for two parameters makes g singular at every node."""
     doc = dict(MINI, model={"name": "two-species", "n_points": 1}, computation="ei-geom")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from causalgeom import (
 from causalgeom._quadrature import GRADING, gauss_legendre, graded_gauss_legendre
 from causalgeom import ei
 from causalgeom.channels import gaussian_log_density
+from causalgeom.manifold import SweepSpec
 from causalgeom.ei import (
     FLAG_NEGATIVE_GEOMETRIC,
     FLAG_NOT_CONVERGED,
@@ -67,6 +69,31 @@ def test_spec_validation():
         MonteCarloSpec(inner_samples=1)
     with pytest.raises(InvalidConfigError):
         MonteCarloSpec(batches=4)
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda: QuadratureSpec(nodes_per_axis=25.5), "nodes_per_axis", "25.5"),
+        (lambda: MonteCarloSpec(batches=8.0), "batches", "8.0"),
+        (lambda: MonteCarloSpec(seed=True), "seed", "True"),
+        (lambda: MonteCarloSpec(outer_samples=400.0, batches=8), "outer_samples", "400.0"),
+        (lambda: MonteCarloSpec(inner_samples=np.float64(16.0)), "inner_samples", "np.float64(16.0)"),
+        (lambda: TwoSpeciesConfig(epsilon=0.01, delta=0.01, n_points=3.0), "n_points", "3.0"),
+        (lambda: SweepSpec.from_range("delta", 0.1, 1.0, 2.5, False), "steps", "2.5"),
+    ],
+    ids=["quadrature-nodes", "mc-batches", "mc-seed-bool", "mc-outer", "mc-inner-numpy-float", "n-points", "sweep-steps"],
+)
+def test_a_count_that_is_no_integer_is_refused(build, name, value):
+    """Counts are ints or numpy integers, not floats or bools, as the CLI's
+    table has them; each is refused naming the field and the value."""
+    with pytest.raises(InvalidConfigError, match=re.escape(f"{name} must be an integer, got {value}")):
+        build()
+
+
+def test_numpy_integer_counts_are_counts():
+    assert QuadratureSpec(nodes_per_axis=np.int64(25)).nodes_per_axis == 25
+    assert MonteCarloSpec(seed=np.int32(3), batches=np.int64(8)).seed == 3
 
 
 def test_quadrature_matches_interior_closed_form_at_small_noise():
@@ -126,7 +153,7 @@ def test_weber_profile_beats_linear_under_weber_noise():
 
     def geometric(profile):
         model = dimmer_model(profile, noise, delta)
-        return ei_geometric(model.g, model.h, model.theta_domain)
+        return ei_geometric(model.g, model.h, model.x_set.domain)
 
     best = geometric(weber_optimal_profile(0.1))
     base = geometric(linear_profile())
@@ -139,14 +166,14 @@ def test_nonnegativity_at_large_noise():
     model = dimmer_model(linear_profile(), 0.7, 0.7)
     exact = quad_ei(model, check_convergence=False)
     assert exact.nats >= -3e-3
-    geom = ei_geometric(model.g, model.h, model.theta_domain)
+    geom = ei_geometric(model.g, model.h, model.x_set.domain)
     assert geom.nats < 0.0
     assert FLAG_NEGATIVE_GEOMETRIC in geom.flags
 
 
 def test_geometric_report_decomposition_is_exact():
     model = dimmer_model(linear_profile(), 0.05, 0.05)
-    report = ei_geometric(model.g, model.h, model.theta_domain)
+    report = ei_geometric(model.g, model.h, model.x_set.domain)
     assert report.nats == report.volume_term - report.mean_mismatch
 
 
@@ -160,7 +187,7 @@ def test_oracle_equivalence_exact_vs_geometric_small_noise():
     """At eps = delta = 1e-2 with a flat profile the two routes agree to 5%."""
     model = dimmer_model(linear_profile(), 1e-2, 1e-2)
     exact = quad_ei(model, check_convergence=False)
-    geom = ei_geometric(model.g, model.h, model.theta_domain)
+    geom = ei_geometric(model.g, model.h, model.x_set.domain)
     assert abs(exact.nats - geom.nats) <= 0.05 * abs(exact.nats)
 
 
@@ -231,7 +258,7 @@ def test_report_bits_follow_nats():
     reports = [
         quad_ei(model, check_convergence=False),
         ei_exact_mc(model.x_set, model.noise_xt, model.ch_ty, spec),
-        ei_geometric(model.g, model.h, model.theta_domain),
+        ei_geometric(model.g, model.h, model.x_set.domain),
     ]
     assert [r.method for r in reports] == ["exact-quadrature", "exact-mc", "geometric"]
     for report in reports:
@@ -260,7 +287,7 @@ def test_mc_on_discrete_interventions():
 def test_dimmer_approx_closed_form_value():
     eps = delta = 0.03
     model = dimmer_model(linear_profile(), eps, delta)
-    report = ei_geometric(model.g, model.h, model.theta_domain)
+    report = ei_geometric(model.g, model.h, model.x_set.domain)
     expected = -0.5 * math.log(2 * math.pi * math.e * (eps**2 + delta**2))
     assert report.nats == pytest.approx(expected, rel=1e-10)
 
@@ -269,7 +296,7 @@ def test_geometric_midpoint_grid_avoids_singular_center():
     """The two-species effect metric is rank-1 on the diagonal; the staggered
     midpoint grid must keep every node off it so EI_g stays finite."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.01, delta=0.01))
-    report = ei_geometric(model.g, model.h, model.theta_domain)
+    report = ei_geometric(model.g, model.h, model.x_set.domain)
     assert math.isfinite(report.nats)
 
 
@@ -277,9 +304,9 @@ def test_geometric_grid_names_the_axis_lengths():
     """The reported counts are the grid's own: 101 nodes rounded up to even
     in 1-D, staggered to 101 x 102 in 2-D."""
     dimmer = dimmer_model(linear_profile(), 0.03, 0.03)
-    assert ei_geometric(dimmer.g, dimmer.h, dimmer.theta_domain).grid_or_samples == "midpoint:102"
+    assert ei_geometric(dimmer.g, dimmer.h, dimmer.x_set.domain).grid_or_samples == "midpoint:102"
     two = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
-    assert ei_geometric(two.g, two.h, two.theta_domain).grid_or_samples == "midpoint:101x102"
+    assert ei_geometric(two.g, two.h, two.x_set.domain).grid_or_samples == "midpoint:101x102"
 
 
 def test_field_grid_is_built_once_per_grid_and_read_only():
@@ -299,14 +326,14 @@ def test_geometric_rejects_a_constant_metric_of_another_dimension():
     model = dimmer_model(linear_profile(), 0.03, 0.03)
     assert constant_metric(np.eye(2)).dim == 2
     with pytest.raises(InvalidConfigError, match="share a dimension"):
-        ei_geometric(model.g, constant_metric(np.eye(2)), model.theta_domain)
+        ei_geometric(model.g, constant_metric(np.eye(2)), model.x_set.domain)
 
 
 @pytest.mark.parametrize("nodes", [0, -3, 2.5, True])
 def test_geometric_and_coarse_grained_refuse_a_node_count_that_is_no_positive_integer(nodes):
     dimmer = dimmer_model(linear_profile(), 0.03, 0.03)
     with pytest.raises(InvalidConfigError, match="nodes_per_axis must be an integer >= 1"):
-        ei_geometric(dimmer.g, dimmer.h, dimmer.theta_domain, nodes_per_axis=nodes)
+        ei_geometric(dimmer.g, dimmer.h, dimmer.x_set.domain, nodes_per_axis=nodes)
     two = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
     with pytest.raises(InvalidConfigError, match="nodes_per_axis must be an integer >= 1"):
         coarse_grained_ei(two, diagonal_submanifold(), nodes_per_axis=nodes)
@@ -327,7 +354,7 @@ def test_quadrature_refuses_curve_valued_effects_and_mc_takes_them():
     ch_ty = GaussianChannel(
         mean_map=lambda t: np.concatenate([t, t**2], axis=-1),
         noise=ConstantIsotropic(0.1),
-        input_domain=unit,
+        jacobian=lambda t: np.stack([np.ones_like(t), 2.0 * t], axis=-2),
     )
     x_set = UniformBox(unit)
     with pytest.raises(UseMonteCarloError, match="scalar effect"):
@@ -1043,6 +1070,15 @@ def test_weber_kink_is_a_breakpoint():
     assert rel[0] <= 1e-10 and rel[1] <= 5e-5
 
 
+def test_an_effect_map_that_overflows_on_the_padded_box_is_a_numerical_failure():
+    """At delta = 1e12 the kernel pads the unit box by 8 sigma_q, 8e12 either
+    side, where the Weber profile's e^(theta/r) overflows. The inverse table
+    is formed without a RuntimeWarning and refused naming the padded range."""
+    model = dimmer_model(weber_optimal_profile(0.1), weber_noise(0.03), 1e12)
+    with pytest.raises(NumericalFailureError, match=re.escape("padded parameter range [-8e+12, 8e+12]")):
+        quad_ei(model)
+
+
 # relative residual of the rate check per sigma: measured 4.2e-8, 1.3e-12
 # and 3.2e-11 (the last is the quadrature's own error, amplified by 1/sigma)
 RATE_REL = {0.1: 1e-7, 0.01: 1e-11, 0.001: 1e-10}
@@ -1058,5 +1094,5 @@ def test_exact_minus_geometric_is_first_order_in_the_noise(sigma):
     c, _ = integrate.quad(lambda z: -ndtr(z) * log_ndtr(z), -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13)
     model = dimmer_model(linear_profile(), sigma, sigma)
     exact = quad_ei(model, check_convergence=False)
-    geom = ei_geometric(model.g, model.h, model.theta_domain)
+    geom = ei_geometric(model.g, model.h, model.x_set.domain)
     assert (exact.nats - geom.nats) / sigma == pytest.approx(2.0 * math.sqrt(2.0) * c, rel=RATE_REL[sigma])

@@ -28,7 +28,7 @@ from causalgeom import (
 from causalgeom import ei, geometry
 from causalgeom.ei import _field_mesh
 from causalgeom.geometry import _entries, _logdet, _mismatch_batch, _require_factored
-from reference import intervention_metric, invert_uniform_prior
+from reference import finite_difference_channel, intervention_metric, invert_uniform_prior
 
 UNIT = Domain(((0.0, 1.0),))
 
@@ -70,9 +70,9 @@ def test_effect_metric_linear_channel():
     ch = GaussianChannel(
         mean_map=lambda t: np.asarray(t, dtype=float),
         noise=ConstantIsotropic(eps),
-        input_domain=UNIT,
+        jacobian=lambda t: np.ones(np.shape(t) + (1,)),
     )
-    g = effect_metric(ch)
+    g = effect_metric(ch, 1)
     assert g(0.3)[0, 0] == pytest.approx(1.0 / eps**2, rel=1e-8)
 
 
@@ -90,9 +90,9 @@ def test_effect_metric_finite_difference_consistency():
             [-np.exp(-t[..., 0]), -2.0 * np.exp(-2.0 * t[..., 0])], axis=-1
         )[..., None]
 
-    ch_an = GaussianChannel(mean, ConstantIsotropic(eps), UNIT, jacobian=jac)
-    ch_fd = GaussianChannel(mean, ConstantIsotropic(eps), UNIT)
-    g_an, g_fd = effect_metric(ch_an), effect_metric(ch_fd)
+    ch_an = GaussianChannel(mean, ConstantIsotropic(eps), jac)
+    ch_fd = finite_difference_channel(ch_an, UNIT)
+    g_an, g_fd = effect_metric(ch_an, 1), effect_metric(ch_fd, 1)
     for theta in (0.1, 0.5, 0.9):
         np.testing.assert_allclose(g_fd(theta), g_an(theta), rtol=1e-4)
 
@@ -308,7 +308,7 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
     cubic = types.SimpleNamespace(
         g=MetricField.from_batch(_cubic_metric, 3),
         h=constant_metric(np.eye(3)),
-        theta_domain=Domain(((0.0, 1.0),) * 3),
+        x_set=UniformBox(Domain(((0.0, 1.0),) * 3)),
     )
     cases = [
         (two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, n_points=3)), 101, [0, 0, 0]),
@@ -334,7 +334,7 @@ def test_cholesky_makes_at_most_two_lapack_calls_per_stack(monkeypatch):
     for model, nodes, want in cases:
         lapack_calls.clear()
         per_call.clear()
-        report = ei_geometric(model.g, model.h, model.theta_domain, nodes_per_axis=nodes)
+        report = ei_geometric(model.g, model.h, model.x_set.domain, nodes_per_axis=nodes)
         assert report.nats == -math.inf
         assert per_call == want and len(lapack_calls) == sum(per_call)
 
@@ -487,9 +487,9 @@ def test_two_species_ei_geometric_factors_the_constant_h_once(monkeypatch, cfg):
         return potf2(entries)
 
     model = two_species_model(cfg)
-    expected = ei_geometric(model.g, model.h, model.theta_domain)
+    expected = ei_geometric(model.g, model.h, model.x_set.domain)
     monkeypatch.setattr(geometry, "_potf2", counting)
-    report = ei_geometric(model.g, model.h, model.theta_domain)
+    report = ei_geometric(model.g, model.h, model.x_set.domain)
     assert rows == [1, 101 * 102, 101 * 102]
     assert report == expected
 
@@ -503,9 +503,9 @@ def test_two_species_constant_h_weighs_as_the_same_h_per_node(delta_t):
     -inf."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t))
     per_node = MetricField.from_batch(model.h.batch, 2)
-    assert [np.shape(e) for e in per_node.entries(_field_mesh(model.theta_domain, 101)[0])] == [(101, 102)] * 3
-    constant = ei_geometric(model.g, model.h, model.theta_domain)
-    batch = ei_geometric(model.g, per_node, model.theta_domain)
+    assert [np.shape(e) for e in per_node.entries(_field_mesh(model.x_set.domain, 101)[0])] == [(101, 102)] * 3
+    constant = ei_geometric(model.g, model.h, model.x_set.domain)
+    batch = ei_geometric(model.g, per_node, model.x_set.domain)
     if delta_t == 50.0:
         assert constant.nats == batch.nats == -math.inf
     else:
@@ -549,7 +549,7 @@ def test_two_species_grid_entries_and_mismatch_match_the_stacks(matrix):
         model = two_species_model(
             TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix)
         )
-        mesh, pts, nodes = _grid(model.theta_domain)
+        mesh, pts, nodes = _grid(model.x_set.domain)
         shape = nodes.shape[:-1]
         g_grid, h_grid = model.g.entries(mesh), model.h.entries(mesh)
         g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
@@ -583,7 +583,7 @@ def test_fig4_pivot_roots_are_lapack_factor_diagonals(matrix):
     failing = 0
     for delta_t in FIG4_DELTA_T:
         model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, matrix=matrix))
-        mesh, pts, nodes = _grid(model.theta_domain)
+        mesh, pts, nodes = _grid(model.x_set.domain)
         shape = nodes.shape[:-1]
         g_grid, h_grid = model.g.entries(mesh), model.h.entries(mesh)
         g_stack, h_stack = model.g.batch(pts), model.h.batch(pts)
@@ -644,7 +644,7 @@ def test_two_species_estimate_builds_no_matrix_stack(monkeypatch):
     traced since the call began is as large as an (N, 2, 2) stack, while the
     per-node vectors (N,) are live: the metrics never exist as stacks."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=50.0, matrix=SKEWED))
-    expected = ei_geometric(model.g, model.h, model.theta_domain)
+    expected = ei_geometric(model.g, model.h, model.x_set.domain)
     n_nodes = 101 * 102
     largest = []
     potf2 = geometry._potf2
@@ -656,7 +656,7 @@ def test_two_species_estimate_builds_no_matrix_stack(monkeypatch):
     monkeypatch.setattr(geometry, "_potf2", snapshotting)
     tracemalloc.start()
     try:
-        report = ei_geometric(model.g, model.h, model.theta_domain)
+        report = ei_geometric(model.g, model.h, model.x_set.domain)
     finally:
         tracemalloc.stop()
     assert report == expected

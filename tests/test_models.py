@@ -38,7 +38,7 @@ from causalgeom import (
 from causalgeom import _quadrature, models
 from causalgeom.cli import MODELS, main
 from causalgeom.ei import _field_mesh
-from reference import intervention_metric, invert_uniform_prior
+from reference import finite_difference_channel, intervention_metric, invert_uniform_prior
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -122,11 +122,8 @@ def test_dimmer_model_metrics_match_numerical_routes():
     Fisher of the inverted channel for h)."""
     eps, delta = 0.04, 0.03
     model = dimmer_model(power_profile(2.0), eps, delta)
-    import dataclasses
-
-    fd_channel = dataclasses.replace(model.ch_ty, jacobian=None)
-    g_fd = effect_metric(fd_channel)
-    inv = invert_uniform_prior(model.noise_xt, UniformBox(model.theta_domain))
+    g_fd = effect_metric(finite_difference_channel(model.ch_ty, model.x_set.domain), 1)
+    inv = invert_uniform_prior(model.noise_xt, model.x_set)
     h_num = intervention_metric(inv)
     for theta in (0.25, 0.5, 0.75):
         assert model.g(theta)[0, 0] == pytest.approx(g_fd(theta)[0, 0], rel=1e-4)
@@ -164,9 +161,7 @@ def test_two_species_mean_map_and_metrics():
     np.testing.assert_allclose(model.h(theta), np.eye(2) / 0.02**2, rtol=1e-12)
 
     # g from the analytic Jacobian vs a finite-difference build of the channel
-    import dataclasses
-
-    g_fd = effect_metric(dataclasses.replace(model.ch_ty, jacobian=None))
+    g_fd = effect_metric(finite_difference_channel(model.ch_ty, model.x_set.domain), 2)
     np.testing.assert_allclose(model.g(theta), g_fd(theta), rtol=1e-4)
 
 
@@ -177,7 +172,7 @@ def test_two_species_gram_is_bit_identical_to_einsum(n_points, delta_t):
     per-column Jacobian and its einsum Gram bit for bit."""
     eps = 0.02
     model = two_species_model(TwoSpeciesConfig(epsilon=eps, delta=eps, delta_t=delta_t, n_points=n_points))
-    pts = _nodes(model.theta_domain, 101)
+    pts = _nodes(model.x_set.domain, 101)
     assert pts.shape == (101 * 102, 2)
     times = delta_t * np.arange(1, n_points + 1)
     jac = np.stack([-times * np.exp(-times * pts[..., k : k + 1]) for k in (0, 1)], axis=-1)
@@ -194,10 +189,10 @@ def test_two_species_open_mesh_entries_are_the_batch_bit_for_bit(n_points, delta
     the grid, equals the entry of g.batch at the same 10,302 nodes bit for
     bit."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02, delta_t=delta_t, n_points=n_points))
-    mesh = _field_mesh(model.theta_domain, 101)[0]
+    mesh = _field_mesh(model.x_set.domain, 101)[0]
     entries = model.g.entries(mesh)
     assert [np.shape(e) for e in entries] == [(101, 1), (101, 102), (1, 102)]
-    stack = model.g.batch(_nodes(model.theta_domain, 101)).reshape(101, 102, 2, 2)
+    stack = model.g.batch(_nodes(model.x_set.domain, 101)).reshape(101, 102, 2, 2)
     for entry, (i, j) in zip(entries, [(0, 0), (1, 0), (1, 1)]):
         np.testing.assert_array_equal(np.broadcast_to(entry, (101, 102)), stack[..., i, j])
 
@@ -206,7 +201,7 @@ def test_two_species_g_batch_peak_memory_is_a_few_outputs():
     """g on the 101 x 102 grid builds no (n_points, N) temporaries: its traced
     peak stays within 3 times the (N, 2, 2) stack it returns."""
     model = two_species_model(TwoSpeciesConfig(epsilon=0.02, delta=0.02))
-    pts = _nodes(model.theta_domain, 101)
+    pts = _nodes(model.x_set.domain, 101)
     model.g.batch(pts)
     tracemalloc.start()
     try:
@@ -511,7 +506,10 @@ def test_bundled_metric_stacks_equal_their_transpose(name, params, monkeypatch):
     model = entry.build({**entry.defaults, **params})
     fields = [getattr(model, f.name) for f in dataclasses.fields(model)]
     fields = [f for f in fields if isinstance(f, MetricField)]
-    domain = models.UNIT_INTERVAL if name == "decay-confounder" else model.theta_domain
+    # the confounder has no intervention set and the switch's is two points;
+    # the metrics of both live on the unit interval
+    x_set = getattr(model, "x_set", None)
+    domain = x_set.domain if isinstance(x_set, UniformBox) else models.UNIT_INTERVAL
     pts = _nodes(domain, 101 if domain.dim == 2 else 41)
     cases = [(f, pts) for f in fields]
     if name == "two-species":

@@ -104,7 +104,7 @@ def test_pencil_spectrum_reparameterization_invariance(g_vals, h_vals, b_vals, p
 @settings(max_examples=25, deadline=None)
 def test_geometric_report_decomposition(eps, delta):
     model = dimmer_model(linear_profile(), eps, delta)
-    report = ei_geometric(model.g, model.h, model.theta_domain)
+    report = ei_geometric(model.g, model.h, model.x_set.domain)
     assert report.nats == report.volume_term - report.mean_mismatch
 
 
